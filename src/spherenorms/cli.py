@@ -8,29 +8,6 @@ import sys
 
 from .errors import ConfigError, ResourceLimitError
 
-DESCRIBE_TEXT = """\
-Functionals computed by this package (E_L = set at degree L, mu = measure):
-
-  eigen       lambda_min: smallest eigenvalue of the pencil (G_E, G_full) on Pi_L,
-              G_X[i,j] = integral_X Y_i Y_j dmu.  The best constant C_2 in
-              integral |Q|^2 dmu <= C_2 integral_{E_L} |Q|^2 dmu is 1/lambda_min.
-  density     rho_hat: min over centers u of mu(E_L * B(u, r/L)) / mu(B(u, r/L)),
-              the local relative density at the 1/L scale.
-  harmonic    delta_hat: min over |x| = 1 - 1/L of the Poisson integral
-              (1/sigma) integral_{E_L} (1-|x|^2)/|x-u|^(d+1) dsigma(u).
-  pnorm       adversarial upper bound on min over Q in Pi_L of
-              integral_{E_L} |Q|^p dmu / integral |Q|^p dmu (exact at p=2 via eigen).
-  supnorm     min over sampled Q of (sup_{grid * E_L} |Q| w) / (sup_grid |Q| w),
-              optionally with a bounded weight w.
-  weights     doubling constant sup mu(B(u,2t))/mu(B(u,t)) with fitted growth
-              exponent; reverse-Holder constant C (w <= C * cap averages); smallest
-              (B, beta) with w(B) <= B (sigma(B)/sigma(E))^beta w(E) over samples.
-  regularize  good-cap regularization: union of net caps B(v, eps/L) holding at
-              least a delta fraction of E_L's surface measure; reports the
-              mixed-scale density min_u sigma(E* * B(u, r/L)) / sigma(B(u, r/2L)).
-"""
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="spherenorms",
@@ -70,8 +47,7 @@ def main(argv=None) -> int:
         if args.command == "plotdata":
             return _cmd_plotdata(args)
         if args.command == "describe":
-            print(DESCRIBE_TEXT, end="")
-            return 0
+            return _cmd_describe()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -118,6 +94,15 @@ def _cmd_plotdata(args) -> int:
     labels = args.labels.split(",") if args.labels else None
     out = plotdata(args.csvs, args.kind, args.output, labels=labels)
     print(f"wrote {out}")
+    return 0
+
+
+def _cmd_describe() -> int:
+    from .config import FUNCTIONALS
+
+    print("Functionals computed by this package (E_L = set at degree L, mu = measure):\n")
+    for name, entry in FUNCTIONALS.items():
+        print(f"  {name:<12s}" + entry.describe.replace("\n", "\n" + " " * 14))
     return 0
 
 

@@ -23,9 +23,11 @@ import scipy.optimize
 
 from .basis import BasisSpec, basis_dim, basis_matrix
 from .errors import DegenerateMeasureError, EmptyIntersectionError, ResourceLimitError
+from .geometry import candidate_centers
 from .measures import Lebesgue, MeasureSpec, weight_values
-from .quadrature import QuadratureRule, build_quadrature
-from .sets import FullSphere, SetSpec, arc_list, membership, min_feature_scale
+from .quadrature import SPACING_FACTOR, QuadratureRule, feature_rule, rule_dim
+from .sets import FullSphere, SetSpec, arc_list, membership
+from .special import jacobi_eval, sphere_lambda
 
 __all__ = [
     "ConcentrationReport",
@@ -44,8 +46,6 @@ __all__ = [
 DEFAULT_MAX_DIM = 1089
 _NODE_CHUNK = 8192
 _QR_BLOCK = 49152
-# node spacing as a fraction of the smallest set feature when indicators are involved
-_SPACING_FRACTION = 2.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,13 +78,13 @@ def _check_dim(spec: BasisSpec, max_dim: int) -> int:
 
 
 def default_rule(E: SetSpec, d: int, L: int, oversample: float = 4.0,
-                 exact_degree: int | None = None, max_nodes: int | None = None) -> QuadratureRule:
+                 exact_degree: int | None = None, max_nodes: int | None = None,
+                 spacing_factor: float = SPACING_FACTOR) -> QuadratureRule:
     """Rule sized for degree-2L products and fine enough to resolve E's features."""
     if exact_degree is None:
         exact_degree = 2 * L
-    spacing = min_feature_scale(E) / _SPACING_FRACTION
     kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
-    return build_quadrature(d, exact_degree, oversample=oversample, max_spacing=spacing, **kwargs)
+    return feature_rule(E, d, exact_degree, spacing_factor=spacing_factor, oversample=oversample, **kwargs)
 
 
 def _is_exact_case(E: SetSpec, mu: MeasureSpec, d: int) -> bool:
@@ -95,6 +95,19 @@ def _is_exact_case(E: SetSpec, mu: MeasureSpec, d: int) -> bool:
     except (TypeError, ValueError):
         return False
     return True
+
+
+def _use_exact(E: SetSpec, mu: MeasureSpec, d: int, method: str) -> bool:
+    """Whether the closed-form arc path runs: always under 'auto' when it
+    applies, never under 'quadrature', and under 'exact' or an error."""
+    if method not in ("auto", "quadrature", "exact"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "quadrature":
+        return False
+    exact = _is_exact_case(E, mu, d)
+    if method == "exact" and not exact:
+        raise ValueError("exact path requires d=1 with the plain surface measure")
+    return exact
 
 
 # -- exact trigonometric Gram over arc unions (d=1, Lebesgue) ------------------
@@ -162,26 +175,13 @@ def gram_matrix(
     surface measure (exact to rounding) and quadrature with indicator masks
     otherwise; 'quadrature' and 'exact' force the respective path.
     """
-    N = _check_dim(spec, max_dim)
-    if method not in ("auto", "quadrature", "exact"):
-        raise ValueError(f"unknown method {method!r}")
-    use_exact = method == "exact" or (method == "auto" and _is_exact_case(E, mu, spec.d))
-    if method == "exact" and not _is_exact_case(E, mu, spec.d):
-        raise ValueError("exact Gram assembly requires d=1 with the plain surface measure")
-    if use_exact:
+    _check_dim(spec, max_dim)
+    if _use_exact(E, mu, spec.d, method):
         return _arc_gram(arc_list(E), spec.L)
     if rule is None:
         rule = default_rule(E, spec.d, spec.L)
-    mask = membership(E, rule.nodes)
-    G = np.zeros((N, N))
-    for i0 in range(0, rule.n_nodes, _NODE_CHUNK):
-        chunk = slice(i0, min(i0 + _NODE_CHUNK, rule.n_nodes))
-        m = mask[chunk]
-        if not m.any():
-            continue
-        a = _node_weights(mu, rule, chunk)[m]
-        B = basis_matrix(spec, rule.nodes[chunk][m])
-        G += (B * a[:, None]).T @ B
+    R, _ = _stream_factor(spec, rule, mu, membership(E, rule.nodes))
+    G = R.T @ R
     return 0.5 * (G + G.T)
 
 
@@ -247,20 +247,11 @@ def lambda_min(
     For the plain surface measure with a rule exact to degree 2L the full
     Gram is the identity and the pencil reduces to a standard problem.
     """
-    if d is None:
-        if rule is None:
-            raise ValueError("give either a rule or the sphere dimension d")
-        d = rule.d
+    d = rule_dim(d, rule)
     spec = BasisSpec(d, L)
     N = _check_dim(spec, max_dim)
 
-    if method not in ("auto", "quadrature", "exact"):
-        raise ValueError(f"unknown method {method!r}")
-    use_exact = method == "exact" or (method == "auto" and _is_exact_case(E, mu, d))
-    if method == "exact" and not _is_exact_case(E, mu, d):
-        raise ValueError("exact path requires d=1 with the plain surface measure")
-
-    if use_exact:
+    if _use_exact(E, mu, d, method):
         G = _arc_gram(arc_list(E), L)
         evals, evecs = scipy.linalg.eigh(G)
         lam = float(evals[0])
@@ -275,8 +266,7 @@ def lambda_min(
         raise ValueError("rule exactness must reach degree 2L for the polynomial part")
 
     mask = membership(E, rule.nodes)
-    identity_full = isinstance(mu, Lebesgue)
-    if identity_full:
+    if isinstance(mu, Lebesgue):
         R_full = None
         cond_full = 1.0
     else:
@@ -361,9 +351,7 @@ def lp_ratio(
         a = _node_weights(mu, rule, chunk)
         vals = np.abs(basis_matrix(spec, rule.nodes[chunk]) @ c) ** p
         den += float(a @ vals)
-        m = mask[chunk]
-        if m.any():
-            num += float((a * m) @ vals)
+        num += float((a * mask[chunk]) @ vals)
     if den == 0.0:
         raise ValueError("zero polynomial mass")
     return num / den
@@ -405,7 +393,6 @@ def worst_case_lp(
     rule: QuadratureRule | None = None,
     d: int | None = None,
     max_dim: int = DEFAULT_MAX_DIM,
-    extra_starts: list | None = None,
 ) -> PnormReport:
     """Adversarial search for the least-concentrated polynomial at exponent p.
 
@@ -417,10 +404,7 @@ def worst_case_lp(
     """
     if not (1.0 <= p < math.inf):
         raise ValueError("p must lie in [1, infinity)")
-    if d is None:
-        if rule is None:
-            raise ValueError("give either a rule or the sphere dimension d")
-        d = rule.d
+    d = rule_dim(d, rule)
     spec = BasisSpec(d, L)
     N = _check_dim(spec, max_dim)
     if rule is None:
@@ -443,9 +427,7 @@ def worst_case_lp(
 
     rng = np.random.default_rng(seed)
     anchor = _thin_density_center(spec, rule, mask)
-    starts = list(extra_starts or [])
-    starts.append(_kernel_peak_start(spec, anchor))
-    starts.append(_zonal_peak_start(spec, rule, anchor))
+    starts = [_kernel_peak_start(spec, anchor), _zonal_peak_start(spec, rule, anchor)]
     while len(starts) < restarts:
         starts.append(rng.standard_normal(N))
 
@@ -473,8 +455,6 @@ def worst_case_lp(
 def _thin_density_center(spec: BasisSpec, rule: QuadratureRule, mask: np.ndarray) -> np.ndarray:
     """Argmin center of the local density of the set at scale 2/L, on a coarse
     candidate grid: the natural anchor for the peaked adversary starts."""
-    from .geometry import candidate_centers
-
     if not mask.any() or mask.all():
         return rule.nodes[0]
     centers = candidate_centers(spec.d, spec.L, 4 * max(spec.L, 3))
@@ -494,8 +474,6 @@ def _kernel_peak_start(spec: BasisSpec, center: np.ndarray) -> np.ndarray:
 
 def _zonal_peak_start(spec: BasisSpec, rule: QuadratureRule, center: np.ndarray) -> np.ndarray:
     """Squared zonal peak at ``center``, projected onto the basis (degree <= L)."""
-    from .special import jacobi_eval, sphere_lambda
-
     half = max(1, spec.L // 2)
     lam = sphere_lambda(spec.d)
     t = np.clip(rule.nodes @ center, -1.0, 1.0)
@@ -548,6 +526,32 @@ def uncertainty_check(
     return (head_sq + tail_norm_sq) / denom
 
 
+def _sup_ratios(E: SetSpec, grid: np.ndarray, weight: MeasureSpec | None, values) -> np.ndarray:
+    """Per column of ``values(points)`` (one row per point): max over grid nodes
+    in E of |V| w over max over all grid nodes of |V| w, one grid chunk at a time."""
+    mask = membership(E, grid)
+    if not mask.any():
+        raise EmptyIntersectionError("no evaluation node lies inside the set")
+    w = None
+    if weight is not None and not isinstance(weight, Lebesgue):
+        w = weight_values(weight, grid)
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weight unbounded on the evaluation grid")
+    top = top_E = 0.0
+    for i0 in range(0, grid.shape[0], _NODE_CHUNK):
+        sl = slice(i0, min(i0 + _NODE_CHUNK, grid.shape[0]))
+        vals = np.abs(values(grid[sl]))
+        if w is not None:
+            vals *= w[sl][:, None]
+        top = np.maximum(top, vals.max(axis=0))
+        m = mask[sl]
+        if m.any():
+            top_E = np.maximum(top_E, vals[m].max(axis=0))
+    if np.any(top == 0.0):
+        raise ValueError("zero polynomial")
+    return top_E / top
+
+
 def sup_norm_ratios(
     coeffs: np.ndarray,
     E: SetSpec,
@@ -566,28 +570,7 @@ def sup_norm_ratios(
         C = C[:, None]
     if spec is None or C.shape[0] != basis_dim(spec):
         raise ValueError("coefficient columns must match the basis dimension")
-    mask = membership(E, grid)
-    if not mask.any():
-        raise EmptyIntersectionError("no evaluation node lies inside the set")
-    w = None
-    if weight is not None and not isinstance(weight, Lebesgue):
-        w = weight_values(weight, grid)
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weight unbounded on the evaluation grid")
-    top = np.zeros(C.shape[1])
-    top_E = np.zeros(C.shape[1])
-    for i0 in range(0, grid.shape[0], _NODE_CHUNK):
-        sl = slice(i0, min(i0 + _NODE_CHUNK, grid.shape[0]))
-        vals = np.abs(basis_matrix(spec, grid[sl]) @ C)
-        if w is not None:
-            vals *= w[sl][:, None]
-        top = np.maximum(top, vals.max(axis=0))
-        m = mask[sl]
-        if m.any():
-            top_E = np.maximum(top_E, vals[m].max(axis=0))
-    if np.any(top == 0.0):
-        raise ValueError("zero polynomial")
-    return top_E / top
+    return _sup_ratios(E, grid, weight, lambda pts: basis_matrix(spec, pts) @ C)
 
 
 def sup_norm_ratio(
@@ -602,25 +585,7 @@ def sup_norm_ratio(
     ``Q`` is either a callable on point arrays or a coefficient vector (then
     ``spec`` identifies the basis).  Raises if no grid node lands in E.
     """
+    if not callable(Q):
+        return float(sup_norm_ratios(Q, E, grid, weight=weight, spec=spec)[0])
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if callable(Q):
-        vals = np.abs(np.asarray(Q(grid), dtype=float))
-    else:
-        if spec is None:
-            raise ValueError("coefficient input needs the basis spec")
-        c = np.asarray(Q, dtype=float)
-        vals = np.empty(grid.shape[0])
-        for i0 in range(0, grid.shape[0], _NODE_CHUNK):
-            vals[i0 : i0 + _NODE_CHUNK] = np.abs(basis_matrix(spec, grid[i0 : i0 + _NODE_CHUNK]) @ c)
-    if weight is not None and not isinstance(weight, Lebesgue):
-        w = weight_values(weight, grid)
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weight unbounded on the evaluation grid")
-        vals = vals * w
-    mask = membership(E, grid)
-    if not mask.any():
-        raise EmptyIntersectionError("no evaluation node lies inside the set")
-    total = float(vals.max())
-    if total == 0.0:
-        raise ValueError("zero polynomial")
-    return float(vals[mask].max()) / total
+    return float(_sup_ratios(E, grid, weight, lambda pts: np.asarray(Q(pts), dtype=float).reshape(len(pts), 1))[0])

@@ -2,42 +2,52 @@
 determines a sweep.  Rerunning the same config (same seed) reproduces every
 number bit for bit; the canonical serialization is hashed into every result
 row for traceability.
+
+``FUNCTIONALS`` is the registry of what a sweep computes: one entry per
+functional holds its parameter defaults, its parse-time checks, its compute
+function and its ``spherenorms describe`` text.  Adding a functional means
+adding one entry.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from typing import Callable
 
+import numpy as np
 import yaml
 
+from .basis import BasisSpec, basis_dim
+from .concentration import default_rule, lambda_min, sup_norm_ratios, worst_case_lp
 from .errors import ConfigError
-from .measures import MeasureSpec, measure_from_dict, measure_to_dict, validate_measure
-from .quadrature import DEFAULT_MAX_NODES
-from .sets import SetFamily, family_from_dict, family_to_dict
+from .functionals import (
+    ainfty_check,
+    density_profile,
+    doubling_constant,
+    harmonic_infimum,
+    regularize_set,
+    relative_density,
+    rhinfty_check,
+)
+from .geometry import candidate_centers
+from .measures import Lebesgue, MeasureSpec, measure_from_dict, measure_to_dict, validate_measure
+from .quadrature import DEFAULT_MAX_NODES, SPACING_FACTOR
+from .sets import CapUnion, SetFamily, family_from_dict, family_to_dict, min_feature_scale
 
 __all__ = [
+    "Functional",
     "FunctionalSpec",
     "ExperimentConfig",
     "parse_config",
     "load_config",
     "serialize_config",
     "config_hash",
-    "KNOWN_FUNCTIONALS",
+    "FUNCTIONALS",
 ]
 
 SCHEMA_VERSION = 1
-
-# name -> (defaults, validator)
-KNOWN_FUNCTIONALS = {
-    "density": {"r": 2.0},
-    "harmonic": {},
-    "eigen": {},
-    "pnorm": {"p": 2.0, "restarts": 6},
-    "supnorm": {"samples": 50, "weight": None},
-    "weights": {"scales": [0.1, 0.2, 0.4], "n_caps": 12, "seed": 0},
-    "regularize": {"eps": 0.5, "delta": None, "r": 2.0},
-}
 
 
 @dataclass(frozen=True)
@@ -57,7 +67,7 @@ class ExperimentConfig:
     seed: int = 0
     label: str = ""
     oversample: float = 4.0
-    spacing_factor: float = 2.5
+    spacing_factor: float = SPACING_FACTOR
     max_nodes: int = DEFAULT_MAX_NODES
     resolution_factor: int = 6
     schema: int = SCHEMA_VERSION
@@ -68,33 +78,164 @@ def _require(cond: bool, field_name: str, msg: str):
         raise ConfigError(f"field {field_name!r}: {msg}")
 
 
+# -- the functional registry ----------------------------------------------------
+#
+# A compute function maps (cfg, E, L, params), E being the family's set at
+# degree L, to (value, witness string).  It reaches the library through this
+# module's globals, so wrappers installed on those names see every call.
+
+def _fmt_point(p: np.ndarray) -> str:
+    return "(" + " ".join(f"{x:.6f}" for x in p) + ")"
+
+
+def _eigen(cfg, E, L, params):
+    rule = default_rule(E, cfg.d, L, oversample=cfg.oversample, max_nodes=cfg.max_nodes,
+                        spacing_factor=cfg.spacing_factor)
+    rep = lambda_min(E, cfg.measure, L, rule=rule)
+    wit = f"n_masked={rep.diagnostics.get('n_masked', 'na')};residual={rep.diagnostics['residual']:.3e}"
+    return rep.lambda_min, wit
+
+
+def _density(cfg, E, L, params):
+    rep = relative_density(E, cfg.measure, L, r=float(params["r"]), resolution=cfg.resolution_factor * L,
+                           d=cfg.d, spacing_factor=cfg.spacing_factor)
+    return rep.rho_hat, f"argmin={_fmt_point(rep.argmin_center)}"
+
+
+def _harmonic(cfg, E, L, params):
+    rep = harmonic_infimum(E, L, resolution=cfg.resolution_factor * L, d=cfg.d, spacing_factor=cfg.spacing_factor)
+    return rep.delta_hat, f"argmin={_fmt_point(rep.argmin_center)}"
+
+
+def _pnorm(cfg, E, L, params):
+    rep = worst_case_lp(
+        E, cfg.measure, L, p=float(params["p"]), restarts=int(params["restarts"]), seed=cfg.seed,
+        rule=default_rule(E, cfg.d, L, spacing_factor=cfg.spacing_factor), d=cfg.d,
+    )
+    return rep.value, f"restarts={len(rep.restarts)};spread={max(rep.restarts) - min(rep.restarts):.3e}"
+
+
+def _supnorm(cfg, E, L, params):
+    spec = BasisSpec(cfg.d, L)
+    rng = np.random.default_rng([cfg.seed, L])
+    # the center grid, refined until it resolves E's smallest feature
+    per_circle = max(cfg.resolution_factor * L, int(math.ceil(2.0 * math.pi / (min_feature_scale(E) / 2.0))))
+    grid = candidate_centers(cfg.d, L, per_circle)
+    w = None if params["weight"] is None else measure_from_dict(params["weight"])
+    C = rng.standard_normal((basis_dim(spec), int(params["samples"])))
+    worst = float(sup_norm_ratios(C, E, grid, weight=w, spec=spec).min())
+    return worst, f"samples={params['samples']};grid={grid.shape[0]}"
+
+
+def _weights(cfg, E, L, params):
+    seed, n_caps = int(params["seed"]), int(params["n_caps"])
+    drep = doubling_constant(cfg.measure, params["scales"], d=cfg.d, seed=seed)
+    rrep = rhinfty_check(cfg.measure, cfg.d, seed=seed, n_caps=n_caps)
+    arep = ainfty_check(cfg.measure, cfg.d, seed=seed, n_caps=n_caps)
+    wit = (
+        f"gamma={drep.doubling_exponent:.4f};rh_C={rrep.rhinfty[0]:.4f};"
+        f"ainf_B={arep.ainfty[0]:.4f}@beta={arep.ainfty[1]}"
+    )
+    return drep.doubling_constant, wit
+
+
+def _regularize(cfg, E, L, params):
+    eps, r, delta = float(params["eps"]), float(params["r"]), params["delta"]
+    star = regularize_set(E, L, eps=eps, delta=(None if delta is None else float(delta)), d=cfg.d,
+                          default_delta_r=r, spacing_factor=cfg.spacing_factor)
+    rep = density_profile(star, Lebesgue(), L, num_radius=r / L, den_radius=r / (2 * L), d=cfg.d,
+                          spacing_factor=cfg.spacing_factor)
+    n_caps = star.centers.shape[0] if isinstance(star, CapUnion) else 0
+    return rep.rho_hat, f"good_caps={n_caps};eps={eps}"
+
+
+def _positive(x) -> bool:
+    return x > 0
+
+
+def _at_least_one(n) -> bool:
+    return int(n) >= 1
+
+
+def _weight_or_none(w) -> bool:
+    return w is None or measure_from_dict(w) is not None
+
+
+@dataclass(frozen=True)
+class Functional:
+    """One registry entry: parameter defaults, checks as (parameter, predicate,
+    message) rows, ``compute(cfg, E, L, params) -> (value, witness)``, and the
+    reference text ``spherenorms describe`` prints."""
+
+    defaults: dict
+    checks: tuple
+    compute: Callable
+    describe: str
+
+
+FUNCTIONALS = {
+    "eigen": Functional({}, (), _eigen, """\
+lambda_min: smallest eigenvalue of the pencil (G_E, G_full) on Pi_L,
+G_X[i,j] = integral_X Y_i Y_j dmu.  The best constant C_2 in
+integral |Q|^2 dmu <= C_2 integral_{E_L} |Q|^2 dmu is 1/lambda_min."""),
+    "density": Functional({"r": 2.0}, (("r", _positive, "must be positive"),), _density, """\
+rho_hat: min over centers u of mu(E_L * B(u, r/L)) / mu(B(u, r/L)),
+the local relative density at the 1/L scale."""),
+    "harmonic": Functional({}, (), _harmonic, """\
+delta_hat: min over |x| = 1 - 1/L of the Poisson integral
+(1/sigma) integral_{E_L} (1-|x|^2)/|x-u|^(d+1) dsigma(u)."""),
+    "pnorm": Functional(
+        {"p": 2.0, "restarts": 6},
+        (("p", lambda p: 1 <= p < math.inf, "must be finite and >= 1"),
+         ("restarts", _at_least_one, "must be >= 1")),
+        _pnorm, """\
+adversarial upper bound on min over Q in Pi_L of
+integral_{E_L} |Q|^p dmu / integral |Q|^p dmu (exact at p=2 via eigen)."""),
+    "supnorm": Functional(
+        {"samples": 50, "weight": None},
+        (("samples", _at_least_one, "must be >= 1"), ("weight", _weight_or_none, "must be a measure")),
+        _supnorm, """\
+min over sampled Q of (sup_{grid * E_L} |Q| w) / (sup_grid |Q| w),
+optionally with a bounded weight w."""),
+    "weights": Functional(
+        {"scales": [0.1, 0.2, 0.4], "n_caps": 12, "seed": 0},
+        (("scales", lambda s: len(s) > 0 and all(0 < float(x) <= math.pi / 2 for x in s),
+          "must be a nonempty list of radii in (0, pi/2]"),
+         ("n_caps", _at_least_one, "must be >= 1")),
+        _weights, """\
+doubling constant sup mu(B(u,2t))/mu(B(u,t)) with fitted growth
+exponent; reverse-Holder constant C (w <= C * cap averages); smallest
+(B, beta) with w(B) <= B (sigma(B)/sigma(E))^beta w(E) over samples."""),
+    "regularize": Functional(
+        {"eps": 0.5, "delta": None, "r": 2.0},
+        (("eps", _positive, "must be positive"), ("r", _positive, "must be positive"),
+         ("delta", lambda x: x is None or 0 < x <= 1, "must be unset or a fraction in (0, 1]")),
+        _regularize, """\
+good-cap regularization: union of net caps B(v, eps/L) holding at
+least a delta fraction of E_L's surface measure; reports the
+mixed-scale density min_u sigma(E* * B(u, r/L)) / sigma(B(u, r/2L))."""),
+}
+
+
 def _parse_functional(entry, index: int) -> FunctionalSpec:
     where = f"functionals[{index}]"
     if isinstance(entry, str):
         entry = {"name": entry}
     _require(isinstance(entry, dict), where, "must be a name or a mapping")
     name = entry.get("name")
-    _require(name in KNOWN_FUNCTIONALS, f"{where}.name", f"unknown functional {name!r}")
-    params = dict(KNOWN_FUNCTIONALS[name])
+    _require(name in FUNCTIONALS, f"{where}.name", f"unknown functional {name!r}")
+    params = dict(FUNCTIONALS[name].defaults)
     for key, val in entry.items():
         if key in ("name", "tag"):
             continue
         _require(key in params, f"{where}.{key}", f"unknown parameter for {name}")
         params[key] = val
-    if name == "density":
-        _require(params["r"] > 0, f"{where}.r", "must be positive")
-    if name == "pnorm":
-        _require(params["p"] >= 1, f"{where}.p", "must be >= 1")
-        _require(int(params["restarts"]) >= 1, f"{where}.restarts", "must be >= 1")
-    if name == "supnorm":
-        _require(int(params["samples"]) >= 1, f"{where}.samples", "must be >= 1")
-        if params["weight"] is not None:
-            try:
-                measure_from_dict(params["weight"])
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ConfigError(f"field {where}.weight: {exc}") from exc
-    if name == "regularize":
-        _require(params["eps"] > 0, f"{where}.eps", "must be positive")
+    for key, ok, msg in FUNCTIONALS[name].checks:
+        try:
+            good = ok(params[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            good, msg = False, f"{msg} ({exc})"
+        _require(good, f"{where}.{key}", msg)
     tag = entry.get("tag", name)
     return FunctionalSpec(name=name, tag=str(tag), params=params)
 
@@ -137,9 +278,10 @@ def parse_config(text: str) -> ExperimentConfig:
     _require(isinstance(quad, dict), "quadrature", "must be a mapping")
     oversample = float(quad.get("oversample", 4.0))
     _require(oversample >= 1.0, "quadrature.oversample", "must be >= 1")
-    spacing_factor = float(quad.get("spacing_factor", 2.5))
+    spacing_factor = float(quad.get("spacing_factor", SPACING_FACTOR))
     _require(spacing_factor > 0, "quadrature.spacing_factor", "must be positive")
     max_nodes = int(quad.get("max_nodes", DEFAULT_MAX_NODES))
+    _require(max_nodes >= 1, "quadrature.max_nodes", "must be >= 1")
 
     res = data.get("resolution", {})
     _require(isinstance(res, dict), "resolution", "must be a mapping")

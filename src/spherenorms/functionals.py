@@ -25,8 +25,8 @@ from .geometry import (
     uniform_circle,
 )
 from .measures import Lebesgue, MeasureSpec, PowerDistanceWeight, cap_mass, weight_values
-from .quadrature import QuadratureRule, build_quadrature, cap_quadrature
-from .sets import CapUnion, EmptySet, SetSpec, membership, min_feature_scale
+from .quadrature import SPACING_FACTOR, QuadratureRule, cap_quadrature, feature_rule, rule_dim
+from .sets import CapUnion, EmptySet, SetSpec, membership
 from .special import sphere_measure
 
 __all__ = [
@@ -82,31 +82,25 @@ class WeightReport:
     witness: dict | None = None
 
 
+def _window_sums(centers: np.ndarray, nodes: np.ndarray, terms) -> list[np.ndarray]:
+    """For each (kernel, values) term, the per-center sums over nodes u of
+    kernel(c . u) * values[u], scanned in blocks of centers and nodes."""
+    sums = [np.zeros(centers.shape[0]) for _ in terms]
+    for c0 in range(0, centers.shape[0], _CENTER_CHUNK):
+        cc = centers[c0 : c0 + _CENTER_CHUNK]
+        for i0 in range(0, nodes.shape[0], _NODE_CHUNK):
+            D = cc @ nodes[i0 : i0 + _NODE_CHUNK].T
+            for out, (kernel, values) in zip(sums, terms):
+                out[c0 : c0 + _CENTER_CHUNK] += kernel(D) @ values[i0 : i0 + _NODE_CHUNK]
+    return sums
+
+
 def _local_masses(centers, rule, num_values, den_values, num_radius, den_radius):
     """Per-center masses over caps: num over B(c, num_radius), den over B(c, den_radius)."""
-    n_c = centers.shape[0]
-    num = np.zeros(n_c)
-    den = np.zeros(n_c)
-    cos_num = math.cos(num_radius)
-    cos_den = math.cos(den_radius)
-    for c0 in range(0, n_c, _CENTER_CHUNK):
-        cc = centers[c0 : c0 + _CENTER_CHUNK]
-        acc_n = np.zeros(cc.shape[0])
-        acc_d = np.zeros(cc.shape[0])
-        for i0 in range(0, rule.n_nodes, _NODE_CHUNK):
-            D = cc @ rule.nodes[i0 : i0 + _NODE_CHUNK].T
-            acc_n += (D >= cos_num) @ num_values[i0 : i0 + _NODE_CHUNK]
-            acc_d += (D >= cos_den) @ den_values[i0 : i0 + _NODE_CHUNK]
-        num[c0 : c0 + _CENTER_CHUNK] = acc_n
-        den[c0 : c0 + _CENTER_CHUNK] = acc_d
-    return num, den
-
-
-def _density_rule(E: SetSpec, d: int, window: float, rule: QuadratureRule | None) -> QuadratureRule:
-    if rule is not None:
-        return rule
-    spacing = min(min_feature_scale(E), window) / 2.5
-    return build_quadrature(d, 0, max_spacing=spacing)
+    cos_num, cos_den = math.cos(num_radius), math.cos(den_radius)
+    return _window_sums(
+        centers, rule.nodes, [(lambda D: D >= cos_num, num_values), (lambda D: D >= cos_den, den_values)]
+    )
 
 
 def density_profile(
@@ -118,12 +112,10 @@ def density_profile(
     resolution: int | None = None,
     rule: QuadratureRule | None = None,
     d: int | None = None,
+    spacing_factor: float = SPACING_FACTOR,
 ) -> DensityReport:
     """Min over grid centers u of mu(E cap B(u, num_radius)) / mu(B(u, den_radius))."""
-    if d is None:
-        if rule is None:
-            raise ValueError("give either a rule or the sphere dimension d")
-        d = rule.d
+    d = rule_dim(d, rule)
     if L < 1:
         raise ValueError("degree must be >= 1")
     scale = min(num_radius, den_radius)
@@ -136,7 +128,8 @@ def density_profile(
             f"center grid spacing {spacing:.4g} is coarser than the cap scale "
             f"{scale:.4g}; raise the resolution"
         )
-    rule = _density_rule(E, d, min(num_radius, den_radius), rule)
+    if rule is None:
+        rule = feature_rule(E, d, window=scale, spacing_factor=spacing_factor)
     centers = candidate_centers(d, L, resolution)
     ind = membership(E, rule.nodes).astype(float)
     den_vals = rule.weights * weight_values(mu, rule.nodes)
@@ -167,11 +160,13 @@ def relative_density(
     resolution: int | None = None,
     rule: QuadratureRule | None = None,
     d: int | None = None,
+    spacing_factor: float = SPACING_FACTOR,
 ) -> DensityReport:
     """Grid approximation of inf_u mu(E cap B(u, r/L)) / mu(B(u, r/L))."""
     if r <= 0:
         raise ValueError("scale parameter r must be positive")
-    return density_profile(E, mu, L, r / L, r / L, resolution=resolution, rule=rule, d=d)
+    return density_profile(E, mu, L, r / L, r / L, resolution=resolution, rule=rule, d=d,
+                           spacing_factor=spacing_factor)
 
 
 def poisson_kernel(x, nodes, d: int) -> np.ndarray:
@@ -201,43 +196,30 @@ def harmonic_infimum(
     resolution: int | None = None,
     rule: QuadratureRule | None = None,
     d: int | None = None,
+    spacing_factor: float = SPACING_FACTOR,
 ) -> HarmonicReport:
     """Min of harmonic measure over x = (1 - 1/L) u with u on the center grid."""
-    if d is None:
-        if rule is None:
-            raise ValueError("give either a rule or the sphere dimension d")
-        d = rule.d
+    d = rule_dim(d, rule)
     if L < 1:
         raise ValueError("degree must be >= 1")
     if resolution is None:
         resolution = 6 * L
     if rule is None:
-        spacing = min(min_feature_scale(E), 1.0 / L) / 2.5
-        rule = build_quadrature(d, 0, max_spacing=spacing)
+        rule = feature_rule(E, d, window=1.0 / L, spacing_factor=spacing_factor)
     centers = candidate_centers(d, L, resolution)
     mask = membership(E, rule.nodes)
     if not mask.any():
         return HarmonicReport(0.0, centers[0].copy(), L, {"per_great_circle": resolution})
-    nodes_E = rule.nodes[mask]
-    vals_E = rule.weights[mask] / sphere_measure(d)
     rho = 1.0 - 1.0 / L
-    best = math.inf
-    best_i = 0
     pref = 1.0 - rho * rho
     expo = -(d + 1) / 2.0
-    for c0 in range(0, centers.shape[0], _CENTER_CHUNK):
-        cc = centers[c0 : c0 + _CENTER_CHUNK]
-        acc = np.zeros(cc.shape[0])
-        for i0 in range(0, nodes_E.shape[0], _NODE_CHUNK):
-            D = cc @ nodes_E[i0 : i0 + _NODE_CHUNK].T
-            K = pref * (1.0 + rho * rho - 2.0 * rho * D) ** expo
-            acc += K @ vals_E[i0 : i0 + _NODE_CHUNK]
-        j = int(np.argmin(acc))
-        if acc[j] < best:
-            best = float(acc[j])
-            best_i = c0 + j
+    (acc,) = _window_sums(
+        centers, rule.nodes[mask],
+        [(lambda D: pref * (1.0 + rho * rho - 2.0 * rho * D) ** expo, rule.weights[mask] / sphere_measure(d))],
+    )
+    best_i = int(np.argmin(acc))
     return HarmonicReport(
-        delta_hat=best,
+        delta_hat=float(acc[best_i]),
         argmin_center=centers[best_i].copy(),
         L=L,
         resolution={"per_great_circle": resolution, "n_centers": centers.shape[0], "rule": dict(rule.descriptor)},
@@ -287,22 +269,14 @@ def doubling_constant(
     ratios = masses[:, idx2] / masses[:, idx1]
     C = float(ratios.max())
 
-    growth = []
-    for j in range(radii.size):
-        for k in range(j + 1, radii.size):
-            g = np.log(masses[:, k] / masses[:, j]) / math.log(radii[k] / radii[j])
-            growth.append(g)
-    growth = np.concatenate(growth)
-    gamma = max(1.0, float(growth.max()))
-    # constants making the two-sided power sandwich hold on all sampled pairs
-    c_high = 1.0
-    c_low = 1.0
-    for j in range(radii.size):
-        for k in range(j + 1, radii.size):
-            q = radii[k] / radii[j]
-            ratio = masses[:, k] / masses[:, j]
-            c_high = max(c_high, float((ratio / q**gamma).max()))
-            c_low = max(c_low, float((q ** (1.0 / gamma) / ratio).max()))
+    # growth exponent over all radius pairs, then the constants making the
+    # two-sided power sandwich hold on all sampled pairs
+    j, k = np.triu_indices(radii.size, 1)
+    q = radii[k] / radii[j]
+    ratio = masses[:, k] / masses[:, j]
+    gamma = max(1.0, float((np.log(ratio) / np.log(q)).max()))
+    c_high = max(1.0, float((ratio / q**gamma).max()))
+    c_low = max(1.0, float((q ** (1.0 / gamma) / ratio).max()))
     return WeightReport(
         doubling_constant=C,
         doubling_exponent=gamma,
@@ -439,6 +413,7 @@ def regularize_set(
     rule: QuadratureRule | None = None,
     default_delta_r: float = 2.0,
     overlap_cap: int = 24,
+    spacing_factor: float = SPACING_FACTOR,
 ) -> SetSpec:
     """Good-cap regularization: cover the sphere by caps B(v, eps/L) on a net,
     keep those holding at least a delta fraction of surface measure of E, and
@@ -448,20 +423,16 @@ def regularize_set(
     ``default_delta_r``/L is used, matching the construction's smallness
     requirement on delta relative to the density.
     """
-    if d is None:
-        if rule is None:
-            raise ValueError("give either a rule or the sphere dimension d")
-        d = rule.d
+    d = rule_dim(d, rule)
     if L < 1 or eps <= 0:
         raise ValueError("need L >= 1 and eps > 0")
     radius = eps / L
     net = covering_net(d, radius)
     if delta is None:
-        rd = relative_density(E, Lebesgue(), L, default_delta_r, d=d)
+        rd = relative_density(E, Lebesgue(), L, default_delta_r, d=d, spacing_factor=spacing_factor)
         delta = 0.5 * rd.rho_hat
     if rule is None:
-        spacing = min(min_feature_scale(E), radius) / 2.5
-        rule = build_quadrature(d, 0, max_spacing=spacing)
+        rule = feature_rule(E, d, window=radius, spacing_factor=spacing_factor)
     ind = membership(E, rule.nodes).astype(float)
     num_vals = rule.weights * ind
     num, den = _local_masses(net, rule, num_vals, rule.weights.copy(), radius, radius)

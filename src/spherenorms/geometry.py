@@ -30,7 +30,6 @@ __all__ = [
     "candidate_centers",
     "covering_net",
     "angle_of",
-    "point_on_circle",
 ]
 
 _GOLDEN = math.pi * (1.0 + math.sqrt(5.0))
@@ -193,11 +192,6 @@ def candidate_centers(d: int, L: int, per_great_circle: int | None = None) -> np
     raise ValueError(f"unsupported sphere dimension d={d}")
 
 
-def grid_spacing(d: int, per_great_circle: int) -> float:
-    """Nominal spacing of the candidate-center grid."""
-    return 2.0 * math.pi / per_great_circle
-
-
 def covering_net(d: int, spacing: float, max_tries: int = 4) -> np.ndarray:
     """Discrete net whose caps of radius ``spacing`` cover S^d with bounded overlap.
 
@@ -232,8 +226,3 @@ def angle_of(points) -> np.ndarray:
     """Angles in [0, 2 pi) of points on S^1."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     return np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
-
-
-def point_on_circle(theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)

@@ -17,11 +17,14 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .geometry import frame_at
-from .special import sphere_measure
+from .sets import SetSpec, min_feature_scale
 
-__all__ = ["QuadratureRule", "build_quadrature", "cap_quadrature", "DEFAULT_MAX_NODES"]
+__all__ = ["QuadratureRule", "build_quadrature", "cap_quadrature", "feature_rule", "rule_dim",
+           "DEFAULT_MAX_NODES", "SPACING_FACTOR"]
 
 DEFAULT_MAX_NODES = 6_000_000
+# default node spacing: the smallest set feature (or window scale) over this factor
+SPACING_FACTOR = 2.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +140,25 @@ def cap_quadrature(d: int, center, radius: float, n_r: int = 48, n_phi: int = 96
     return QuadratureRule(2, nodes, weights, 0, {"cap": True, "n_r": n_r, "n_phi": n_phi})
 
 
-def full_mass_check(rule: QuadratureRule, tol: float = 1e-10) -> bool:
-    """Whether the rule's total weight matches the sphere measure."""
-    return abs(rule.weights.sum() - sphere_measure(rule.d)) <= tol * sphere_measure(rule.d)
+def feature_rule(
+    E: SetSpec,
+    d: int,
+    exact_degree: int = 0,
+    window: float = math.inf,
+    spacing_factor: float = SPACING_FACTOR,
+    **kwargs,
+) -> QuadratureRule:
+    """Rule exact to ``exact_degree`` with node spacing at most the smaller of
+    E's smallest feature and ``window``, divided by ``spacing_factor``; other
+    keywords go to ``build_quadrature``."""
+    spacing = min(min_feature_scale(E), window) / spacing_factor
+    return build_quadrature(d, exact_degree, max_spacing=spacing, **kwargs)
+
+
+def rule_dim(d: int | None, rule: QuadratureRule | None) -> int:
+    """The sphere dimension: ``d`` if given, else the rule's."""
+    if d is None:
+        if rule is None:
+            raise ValueError("give either a rule or the sphere dimension d")
+        d = rule.d
+    return d

@@ -13,29 +13,11 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
-import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from .concentration import default_rule, lambda_min, sup_norm_ratios, worst_case_lp
-from .basis import BasisSpec, basis_dim
-from .config import ExperimentConfig, config_hash, parse_config, serialize_config
-from .errors import ConfigError
-from .functionals import (
-    ainfty_check,
-    density_profile,
-    doubling_constant,
-    harmonic_infimum,
-    regularize_set,
-    relative_density,
-    rhinfty_check,
-)
-from .geometry import candidate_centers
-from .measures import Lebesgue, measure_from_dict
-from .quadrature import build_quadrature
-from .sets import CapUnion, min_feature_scale, realize_family
+from .config import FUNCTIONALS, ExperimentConfig, config_hash
+from .sets import realize_family
 
 __all__ = ["ResultRow", "run_experiment", "write_results", "read_results", "plotdata", "RESULT_COLUMNS"]
 
@@ -55,75 +37,14 @@ class ResultRow:
     wall_time_s: float
 
 
-def _fmt_point(p: np.ndarray) -> str:
-    return "(" + " ".join(f"{x:.6f}" for x in p) + ")"
-
-
-def _eval_grid(cfg: ExperimentConfig, E, L: int) -> np.ndarray:
-    per_circle = cfg.resolution_factor * L
-    scale = min_feature_scale(E)
-    per_circle = max(per_circle, int(math.ceil(2.0 * math.pi / (scale / 2.0))))
-    return candidate_centers(cfg.d, L, per_circle)
-
-
-def _compute(cfg: ExperimentConfig, L: int, fn) -> tuple[float, str]:
-    E = realize_family(cfg.family, cfg.d, L)
-    mu = cfg.measure
-    if fn.name == "eigen":
-        rule = default_rule(E, cfg.d, L, oversample=cfg.oversample, max_nodes=cfg.max_nodes)
-        rep = lambda_min(E, mu, L, rule=rule)
-        wit = f"n_masked={rep.diagnostics.get('n_masked', 'na')};residual={rep.diagnostics['residual']:.3e}"
-        return rep.lambda_min, wit
-    if fn.name == "density":
-        rep = relative_density(E, mu, L, r=float(fn.params["r"]), resolution=cfg.resolution_factor * L, d=cfg.d)
-        return rep.rho_hat, f"argmin={_fmt_point(rep.argmin_center)}"
-    if fn.name == "harmonic":
-        rep = harmonic_infimum(E, L, resolution=cfg.resolution_factor * L, d=cfg.d)
-        return rep.delta_hat, f"argmin={_fmt_point(rep.argmin_center)}"
-    if fn.name == "pnorm":
-        rep = worst_case_lp(
-            E, mu, L, p=float(fn.params["p"]), restarts=int(fn.params["restarts"]),
-            seed=cfg.seed, d=cfg.d,
-        )
-        return rep.value, f"restarts={len(rep.restarts)};spread={max(rep.restarts) - min(rep.restarts):.3e}"
-    if fn.name == "supnorm":
-        spec = BasisSpec(cfg.d, L)
-        rng = np.random.default_rng([cfg.seed, L])
-        grid = _eval_grid(cfg, E, L)
-        weight = fn.params.get("weight")
-        w = measure_from_dict(weight) if weight is not None else None
-        C = rng.standard_normal((basis_dim(spec), int(fn.params["samples"])))
-        worst = float(sup_norm_ratios(C, E, grid, weight=w, spec=spec).min())
-        return worst, f"samples={fn.params['samples']};grid={grid.shape[0]}"
-    if fn.name == "weights":
-        drep = doubling_constant(mu, fn.params["scales"], d=cfg.d, seed=int(fn.params["seed"]))
-        rrep = rhinfty_check(mu, cfg.d, seed=int(fn.params["seed"]), n_caps=int(fn.params["n_caps"]))
-        arep = ainfty_check(mu, cfg.d, seed=int(fn.params["seed"]), n_caps=int(fn.params["n_caps"]))
-        wit = (
-            f"gamma={drep.doubling_exponent:.4f};rh_C={rrep.rhinfty[0]:.4f};"
-            f"ainf_B={arep.ainfty[0]:.4f}@beta={arep.ainfty[1]}"
-        )
-        return drep.doubling_constant, wit
-    if fn.name == "regularize":
-        eps = float(fn.params["eps"])
-        delta = fn.params.get("delta")
-        star = regularize_set(E, L, eps=eps, delta=(None if delta is None else float(delta)),
-                              d=cfg.d, default_delta_r=float(fn.params["r"]))
-        r = float(fn.params["r"])
-        rep = density_profile(star, Lebesgue(), L, num_radius=r / L, den_radius=r / (2 * L), d=cfg.d)
-        n_caps = star.centers.shape[0] if isinstance(star, CapUnion) else 0
-        return rep.rho_hat, f"good_caps={n_caps};eps={eps}"
-    raise ConfigError(f"unknown functional {fn.name!r}")
-
-
 def _job(args):
-    text, L, fn_index = args
-    cfg = parse_config(text)
+    cfg, digest, L, fn_index = args
     fn = cfg.functionals[fn_index]
     t0 = time.perf_counter()
-    value, witness = _compute(cfg, L, fn)
+    E = realize_family(cfg.family, cfg.d, L)
+    value, witness = FUNCTIONALS[fn.name].compute(cfg, E, L, fn.params)
     elapsed = time.perf_counter() - t0
-    return ResultRow(SCHEMA, config_hash(cfg), L, fn.tag, float(value), witness, elapsed)
+    return ResultRow(SCHEMA, digest, L, fn.tag, float(value), witness, elapsed)
 
 
 def run_experiment(cfg: ExperimentConfig, output_dir, workers: int = 1, verbose: bool = False):
@@ -133,8 +54,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir, workers: int = 1, verbose:
 
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    text = serialize_config(cfg)
-    jobs = [(text, L, i) for L in cfg.L_list for i in range(len(cfg.functionals))]
+    digest = config_hash(cfg)
+    jobs = [(cfg, digest, L, i) for L in cfg.L_list for i in range(len(cfg.functionals))]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_job, jobs))

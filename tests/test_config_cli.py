@@ -8,9 +8,9 @@ import pytest
 
 import spherenorms as sn
 from spherenorms.cli import main
-from spherenorms.config import config_hash, load_config, parse_config, serialize_config
+from spherenorms.config import FUNCTIONALS, config_hash, load_config, parse_config, serialize_config
 from spherenorms.errors import ConfigError
-from spherenorms.runner import plotdata, read_results, run_experiment
+from spherenorms.runner import _job, plotdata, read_results, run_experiment
 
 SMALL_CONFIG = """
 schema: 1
@@ -47,6 +47,12 @@ def test_parse_and_defaults():
         ("functionals: [{name: bogus}]", "functionals[0].name"),
         ("functionals: [{name: density, nope: 1}]", "functionals[0].nope"),
         ("functionals: [{name: density, r: -1.0}]", "functionals[0].r"),
+        ("functionals: [{name: pnorm, p: .inf}]", "functionals[0].p"),
+        ("functionals: [{name: regularize, r: -1}]", "functionals[0].r"),
+        ("functionals: [{name: regularize, delta: 5.0}]", "functionals[0].delta"),
+        ("functionals: [{name: weights, scales: [0.0, 3.0]}]", "functionals[0].scales"),
+        ("functionals: [{name: weights, n_caps: 0}]", "functionals[0].n_caps"),
+        ("quadrature: {max_nodes: 0}", "quadrature.max_nodes"),
         ("schema: 99", "schema"),
     ],
 )
@@ -60,6 +66,42 @@ def test_validation_errors_name_the_field(mutation, field):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert field in str(err.value)
+
+
+REGISTRY_CONFIG = """
+d: 1
+L_list: [4]
+seed: 3
+family: {kind: fixed, set: {kind: arcs, intervals: [[-1.2, 1.2], [2.0, 3.4]]}}
+measure: {kind: power_distance, exponent: 2.0, pole: [1.0, 0.0]}
+functionals: [{name: %s}]
+"""
+
+
+@pytest.mark.parametrize("name", list(FUNCTIONALS))
+def test_registry_entry_runs_with_defaults(name, capsys):
+    cfg = parse_config(REGISTRY_CONFIG % name)
+    assert cfg.functionals[0].params == FUNCTIONALS[name].defaults
+    row = _job((cfg, config_hash(cfg), 4, 0))
+    assert row.functional == name and row.L == 4
+    assert math.isfinite(row.value) and row.witness
+    assert main(["describe"]) == 0
+    assert f"  {name} " in capsys.readouterr().out
+
+
+def test_spacing_factor_changes_rule_sized_values(tmp_path):
+    text = """
+d: 1
+L_list: [4]
+family: {kind: fixed, set: {kind: arcs, intervals: [[-1.2, 1.2], [1.6, 3.0], [3.4, 4.8]]}}
+functionals: [{name: density, r: 1.5}, harmonic]
+"""
+    _, _, base = run_experiment(parse_config(text), tmp_path / "base")
+    _, _, fine = run_experiment(parse_config(text + "quadrature: {spacing_factor: 5.0}\n"), tmp_path / "fine")
+    base = {r.functional: r.value for r in base}
+    fine = {r.functional: r.value for r in fine}
+    assert fine["density"] != base["density"]
+    assert fine["harmonic"] != base["harmonic"]
 
 
 def test_yaml_error_reported():

@@ -152,6 +152,31 @@ def test_doubling_lebesgue_exact_ratios():
     assert rep.doubling_exponent >= 1.0
 
 
+def test_doubling_fit_matches_pairwise_loops():
+    # reference: the growth-exponent and sandwich-constant fit as loops over radius pairs
+    w = sn.PowerDistanceWeight(2.0, sn.north_pole(2))
+    centers = sn.random_points(2, 6, np.random.default_rng(4))
+    scales = [0.1, 0.2, 0.4]
+    rep = sn.doubling_constant(w, scales, centers=centers)
+    radii = np.unique(np.concatenate([scales, 2.0 * np.asarray(scales)]))
+    masses = np.array([[sn.cap_mass(w, 2, u, float(r)) for r in radii] for u in centers])
+    pairs = [(j, k) for j in range(radii.size) for k in range(j + 1, radii.size)]
+    gamma = 1.0
+    for j, k in pairs:
+        gamma = max(gamma, float((np.log(masses[:, k] / masses[:, j]) / math.log(radii[k] / radii[j])).max()))
+    c_high = c_low = 1.0
+    for j, k in pairs:
+        q = radii[k] / radii[j]
+        ratio = masses[:, k] / masses[:, j]
+        c_high = max(c_high, float((ratio / q**gamma).max()))
+        c_low = max(c_low, float((q ** (1.0 / gamma) / ratio).max()))
+    # same arithmetic; only the log implementation may differ, by a few ulps
+    tol = 8 * np.finfo(float).eps
+    assert rep.doubling_exponent == pytest.approx(gamma, rel=tol)
+    assert rep.doubling_c_high == pytest.approx(c_high, rel=tol)
+    assert rep.doubling_c_low == pytest.approx(c_low, rel=tol)
+
+
 def test_doubling_circle_small_scale():
     rep = sn.doubling_constant(sn.Lebesgue(), scales=[1e-3], d=1, seed=2)
     assert rep.doubling_constant == pytest.approx(2.0, abs=1e-9)
