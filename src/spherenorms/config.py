@@ -98,19 +98,21 @@ def _eigen(cfg, E, L, params):
 
 def _density(cfg, E, L, params):
     rep = relative_density(E, cfg.measure, L, r=float(params["r"]), resolution=cfg.resolution_factor * L,
-                           d=cfg.d, spacing_factor=cfg.spacing_factor)
+                           d=cfg.d, spacing_factor=cfg.spacing_factor, max_nodes=cfg.max_nodes)
     return rep.rho_hat, f"argmin={_fmt_point(rep.argmin_center)}"
 
 
 def _harmonic(cfg, E, L, params):
-    rep = harmonic_infimum(E, L, resolution=cfg.resolution_factor * L, d=cfg.d, spacing_factor=cfg.spacing_factor)
+    rep = harmonic_infimum(E, L, resolution=cfg.resolution_factor * L, d=cfg.d, spacing_factor=cfg.spacing_factor,
+                           max_nodes=cfg.max_nodes)
     return rep.delta_hat, f"argmin={_fmt_point(rep.argmin_center)}"
 
 
 def _pnorm(cfg, E, L, params):
     rep = worst_case_lp(
         E, cfg.measure, L, p=float(params["p"]), restarts=int(params["restarts"]), seed=cfg.seed,
-        rule=default_rule(E, cfg.d, L, spacing_factor=cfg.spacing_factor), d=cfg.d,
+        rule=default_rule(E, cfg.d, L, oversample=cfg.oversample, max_nodes=cfg.max_nodes,
+                          spacing_factor=cfg.spacing_factor), d=cfg.d,
     )
     return rep.value, f"restarts={len(rep.restarts)};spread={max(rep.restarts) - min(rep.restarts):.3e}"
 
@@ -142,9 +144,9 @@ def _weights(cfg, E, L, params):
 def _regularize(cfg, E, L, params):
     eps, r, delta = float(params["eps"]), float(params["r"]), params["delta"]
     star = regularize_set(E, L, eps=eps, delta=(None if delta is None else float(delta)), d=cfg.d,
-                          default_delta_r=r, spacing_factor=cfg.spacing_factor)
+                          default_delta_r=r, spacing_factor=cfg.spacing_factor, max_nodes=cfg.max_nodes)
     rep = density_profile(star, Lebesgue(), L, num_radius=r / L, den_radius=r / (2 * L), d=cfg.d,
-                          spacing_factor=cfg.spacing_factor)
+                          spacing_factor=cfg.spacing_factor, max_nodes=cfg.max_nodes)
     n_caps = star.centers.shape[0] if isinstance(star, CapUnion) else 0
     return rep.rho_hat, f"good_caps={n_caps};eps={eps}"
 

@@ -25,7 +25,7 @@ from .geometry import (
     uniform_circle,
 )
 from .measures import Lebesgue, MeasureSpec, PowerDistanceWeight, cap_mass, weight_values
-from .quadrature import SPACING_FACTOR, QuadratureRule, cap_quadrature, feature_rule, rule_dim
+from .quadrature import DEFAULT_MAX_NODES, SPACING_FACTOR, QuadratureRule, cap_quadrature, feature_rule, rule_dim
 from .sets import CapUnion, EmptySet, SetSpec, membership
 from .special import sphere_measure
 
@@ -43,8 +43,14 @@ __all__ = [
     "regularize_set",
 ]
 
-_CENTER_CHUNK = 512
-_NODE_CHUNK = 32768
+# harmonic scan blocks: 64 x 2048 kernel entries (1 MB), small enough that the
+# elementwise passes over a block stay in cache
+_CENTER_CHUNK = 64
+_NODE_CHUNK = 2048
+# candidate (center, node) pairs per density block; bounds the scan's temporaries
+_PAIR_BLOCK = 1 << 20
+# squared-chord slack of the tree query, far above the rounding of c . u
+_CHORD_SLACK = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,25 +88,43 @@ class WeightReport:
     witness: dict | None = None
 
 
-def _window_sums(centers: np.ndarray, nodes: np.ndarray, terms) -> list[np.ndarray]:
-    """For each (kernel, values) term, the per-center sums over nodes u of
-    kernel(c . u) * values[u], scanned in blocks of centers and nodes."""
-    sums = [np.zeros(centers.shape[0]) for _ in terms]
-    for c0 in range(0, centers.shape[0], _CENTER_CHUNK):
-        cc = centers[c0 : c0 + _CENTER_CHUNK]
-        for i0 in range(0, nodes.shape[0], _NODE_CHUNK):
-            D = cc @ nodes[i0 : i0 + _NODE_CHUNK].T
-            for out, (kernel, values) in zip(sums, terms):
-                out[c0 : c0 + _CENTER_CHUNK] += kernel(D) @ values[i0 : i0 + _NODE_CHUNK]
-    return sums
+def _center_blocks(counts: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive center ranges whose candidate-pair counts sum to at most
+    ``_PAIR_BLOCK``; each single count is at most ``_PAIR_BLOCK``."""
+    csum = np.cumsum(counts)
+    bounds = [0]
+    while bounds[-1] < counts.shape[0]:
+        done = int(csum[bounds[-1] - 1]) if bounds[-1] else 0
+        bounds.append(int(np.searchsorted(csum, done + _PAIR_BLOCK, side="right")))
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _local_masses(centers, rule, num_values, den_values, num_radius, den_radius):
-    """Per-center masses over caps: num over B(c, num_radius), den over B(c, den_radius)."""
-    cos_num, cos_den = math.cos(num_radius), math.cos(den_radius)
-    return _window_sums(
-        centers, rule.nodes, [(lambda D: D >= cos_num, num_values), (lambda D: D >= cos_den, den_values)]
-    )
+    """Per-center masses over caps: num over B(c, num_radius), den over B(c, den_radius).
+
+    Node u counts for center c when c . u >= cos(radius) in float64; a radius
+    of pi or more takes the whole sphere.  A k-d tree over the nodes only
+    prunes: it hands over every node within the chord of the wider cap (with
+    slack for rounding), and the dot-product test decides each candidate pair.
+    """
+    cos_num, cos_den = math.cos(min(num_radius, math.pi)), math.cos(min(den_radius, math.pi))
+    reach = math.sqrt(2.0 - 2.0 * min(cos_num, cos_den) + _CHORD_SLACK)
+    num, den = np.zeros(centers.shape[0]), np.zeros(centers.shape[0])
+    # node chunks of at most _PAIR_BLOCK nodes cap every center's candidates
+    for n0 in range(0, rule.n_nodes, _PAIR_BLOCK):
+        nodes = rule.nodes[n0 : n0 + _PAIR_BLOCK]
+        tree = cKDTree(nodes)
+        counts = tree.query_ball_point(centers, reach, return_length=True)
+        for c0, c1 in _center_blocks(counts):
+            pairs = cKDTree(centers[c0:c1]).sparse_distance_matrix(tree, reach, output_type="ndarray")
+            ci, ni = pairs["i"], pairs["j"]
+            dots = np.take(centers[c0:c1, 0], ci) * np.take(nodes[:, 0], ni)
+            for k in range(1, centers.shape[1]):
+                dots += np.take(centers[c0:c1, k], ci) * np.take(nodes[:, k], ni)
+            for out, cos_r, values in ((num, cos_num, num_values), (den, cos_den, den_values)):
+                keep = dots >= cos_r
+                out[c0:c1] += np.bincount(ci[keep], weights=values[n0 + ni[keep]], minlength=c1 - c0)
+    return num, den
 
 
 def density_profile(
@@ -113,6 +137,7 @@ def density_profile(
     rule: QuadratureRule | None = None,
     d: int | None = None,
     spacing_factor: float = SPACING_FACTOR,
+    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> DensityReport:
     """Min over grid centers u of mu(E cap B(u, num_radius)) / mu(B(u, den_radius))."""
     d = rule_dim(d, rule)
@@ -129,7 +154,7 @@ def density_profile(
             f"{scale:.4g}; raise the resolution"
         )
     if rule is None:
-        rule = feature_rule(E, d, window=scale, spacing_factor=spacing_factor)
+        rule = feature_rule(E, d, window=scale, spacing_factor=spacing_factor, max_nodes=max_nodes)
     centers = candidate_centers(d, L, resolution)
     ind = membership(E, rule.nodes).astype(float)
     den_vals = rule.weights * weight_values(mu, rule.nodes)
@@ -161,12 +186,28 @@ def relative_density(
     rule: QuadratureRule | None = None,
     d: int | None = None,
     spacing_factor: float = SPACING_FACTOR,
+    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> DensityReport:
     """Grid approximation of inf_u mu(E cap B(u, r/L)) / mu(B(u, r/L))."""
     if r <= 0:
         raise ValueError("scale parameter r must be positive")
     return density_profile(E, mu, L, r / L, r / L, resolution=resolution, rule=rule, d=d,
-                           spacing_factor=spacing_factor)
+                           spacing_factor=spacing_factor, max_nodes=max_nodes)
+
+
+def _poisson_from_dots(dots: np.ndarray, scale: float, rho_sq: float, d: int) -> np.ndarray:
+    """The Poisson kernel (1 - |x|^2)/|x - u|^(d+1), overwriting ``dots``,
+    where |x|^2 = rho_sq and |x - u|^2 = 1 + rho_sq + scale * dots."""
+    t = dots
+    t *= scale
+    t += 1.0 + rho_sq
+    if d == 2:
+        t *= np.sqrt(t)
+    elif d != 1:
+        raise ValueError(f"unsupported sphere dimension d={d}")
+    np.reciprocal(t, out=t)
+    t *= 1.0 - rho_sq
+    return t
 
 
 def poisson_kernel(x, nodes, d: int) -> np.ndarray:
@@ -175,8 +216,19 @@ def poisson_kernel(x, nodes, d: int) -> np.ndarray:
     rho_sq = float(x @ x)
     if rho_sq >= 1.0:
         raise ValueError("evaluation point must lie strictly inside the unit ball")
-    dist_sq = 1.0 + rho_sq - 2.0 * (nodes @ x)
-    return (1.0 - rho_sq) * dist_sq ** (-(d + 1) / 2.0)
+    return _poisson_from_dots(nodes @ x, -2.0, rho_sq, d)
+
+
+def _poisson_sums(centers: np.ndarray, nodes: np.ndarray, values: np.ndarray, rho: float, d: int) -> np.ndarray:
+    """Per-center sums over all nodes u of P(rho c, u) * values[u], scanned
+    in blocks of centers and nodes."""
+    sums = np.zeros(centers.shape[0])
+    for c0 in range(0, centers.shape[0], _CENTER_CHUNK):
+        cc = centers[c0 : c0 + _CENTER_CHUNK]
+        for i0 in range(0, nodes.shape[0], _NODE_CHUNK):
+            kernel = _poisson_from_dots(cc @ nodes[i0 : i0 + _NODE_CHUNK].T, -2.0 * rho, rho * rho, d)
+            sums[c0 : c0 + _CENTER_CHUNK] += kernel @ values[i0 : i0 + _NODE_CHUNK]
+    return sums
 
 
 def harmonic_measure(E: SetSpec, x, rule: QuadratureRule) -> float:
@@ -197,6 +249,7 @@ def harmonic_infimum(
     rule: QuadratureRule | None = None,
     d: int | None = None,
     spacing_factor: float = SPACING_FACTOR,
+    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> HarmonicReport:
     """Min of harmonic measure over x = (1 - 1/L) u with u on the center grid."""
     d = rule_dim(d, rule)
@@ -205,18 +258,12 @@ def harmonic_infimum(
     if resolution is None:
         resolution = 6 * L
     if rule is None:
-        rule = feature_rule(E, d, window=1.0 / L, spacing_factor=spacing_factor)
+        rule = feature_rule(E, d, window=1.0 / L, spacing_factor=spacing_factor, max_nodes=max_nodes)
     centers = candidate_centers(d, L, resolution)
     mask = membership(E, rule.nodes)
     if not mask.any():
         return HarmonicReport(0.0, centers[0].copy(), L, {"per_great_circle": resolution})
-    rho = 1.0 - 1.0 / L
-    pref = 1.0 - rho * rho
-    expo = -(d + 1) / 2.0
-    (acc,) = _window_sums(
-        centers, rule.nodes[mask],
-        [(lambda D: pref * (1.0 + rho * rho - 2.0 * rho * D) ** expo, rule.weights[mask] / sphere_measure(d))],
-    )
+    acc = _poisson_sums(centers, rule.nodes[mask], rule.weights[mask] / sphere_measure(d), 1.0 - 1.0 / L, d)
     best_i = int(np.argmin(acc))
     return HarmonicReport(
         delta_hat=float(acc[best_i]),
@@ -303,16 +350,21 @@ def _tangent_at(u: np.ndarray) -> np.ndarray:
     return t / n
 
 
-def _ainfty_subsets(mu: MeasureSpec, d: int, u: np.ndarray, delta: float):
-    """(sigma(E), omega(E), tag) for the structured subsets of B(u, delta)."""
+def _ainfty_subsets(mu: MeasureSpec, d: int, u: np.ndarray, delta: float, masses: dict):
+    """(sigma(E), omega(E), tag) for the structured subsets of B(u, delta);
+    ``masses`` memoizes omega(B(u, radius)) by exact radius across calls."""
+
+    def mass(radius: float) -> float:
+        if radius not in masses:
+            masses[radius] = cap_mass(mu, d, u, radius)
+        return masses[radius]
+
     out = []
     sig_b = cap_measure(d, delta)
-    w_b = cap_mass(mu, d, u, delta)
+    w_b = mass(delta)
     for frac, tag in ((0.5, "half-subcap"), (0.25, "quarter-subcap")):
-        out.append((cap_measure(d, frac * delta), cap_mass(mu, d, u, frac * delta), tag))
-    half_sig = cap_measure(d, 0.5 * delta)
-    half_w = cap_mass(mu, d, u, 0.5 * delta)
-    out.append((sig_b - half_sig, w_b - half_w, "annulus"))
+        out.append((cap_measure(d, frac * delta), mass(frac * delta), tag))
+    out.append((sig_b - cap_measure(d, 0.5 * delta), w_b - mass(0.5 * delta), "annulus"))
     shifted = math.cos(delta / 2.0) * u + math.sin(delta / 2.0) * _tangent_at(u)
     shifted = shifted / np.linalg.norm(shifted)
     out.append((cap_measure(d, delta / 2.0), cap_mass(mu, d, shifted, delta / 2.0), "offcenter-subcap"))
@@ -334,8 +386,9 @@ def ainfty_check(
     witness = None
     passed = True
     for u in centers:
+        masses = {}
         for delta in radii:
-            sig_b, w_b, subsets = _ainfty_subsets(mu, d, u, float(delta))
+            sig_b, w_b, subsets = _ainfty_subsets(mu, d, u, float(delta), masses)
             for sig_e, w_e, tag in subsets:
                 if sig_e <= 0:
                     continue
@@ -414,6 +467,7 @@ def regularize_set(
     default_delta_r: float = 2.0,
     overlap_cap: int = 24,
     spacing_factor: float = SPACING_FACTOR,
+    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> SetSpec:
     """Good-cap regularization: cover the sphere by caps B(v, eps/L) on a net,
     keep those holding at least a delta fraction of surface measure of E, and
@@ -429,13 +483,14 @@ def regularize_set(
     radius = eps / L
     net = covering_net(d, radius)
     if delta is None:
-        rd = relative_density(E, Lebesgue(), L, default_delta_r, d=d, spacing_factor=spacing_factor)
+        rd = relative_density(E, Lebesgue(), L, default_delta_r, d=d, spacing_factor=spacing_factor,
+                              max_nodes=max_nodes)
         delta = 0.5 * rd.rho_hat
     if rule is None:
-        rule = feature_rule(E, d, window=radius, spacing_factor=spacing_factor)
+        rule = feature_rule(E, d, window=radius, spacing_factor=spacing_factor, max_nodes=max_nodes)
     ind = membership(E, rule.nodes).astype(float)
     num_vals = rule.weights * ind
-    num, den = _local_masses(net, rule, num_vals, rule.weights.copy(), radius, radius)
+    num, den = _local_masses(net, rule, num_vals, rule.weights, radius, radius)
     if np.any(den <= 0.0):
         raise NetConstructionError("net caps too small for the rule resolution")
 

@@ -10,6 +10,7 @@ exactness claims do not apply.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,6 +44,16 @@ class QuadratureRule:
 
     def integrate(self, values) -> float:
         return float(self.weights @ np.asarray(values, dtype=float))
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per size and
+    returned read-only (every caller shares the cached arrays)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def _circle_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -88,7 +99,7 @@ def build_quadrature(
         raise ResourceLimitError(
             f"rule would need {n_t}x{n_phi}={n_t * n_phi} nodes (cap {max_nodes})"
         )
-    x, wx = np.polynomial.legendre.leggauss(n_t)
+    x, wx = _gauss_legendre(n_t)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     w_phi = 2.0 * math.pi / n_phi
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
@@ -113,8 +124,8 @@ def cap_quadrature(d: int, center, radius: float, n_r: int = 48, n_phi: int = 96
     if not (0.0 < radius <= math.pi):
         raise ValueError(f"cap radius must lie in (0, pi], got {radius}")
     center = np.asarray(center, dtype=float)
+    x, wx = _gauss_legendre(n_r)
     if d == 1:
-        x, wx = np.polynomial.legendre.leggauss(n_r)
         theta0 = math.atan2(center[1], center[0])
         theta = theta0 + radius * x
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -123,7 +134,6 @@ def cap_quadrature(d: int, center, radius: float, n_r: int = 48, n_phi: int = 96
     if d != 2:
         raise ValueError(f"unsupported sphere dimension d={d}")
     # Gauss-Legendre in t = cos(polar angle) over [cos radius, 1]
-    x, wx = np.polynomial.legendre.leggauss(n_r)
     a = math.cos(radius)
     t = 0.5 * (1.0 - a) * x + 0.5 * (1.0 + a)
     wt = 0.5 * (1.0 - a) * wx

@@ -207,6 +207,15 @@ functionals: [{name: eigen}]
     assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("name", ["eigen", "density", "harmonic", "pnorm", "regularize"])
+def test_max_nodes_guards_every_rule(name, tmp_path):
+    # every functional that builds a global rule honours quadrature.max_nodes
+    # (supnorm and weights build none)
+    cfg_path = tmp_path / "capped.yaml"
+    cfg_path.write_text(REGISTRY_CONFIG % name + "quadrature: {max_nodes: 10}\n")
+    assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
+
+
 def test_cli_describe(capsys):
     assert main(["describe"]) == 0
     out = capsys.readouterr().out

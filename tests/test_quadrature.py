@@ -7,6 +7,7 @@ import pytest
 
 import spherenorms as sn
 from spherenorms.errors import ResourceLimitError
+from spherenorms.quadrature import _gauss_legendre
 
 
 def test_total_mass():
@@ -92,3 +93,15 @@ def test_cap_quadrature_integrates_smooth():
     got = float(rule.weights @ rule.nodes[:, 2])
     expected = 2 * math.pi * (math.sin(radius) ** 2) / 2
     assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_gauss_legendre_nodes_built_once_and_read_only():
+    x, w = _gauss_legendre(48)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(48)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    assert _gauss_legendre(48)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    # the rules built on the shared arrays leave them untouched
+    sn.cap_quadrature(2, sn.north_pole(2), 0.7)
+    sn.build_quadrature(2, 94)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)

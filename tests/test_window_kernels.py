@@ -1,0 +1,183 @@
+"""The window kernels of functionals.py against direct references: the
+density masses against the all-pairs block scan they replaced, the Poisson
+scan against poisson_kernel summed node by node, the memory bound of the
+density blocks, and the cap masses ainfty_check asks for."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import spherenorms as sn
+from spherenorms import functionals as F
+from spherenorms.geometry import candidate_centers, random_rotation
+from spherenorms.quadrature import QuadratureRule
+from spherenorms.sets import membership
+
+OLD_BLOCK = 512 * 32768  # entries of one block of the all-pairs scan
+
+
+def all_pairs_masses(centers, rule, num_values, den_values, num_radius, den_radius):
+    """The all-pairs block scan: every center against every node, 512 x 32768
+    at a time (a radius beyond pi is the whole sphere, as at pi)."""
+    cos_num, cos_den = math.cos(min(num_radius, math.pi)), math.cos(min(den_radius, math.pi))
+    num, den = np.zeros(centers.shape[0]), np.zeros(centers.shape[0])
+    for c0 in range(0, centers.shape[0], 512):
+        cc = centers[c0 : c0 + 512]
+        for i0 in range(0, rule.n_nodes, 32768):
+            D = cc @ rule.nodes[i0 : i0 + 32768].T
+            num[c0 : c0 + 512] += (D >= cos_num) @ num_values[i0 : i0 + 32768]
+            den[c0 : c0 + 512] += (D >= cos_den) @ den_values[i0 : i0 + 32768]
+    return num, den
+
+
+def assert_masses_match(got, want):
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g == 0.0, w == 0.0)
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+
+SETS = {
+    1: sn.Arcs([[-1.2, 0.4], [2.2, 3.0]]),
+    2: sn.random_cap_union(2, 12, 0.35, seed=4),
+}
+
+
+def window_case(d, L, seed, empty=False):
+    """Centers, rule and the (indicator-weighted, plain) node values of SETS[d].
+
+    The set with the rule, and the centers, take two random rotations.  The
+    dot product of a pair within a rounding of cos(radius) may round either
+    way in the two scans (a BLAS product against a per-pair one); rotating the
+    grids apart keeps exact alignments, such as the antipodal pairs of two
+    uniform circle grids at radius pi, out of these cases.  Exact ties are
+    tested with exactly representable products below."""
+    rng = np.random.default_rng(seed)
+    R = random_rotation(d, rng)
+    E = sn.EmptySet() if empty else sn.rotate(SETS[d], R)
+    rule = sn.build_quadrature(d, 0, max_spacing=0.4 / L)
+    rule = QuadratureRule(d, rule.nodes @ R.T, rule.weights, 0)
+    centers = candidate_centers(d, L) @ random_rotation(d, rng).T
+    den = rule.weights * (1.0 + rng.random(rule.n_nodes))
+    num = den * membership(E, rule.nodes)
+    return centers, rule, num, den
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 2]),
+    st.integers(0, 2**31 - 1),
+    st.floats(0.01, 4.0),
+    st.floats(0.01, 4.0),
+)
+def test_local_masses_match_all_pairs_scan(d, seed, num_radius, den_radius):
+    centers, rule, num, den = window_case(d, 6, seed)
+    got = F._local_masses(centers, rule, num, den, num_radius, den_radius)
+    assert_masses_match(got, all_pairs_masses(centers, rule, num, den, num_radius, den_radius))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize(
+    "num_radius, den_radius",
+    [(2.0 / 8, 2.0 / 16), (0.05, 0.3), (math.pi, math.pi), (math.pi, 0.2), (3.5, 5.0)],
+    ids=["regularize-r/L-r/2L", "num-narrower", "pi", "pi-and-narrow", "beyond-pi"],
+)
+@pytest.mark.parametrize("empty", [False, True], ids=["set", "empty"])
+def test_local_masses_cases(d, num_radius, den_radius, empty):
+    centers, rule, num, den = window_case(d, 8, seed=11, empty=empty)
+    got = F._local_masses(centers, rule, num, den, num_radius, den_radius)
+    assert_masses_match(got, all_pairs_masses(centers, rule, num, den, num_radius, den_radius))
+    if empty:
+        assert not got[0].any()
+    if den_radius >= math.pi:
+        # a cap of radius pi or more is the whole sphere
+        np.testing.assert_allclose(got[1], den.sum(), rtol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("radius", [2.0, 0.3, 1e-3, 1e-7, 3e-8])
+def test_local_masses_boundary_is_closed(d, radius):
+    # nodes at dot product exactly cos(radius) from the center count, and the
+    # next float below does not; the dot products are exact whatever the
+    # summation order, since the center is a coordinate axis.  At the tiny
+    # radii the rounding of the nodes' coordinates is not small against the
+    # chord, so the tree query finds the boundary nodes only with its slack
+    c = math.cos(radius)
+    dots = [c, np.nextafter(c, -2.0), np.nextafter(c, 2.0), 1.0, -1.0]
+    nodes = np.zeros((len(dots), d + 1))
+    nodes[:, 0] = dots
+    nodes[:, 1] = np.sqrt(1.0 - np.square(dots))
+    rule = QuadratureRule(d, nodes, np.array([1.0, 2.0, 4.0, 8.0, 16.0]), 0)
+    centers = np.eye(d + 1)[:1]
+    got = F._local_masses(centers, rule, rule.weights, rule.weights, radius, 0.5 * radius)
+    assert got[0][0] == 1.0 + 4.0 + 8.0
+    assert got[1][0] == 8.0
+    assert_masses_match(got, all_pairs_masses(centers, rule, rule.weights, rule.weights, radius, 0.5 * radius))
+
+
+def test_density_blocks_stay_within_old_block(monkeypatch):
+    # a window of radius 2.5 holds ~90% of the nodes; the candidate pairs of
+    # every block must stay within one block of the all-pairs scan
+    rule = sn.build_quadrature(2, 0, max_spacing=0.014)
+    assert rule.n_nodes >= 100_000
+    blocks = []
+    real_blocks = F._center_blocks
+
+    def recorded(counts):
+        out = real_blocks(counts)
+        blocks.extend(int(counts[a:b].sum()) for a, b in out)
+        assert [a for a, _ in out] == [0] + [b for _, b in out[:-1]] and out[-1][1] == counts.shape[0]
+        return out
+
+    monkeypatch.setattr(F, "_center_blocks", recorded)
+    E = sn.cap_set(sn.north_pole(2), 1.0)
+    rep = sn.density_profile(E, sn.Lebesgue(), 2, 2.5, 2.5, rule=rule)
+    assert len(blocks) > 1 and sum(blocks) > F._PAIR_BLOCK
+    assert max(blocks) <= F._PAIR_BLOCK <= OLD_BLOCK
+    centers = candidate_centers(2, 2, rep.resolution["per_great_circle"])
+    ind = membership(E, rule.nodes).astype(float)
+    num, den = all_pairs_masses(centers, rule, rule.weights * ind, rule.weights, 2.5, 2.5)
+    assert rep.rho_hat == pytest.approx(float((num / den).min()), rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_poisson_scan_matches_kernel_node_by_node(d):
+    centers, rule, num, _ = window_case(d, 5, seed=3)
+    mask = num > 0
+    nodes, values = rule.nodes[mask], rule.weights[mask]
+    rho = 1.0 - 1.0 / 5
+    got = F._poisson_sums(centers, nodes, values, rho, d)
+    want = np.array([values @ F.poisson_kernel(rho * c, nodes, d) for c in centers])
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_poisson_kernel_matches_power_formula(d):
+    rng = np.random.default_rng(9)
+    nodes = sn.random_points(d, 200, rng)
+    x = 0.8 * sn.random_points(d, 1, rng)[0]
+    dist = np.linalg.norm(x[None, :] - nodes, axis=1)
+    want = (1.0 - x @ x) / dist ** (d + 1)
+    np.testing.assert_allclose(F.poisson_kernel(x, nodes, d), want, rtol=1e-13, atol=0.0)
+
+
+def test_ainfty_asks_each_cap_mass_once(monkeypatch):
+    # 13 centers (12 samples and the pole) x 10 distinct caps: radii 0.2, 0.5,
+    # 1.0 and their halves and quarters (0.25 and 0.5 repeat), plus three
+    # off-center subcaps; the values are those computed with every repeat
+    calls = []
+    real_cap_mass = F.cap_mass
+
+    def counted(mu, d, center, radius, *args, **kwargs):
+        calls.append((tuple(center), radius))
+        return real_cap_mass(mu, d, center, radius, *args, **kwargs)
+
+    monkeypatch.setattr(F, "cap_mass", counted)
+    rep = F.ainfty_check(sn.PowerDistanceWeight(1.5, np.array([1.0, 0.0])), 1, seed=0, n_caps=12)
+    assert len(calls) == len(set(calls)) == 130
+    B, beta, passed = rep.ainfty
+    assert passed and beta == 2.0 and rep.witness is None
+    assert B == pytest.approx(2.168274494262604, rel=1e-12)
+    per_beta = {0.5: 16.000000000000096, 1.0: 8.000000000000048, 2.0: 2.168274494262604}
+    assert rep.config["per_beta"] == pytest.approx(per_beta, rel=1e-12)
