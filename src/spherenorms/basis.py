@@ -4,7 +4,9 @@ d=2 uses real spherical harmonics built from fully normalized associated
 Legendre functions (positive convention, no Condon-Shortley sign); d=1 uses
 the trigonometric system {1/sqrt(2 pi), cos(k t)/sqrt(pi), sin(k t)/sqrt(pi)}.
 Ordering is (degree, order) lexicographic: for each degree the m = 0 function
-comes first, then cos/sin pairs for m = 1..degree.
+comes first, then cos/sin pairs for m = 1..degree.  On a d=2 product rule,
+``ring_factors`` applies the node x basis matrix and its transpose through
+per-ring Legendre values and per-longitude trig values, without forming it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import numpy as np
 
 from .special import dim_pi
 
-__all__ = ["BasisSpec", "basis_dim", "basis_matrix", "basis_eval", "normalized_assoc_legendre"]
+__all__ = ["BasisSpec", "RingFactors", "basis_dim", "basis_matrix", "basis_eval", "normalized_assoc_legendre",
+           "ring_factors"]
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,62 @@ def _basis_matrix_sphere(L: int, points: np.ndarray) -> np.ndarray:
                 B[:, col(l, m, False)] = sqrt2 * p * cos_m
                 B[:, col(l, m, True)] = sqrt2 * p * sin_m
     return B
+
+
+@dataclass(frozen=True, eq=False)
+class RingFactors:
+    """The d=2 basis on a product rule as two factors, so that ``B @ c`` and
+    ``B.T @ w`` never form the n_nodes x dim Pi_L matrix B.
+
+    Column (l, m, cos|sin) of B at node (ring j, longitude k), in ring-major
+    node order, is ``legendre[m, j, l] * trig[2m (+1 for sin), k]``.  ``slot``
+    places basis column i at cell ``slot[i]`` of the flattened (m, l, cos|sin)
+    coefficient grid; the cells of P_lm with l < m and of sin(0 phi) are zero.
+    """
+
+    legendre: np.ndarray  # (L+1, n_t, L+1): [m, j, l] = s_m P_lm(x_j), s_0 = 1, s_m = sqrt(2)
+    trig: np.ndarray  # (2(L+1), n_phi): rows cos(m phi_k), sin(m phi_k) for m = 0..L
+    slot: np.ndarray  # (dim Pi_L,)
+
+    def forward(self, c: np.ndarray) -> np.ndarray:
+        """Values at the nodes, ``B @ c``: per order m a Legendre sum on every
+        ring, then the trigonometric sums along each ring."""
+        n_m, n_t, _ = self.legendre.shape
+        grid = np.zeros(n_m * n_m * 2)
+        grid[self.slot] = c
+        ring = np.matmul(self.legendre, grid.reshape(n_m, n_m, 2))  # (m, j, cos|sin)
+        return (ring.transpose(1, 0, 2).reshape(n_t, 2 * n_m) @ self.trig).ravel()
+
+    def adjoint(self, w: np.ndarray) -> np.ndarray:
+        """``B.T @ w``: the trigonometric sums of w along each ring, then per
+        order m the Legendre sums over the rings."""
+        n_m, n_t, _ = self.legendre.shape
+        ring = (w.reshape(n_t, -1) @ self.trig.T).reshape(n_t, n_m, 2).transpose(1, 0, 2)
+        grid = np.matmul(self.legendre.transpose(0, 2, 1), ring)  # (m, l, cos|sin)
+        return grid.ravel()[self.slot]
+
+
+def ring_factors(spec: BasisSpec, rule) -> RingFactors:
+    """Factors of ``basis_matrix(spec, rule.nodes)`` for a d=2 product rule from
+    ``build_quadrature``: n_t Gauss-Legendre rings of n_phi equispaced
+    longitudes starting at phi = 0, read from the rule's descriptor."""
+    n_t, n_phi = rule.descriptor.get("n_t"), rule.descriptor.get("n_phi")
+    if spec.d != 2 or n_t is None or n_phi is None or n_t * n_phi != rule.n_nodes:
+        raise ValueError("ring factors need a d=2 product rule (n_t rings x n_phi longitudes)")
+    z = rule.nodes[:, 2].reshape(n_t, n_phi)
+    if not ((z == z[:, :1]).all() and (rule.nodes[::n_phi, 1] == 0.0).all()):
+        raise ValueError("rule nodes are not in ring-major product order")
+    L = spec.L
+    scale = np.full(L + 1, math.sqrt(2.0))
+    scale[0] = 1.0
+    legendre = normalized_assoc_legendre(L, z[:, 0]).transpose(1, 2, 0) * scale[:, None, None]
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    m_phi = np.outer(np.arange(L + 1), phi)
+    trig = np.stack([np.cos(m_phi), np.sin(m_phi)], axis=1).reshape(2 * (L + 1), n_phi)
+    # same column layout as _basis_matrix_sphere: per degree l, m = 0 then (cos, sin) for m = 1..l
+    slot = [2 * (l + (L + 1) * ((i + 1) // 2)) + (i > 0 and i % 2 == 0)
+            for l in range(L + 1) for i in range(2 * l + 1)]
+    return RingFactors(np.ascontiguousarray(legendre), trig, np.array(slot, dtype=np.intp))
 
 
 def basis_matrix(spec: BasisSpec, points) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .basis import BasisSpec, basis_dim, basis_matrix
+from .basis import BasisSpec, RingFactors, basis_dim, basis_matrix, ring_factors
 from .errors import DegenerateMeasureError, EmptyIntersectionError, ResourceLimitError
 from .geometry import candidate_centers
 from .measures import Lebesgue, MeasureSpec, weight_values
@@ -368,16 +368,18 @@ def _p2_objective(G_E, G_full):
     return fun
 
 
-def _pnorm_objective(B, a_full, a_masked, p):
+def _pnorm_objective(forward, adjoint, a_full, a_masked, p):
+    """Ratio and gradient, with the basis applied as the linear maps
+    ``forward(c) = B @ c`` and ``adjoint(w) = B.T @ w``."""
     def fun(c):
-        v = B @ c
+        v = forward(c)
         av = np.abs(v)
         vp = av ** p
         num = a_masked @ vp
         den = a_full @ vp
         r = num / den
         dvp = p * av ** (p - 1.0) * np.sign(v)
-        grad = (B.T @ (a_masked * dvp) - r * (B.T @ (a_full * dvp))) / den
+        grad = (adjoint(a_masked * dvp) - r * adjoint(a_full * dvp)) / den
         return r, grad
 
     return fun
@@ -400,7 +402,9 @@ def worst_case_lp(
     starts -- the projection kernel peaked at the thinnest spot of E and a
     squared zonal peak -- plus seeded random coefficient vectors.  The result
     is an upper bound on the true minimum ratio; p = 2 is the certifiable case
-    where it can be cross-checked against the eigensolver.
+    where it can be cross-checked against the eigensolver.  On S^2 the basis
+    is applied ring by ring through ``ring_factors``, so a d=2 rule must be a
+    product rule from ``build_quadrature``; d=1 uses the full evaluation matrix.
     """
     if not (1.0 <= p < math.inf):
         raise ValueError("p must lie in [1, infinity)")
@@ -410,6 +414,7 @@ def worst_case_lp(
     if rule is None:
         rule = default_rule(E, d, L)
     mask = membership(E, rule.nodes)
+    rings = ring_factors(spec, rule) if d == 2 else None
 
     if p == 2.0:
         G_E = gram_matrix(E, mu, spec, rule)
@@ -419,15 +424,19 @@ def worst_case_lp(
             G_full = gram_matrix(FullSphere(), mu, spec, rule, method="quadrature")
         objective = _p2_objective(G_E, G_full)
     else:
-        if rule.n_nodes * N > 2 * 10**8:
-            raise ResourceLimitError("p != 2 search needs the full evaluation matrix in memory")
-        B = basis_matrix(spec, rule.nodes)
+        if rings is not None:
+            forward, adjoint = rings.forward, rings.adjoint
+        else:
+            if rule.n_nodes * N > 2 * 10**8:
+                raise ResourceLimitError("p != 2 search needs the full evaluation matrix in memory")
+            B = basis_matrix(spec, rule.nodes)
+            forward, adjoint = (lambda c: B @ c), (lambda w: B.T @ w)
         a_full = rule.weights * weight_values(mu, rule.nodes)
-        objective = _pnorm_objective(B, a_full, a_full * mask, p)
+        objective = _pnorm_objective(forward, adjoint, a_full, a_full * mask, p)
 
     rng = np.random.default_rng(seed)
     anchor = _thin_density_center(spec, rule, mask)
-    starts = [_kernel_peak_start(spec, anchor), _zonal_peak_start(spec, rule, anchor)]
+    starts = [_kernel_peak_start(spec, anchor), _zonal_peak_start(spec, rule, anchor, rings)]
     while len(starts) < restarts:
         starts.append(rng.standard_normal(N))
 
@@ -472,12 +481,16 @@ def _kernel_peak_start(spec: BasisSpec, center: np.ndarray) -> np.ndarray:
     return basis_matrix(spec, center[None, :])[0]
 
 
-def _zonal_peak_start(spec: BasisSpec, rule: QuadratureRule, center: np.ndarray) -> np.ndarray:
-    """Squared zonal peak at ``center``, projected onto the basis (degree <= L)."""
+def _zonal_peak_start(spec: BasisSpec, rule: QuadratureRule, center: np.ndarray,
+                      rings: RingFactors | None = None) -> np.ndarray:
+    """Squared zonal peak at ``center``, projected onto the basis (degree <= L);
+    through the rule's ring factors when given."""
     half = max(1, spec.L // 2)
     lam = sphere_lambda(spec.d)
     t = np.clip(rule.nodes @ center, -1.0, 1.0)
     vals = jacobi_eval(half, 1.0 + lam, lam, t) ** 2
+    if rings is not None:
+        return rings.adjoint(rule.weights * vals)
     coeffs = np.zeros(basis_dim(spec))
     for i0 in range(0, rule.n_nodes, _NODE_CHUNK):
         chunk = slice(i0, min(i0 + _NODE_CHUNK, rule.n_nodes))

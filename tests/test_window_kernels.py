@@ -1,7 +1,8 @@
 """The window kernels of functionals.py against direct references: the
 density masses against the all-pairs block scan they replaced, the Poisson
 scan against poisson_kernel summed node by node, the memory bound of the
-density blocks, and the cap masses ainfty_check asks for."""
+density blocks, the cap masses ainfty_check asks for, and the local rules
+rhinfty_check builds."""
 
 import math
 
@@ -181,3 +182,25 @@ def test_ainfty_asks_each_cap_mass_once(monkeypatch):
     assert B == pytest.approx(2.168274494262604, rel=1e-12)
     per_beta = {0.5: 16.000000000000096, 1.0: 8.000000000000048, 2.0: 2.168274494262604}
     assert rep.config["per_beta"] == pytest.approx(per_beta, rel=1e-12)
+
+
+@pytest.mark.parametrize("d, mu, C", [
+    (1, sn.PowerDistanceWeight(1.5, np.array([1.0, 0.0])), 3.1819052892902304),
+    (2, sn.PowerDistanceWeight(2.0, np.array([0.0, 0.0, 1.0])), 3.151610601517901),
+])
+def test_rhinfty_builds_each_local_rule_once(monkeypatch, d, mu, C):
+    # 13 centers x 3 radii, one rule each: the cap mass comes from the rule
+    # built for the sup; C is the value computed when cap_mass built it again
+    builds = []
+    real_cap_quadrature = F.cap_quadrature
+
+    def counted(d, center, radius, *args, **kwargs):
+        builds.append((tuple(center), radius))
+        return real_cap_quadrature(d, center, radius, *args, **kwargs)
+
+    monkeypatch.setattr(F, "cap_quadrature", counted)
+    monkeypatch.setattr(sn.measures, "cap_quadrature", counted)
+    rep = F.rhinfty_check(mu, d, seed=0, n_caps=12)
+    assert len(builds) == len(set(builds)) == 39
+    assert rep.rhinfty == (C, True) and rep.witness is None
+    assert rep.config == {"seed": 0, "n_caps": 12, "radii": [0.2, 0.5, 1.0]}
