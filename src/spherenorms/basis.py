@@ -38,6 +38,24 @@ def basis_dim(spec: BasisSpec) -> int:
     return dim_pi(spec.d, spec.L)
 
 
+def _legendre_orders(L: int, x: np.ndarray):
+    """Per order m = 0..L, yield (m, [N_lm P_l^m(x) for l = m..L]) by the
+    three-term recurrence in l, started from the diagonal P_m^m."""
+    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    pmm = np.full(x.shape, math.sqrt(1.0 / (4.0 * math.pi)))
+    for m in range(0, L + 1):
+        if m > 0:
+            pmm = math.sqrt((2 * m + 1) / (2.0 * m)) * s * pmm
+        col = [pmm]
+        if m + 1 <= L:
+            col.append(math.sqrt(2 * m + 3.0) * x * pmm)
+        for l in range(m + 2, L + 1):
+            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            col.append(a * (x * col[-1] - b * col[-2]))
+        yield m, col
+
+
 def normalized_assoc_legendre(L: int, x) -> np.ndarray:
     """Fully normalized associated Legendre table, shape (L+1, L+1, n).
 
@@ -47,18 +65,9 @@ def normalized_assoc_legendre(L: int, x) -> np.ndarray:
     cos/sin pairs carry an extra sqrt(2).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
     P = np.zeros((L + 1, L + 1, x.size))
-    P[0, 0] = math.sqrt(1.0 / (4.0 * math.pi))
-    for m in range(1, L + 1):
-        P[m, m] = math.sqrt((2 * m + 1) / (2.0 * m)) * s * P[m - 1, m - 1]
-    for m in range(0, L + 1):
-        if m + 1 <= L:
-            P[m + 1, m] = math.sqrt(2 * m + 3.0) * x * P[m, m]
-        for l in range(m + 2, L + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            P[l, m] = a * (x * P[l - 1, m] - b * P[l - 2, m])
+    for m, col in _legendre_orders(L, x):
+        P[m:, m] = col
     return P
 
 
@@ -75,48 +84,22 @@ def _basis_matrix_circle(L: int, points: np.ndarray) -> np.ndarray:
 
 
 def _basis_matrix_sphere(L: int, points: np.ndarray) -> np.ndarray:
-    """Real spherical harmonic values, looping over the order m to keep memory
-    at O((L+1) * n) instead of the full (L+1)^2 * n Legendre cube."""
+    """Real spherical harmonic values, one order m at a time (no (L+1)^2 * n
+    Legendre cube); per degree l the columns are m=0, then (cos, sin) for m = 1..l."""
     x = points[:, 2]
     phi = np.arctan2(points[:, 1], points[:, 0])
-    n = points.shape[0]
-    N = (L + 1) ** 2
-    B = np.empty((n, N))
-
-    # column index of (l, m-part): per degree l the layout is
-    # [m=0, (1,cos), (1,sin), ..., (l,cos), (l,sin)]
-    def col(l, m, is_sin):
-        return l * l + (0 if m == 0 else 2 * m - 1 + (1 if is_sin else 0))
-
-    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    B = np.empty((points.shape[0], (L + 1) ** 2))
     sqrt2 = math.sqrt(2.0)
-    pmm = np.full(n, math.sqrt(1.0 / (4.0 * math.pi)))
-    for m in range(0, L + 1):
-        if m > 0:
-            pmm = math.sqrt((2 * m + 1) / (2.0 * m)) * s * pmm
+    for m, col in _legendre_orders(L, x):
         if m == 0:
-            cos_m = np.ones(n)
-            sin_m = None
-        else:
-            cos_m = np.cos(m * phi)
-            sin_m = np.sin(m * phi)
-        p_prev = pmm
-        p_cur = math.sqrt(2 * m + 3.0) * x * pmm if m + 1 <= L else None
-        for l in range(m, L + 1):
-            if l == m:
-                p = p_prev
-            elif l == m + 1:
-                p = p_cur
-            else:
-                a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-                b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-                p = a * (x * p_cur - b * p_prev)
-                p_prev, p_cur = p_cur, p
-            if m == 0:
-                B[:, col(l, 0, False)] = p
-            else:
-                B[:, col(l, m, False)] = sqrt2 * p * cos_m
-                B[:, col(l, m, True)] = sqrt2 * p * sin_m
+            for l, p in enumerate(col):
+                B[:, l * l] = p
+            continue
+        cos_m = np.cos(m * phi)
+        sin_m = np.sin(m * phi)
+        for l, p in enumerate(col, start=m):
+            B[:, l * l + 2 * m - 1] = sqrt2 * p * cos_m
+            B[:, l * l + 2 * m] = sqrt2 * p * sin_m
     return B
 
 

@@ -21,8 +21,9 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .basis import BasisSpec, RingFactors, basis_dim, basis_matrix, ring_factors
+from .basis import BasisSpec, basis_dim, basis_matrix, ring_factors
 from .errors import DegenerateMeasureError, EmptyIntersectionError, ResourceLimitError
+from .functionals import _local_masses
 from .geometry import candidate_centers
 from .measures import Lebesgue, MeasureSpec, weight_values
 from .quadrature import SPACING_FACTOR, QuadratureRule, feature_rule, rule_dim
@@ -157,8 +158,20 @@ def _arc_gram(arcs: list[tuple[float, float]], L: int) -> np.ndarray:
 
 # -- quadrature-path assembly ---------------------------------------------------
 
-def _node_weights(mu: MeasureSpec, rule: QuadratureRule, chunk: slice) -> np.ndarray:
-    return rule.weights[chunk] * weight_values(mu, rule.nodes[chunk])
+def _basis_blocks(spec: BasisSpec, rule: QuadratureRule, mu: MeasureSpec, mask: np.ndarray | None = None):
+    """Per block of ``_NODE_CHUNK`` rule nodes, yield (basis rows, mu-weights)
+    of the block's nodes, or of its masked nodes only; blocks with no masked
+    node are skipped."""
+    for i0 in range(0, rule.n_nodes, _NODE_CHUNK):
+        chunk = slice(i0, min(i0 + _NODE_CHUNK, rule.n_nodes))
+        a = rule.weights[chunk] * weight_values(mu, rule.nodes[chunk])
+        pts = rule.nodes[chunk]
+        if mask is not None:
+            m = mask[chunk]
+            if not m.any():
+                continue
+            pts, a = pts[m], a[m]
+        yield basis_matrix(spec, pts), a
 
 
 def gram_matrix(
@@ -208,18 +221,8 @@ def _stream_factor(
         pending = []
         pending_rows = 0
 
-    for i0 in range(0, rule.n_nodes, _NODE_CHUNK):
-        chunk = slice(i0, min(i0 + _NODE_CHUNK, rule.n_nodes))
-        a = _node_weights(mu, rule, chunk)
-        if mask is not None:
-            m = mask[chunk]
-            if not m.any():
-                continue
-            pts = rule.nodes[chunk][m]
-            a = a[m]
-        else:
-            pts = rule.nodes[chunk]
-        rows = basis_matrix(spec, pts) * np.sqrt(a)[:, None]
+    for B, a in _basis_blocks(spec, rule, mu, mask):
+        rows = B * np.sqrt(a)[:, None]
         pending.append(rows)
         pending_rows += rows.shape[0]
         total_rows += rows.shape[0]
@@ -343,15 +346,11 @@ def lp_ratio(
         return float(c @ G_E @ c) / float(c @ c)
     if rule is None:
         rule = default_rule(E, spec.d, spec.L)
-    mask = membership(E, rule.nodes)
-    num = 0.0
-    den = 0.0
-    for i0 in range(0, rule.n_nodes, _NODE_CHUNK):
-        chunk = slice(i0, min(i0 + _NODE_CHUNK, rule.n_nodes))
-        a = _node_weights(mu, rule, chunk)
-        vals = np.abs(basis_matrix(spec, rule.nodes[chunk]) @ c) ** p
-        den += float(a @ vals)
-        num += float((a * mask[chunk]) @ vals)
+
+    def mass(mask=None):
+        return sum(float(a @ np.abs(B @ c) ** p) for B, a in _basis_blocks(spec, rule, mu, mask))
+
+    num, den = mass(membership(E, rule.nodes)), mass()
     if den == 0.0:
         raise ValueError("zero polynomial mass")
     return num / den
@@ -404,7 +403,8 @@ def worst_case_lp(
     is an upper bound on the true minimum ratio; p = 2 is the certifiable case
     where it can be cross-checked against the eigensolver.  On S^2 the basis
     is applied ring by ring through ``ring_factors``, so a d=2 rule must be a
-    product rule from ``build_quadrature``; d=1 uses the full evaluation matrix.
+    product rule from ``build_quadrature``; d=1 forms the full evaluation
+    matrix, for every p.
     """
     if not (1.0 <= p < math.inf):
         raise ValueError("p must lie in [1, infinity)")
@@ -414,7 +414,14 @@ def worst_case_lp(
     if rule is None:
         rule = default_rule(E, d, L)
     mask = membership(E, rule.nodes)
-    rings = ring_factors(spec, rule) if d == 2 else None
+    if d == 2:
+        rings = ring_factors(spec, rule)
+        forward, adjoint = rings.forward, rings.adjoint
+    else:
+        if rule.n_nodes * N > 2 * 10**8:
+            raise ResourceLimitError("the adversary needs the full evaluation matrix in memory")
+        B = basis_matrix(spec, rule.nodes)
+        forward, adjoint = (lambda c: B @ c), (lambda w: B.T @ w)
 
     if p == 2.0:
         G_E = gram_matrix(E, mu, spec, rule)
@@ -424,19 +431,13 @@ def worst_case_lp(
             G_full = gram_matrix(FullSphere(), mu, spec, rule, method="quadrature")
         objective = _p2_objective(G_E, G_full)
     else:
-        if rings is not None:
-            forward, adjoint = rings.forward, rings.adjoint
-        else:
-            if rule.n_nodes * N > 2 * 10**8:
-                raise ResourceLimitError("p != 2 search needs the full evaluation matrix in memory")
-            B = basis_matrix(spec, rule.nodes)
-            forward, adjoint = (lambda c: B @ c), (lambda w: B.T @ w)
         a_full = rule.weights * weight_values(mu, rule.nodes)
         objective = _pnorm_objective(forward, adjoint, a_full, a_full * mask, p)
 
     rng = np.random.default_rng(seed)
     anchor = _thin_density_center(spec, rule, mask)
-    starts = [_kernel_peak_start(spec, anchor), _zonal_peak_start(spec, rule, anchor, rings)]
+    # the projection kernel and the squared zonal peak, both centered at the anchor
+    starts = [basis_matrix(spec, anchor[None, :])[0], _zonal_peak_start(spec, rule, anchor, adjoint)]
     while len(starts) < restarts:
         starts.append(rng.standard_normal(N))
 
@@ -467,36 +468,20 @@ def _thin_density_center(spec: BasisSpec, rule: QuadratureRule, mask: np.ndarray
     if not mask.any() or mask.all():
         return rule.nodes[0]
     centers = candidate_centers(spec.d, spec.L, 4 * max(spec.L, 3))
-    cos_r = math.cos(min(2.0 / max(spec.L, 1), math.pi))
+    r = 2.0 / max(spec.L, 1)
     ind = mask.astype(float) * rule.weights
-    num = np.zeros(centers.shape[0])
-    for i0 in range(0, rule.n_nodes, _NODE_CHUNK):
-        D = centers @ rule.nodes[i0 : i0 + _NODE_CHUNK].T
-        num += (D >= cos_r) @ ind[i0 : i0 + _NODE_CHUNK]
+    num, _ = _local_masses(centers, rule, ind, ind, r, r)
     return centers[int(np.argmin(num))]
 
 
-def _kernel_peak_start(spec: BasisSpec, center: np.ndarray) -> np.ndarray:
-    """Coefficients of the projection kernel centered at ``center``."""
-    return basis_matrix(spec, center[None, :])[0]
-
-
-def _zonal_peak_start(spec: BasisSpec, rule: QuadratureRule, center: np.ndarray,
-                      rings: RingFactors | None = None) -> np.ndarray:
-    """Squared zonal peak at ``center``, projected onto the basis (degree <= L);
-    through the rule's ring factors when given."""
+def _zonal_peak_start(spec: BasisSpec, rule: QuadratureRule, center: np.ndarray, adjoint) -> np.ndarray:
+    """Squared zonal peak at ``center``, projected onto the basis (degree <= L)
+    through ``adjoint(w) = B.T @ w`` on the rule's nodes."""
     half = max(1, spec.L // 2)
     lam = sphere_lambda(spec.d)
     t = np.clip(rule.nodes @ center, -1.0, 1.0)
     vals = jacobi_eval(half, 1.0 + lam, lam, t) ** 2
-    if rings is not None:
-        return rings.adjoint(rule.weights * vals)
-    coeffs = np.zeros(basis_dim(spec))
-    for i0 in range(0, rule.n_nodes, _NODE_CHUNK):
-        chunk = slice(i0, min(i0 + _NODE_CHUNK, rule.n_nodes))
-        B = basis_matrix(spec, rule.nodes[chunk])
-        coeffs += B.T @ (rule.weights[chunk] * vals[chunk])
-    return coeffs
+    return adjoint(rule.weights * vals)
 
 
 def uncertainty_check(
@@ -524,15 +509,10 @@ def uncertainty_check(
         return 1.0
     if rule is None:
         rule = default_rule(E, spec.d, spec.L)
-    mask = membership(E, rule.nodes)
     mass_E = 0.0
-    for i0 in range(0, rule.n_nodes, _NODE_CHUNK):
-        chunk = slice(i0, min(i0 + _NODE_CHUNK, rule.n_nodes))
-        m = mask[chunk]
-        if not m.any():
-            continue
-        vals = basis_matrix(spec, rule.nodes[chunk][m]) @ c
-        mass_E += float(rule.weights[chunk][m] @ (vals * vals))
+    for B, a in _basis_blocks(spec, rule, Lebesgue(), membership(E, rule.nodes)):
+        vals = B @ c
+        mass_E += float(a @ (vals * vals))
     denom = mass_E + tail_norm_sq
     if denom == 0.0:
         raise ValueError("function vanishes on the set and has no spectral tail")

@@ -51,6 +51,11 @@ _NODE_CHUNK = 2048
 _PAIR_BLOCK = 1 << 20
 # squared-chord slack of the tree query, far above the rounding of c . u
 _CHORD_SLACK = 1e-12
+# cap radii probed by both ainfty_check and rhinfty_check, and the A_infinity beta grid
+_CHECK_RADII = (0.2, 0.5, 1.0)
+_AINFTY_BETAS = (0.5, 1.0, 2.0)
+# largest number of net caps allowed to cover one point in regularize_set
+_OVERLAP_CAP = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +86,6 @@ class WeightReport:
     doubling_constant: float | None = None
     doubling_exponent: float | None = None
     doubling_c_low: float | None = None
-    doubling_c_high: float | None = None
     ainfty: tuple | None = None
     rhinfty: tuple | None = None
     config: dict = field(default_factory=dict)
@@ -316,37 +320,31 @@ def doubling_constant(
     ratios = masses[:, idx2] / masses[:, idx1]
     C = float(ratios.max())
 
-    # growth exponent over all radius pairs, then the constants making the
-    # two-sided power sandwich hold on all sampled pairs
+    # growth exponent over all radius pairs, so ratio <= q**gamma on every
+    # sampled pair, and the constant making the lower bound q**(1/gamma) hold
     j, k = np.triu_indices(radii.size, 1)
     q = radii[k] / radii[j]
     ratio = masses[:, k] / masses[:, j]
     gamma = max(1.0, float((np.log(ratio) / np.log(q)).max()))
-    c_high = max(1.0, float((ratio / q**gamma).max()))
     c_low = max(1.0, float((q ** (1.0 / gamma) / ratio).max()))
     return WeightReport(
         doubling_constant=C,
         doubling_exponent=gamma,
         doubling_c_low=c_low,
-        doubling_c_high=c_high,
         config={"scales": scales.tolist(), "n_centers": int(centers.shape[0]), "seed": seed},
     )
 
 
 def _tangent_at(u: np.ndarray) -> np.ndarray:
-    """A fixed unit tangent at u (first frame column pushed to u)."""
+    """A fixed unit tangent at u: the first frame column made tangent at u, or
+    the second where the first is too close to u's direction."""
     R = frame_at(u)
-    e = np.zeros(u.shape[0])
-    e[0] = 1.0
-    t = R @ e
-    t = t - (t @ u) * u
-    n = np.linalg.norm(t)
-    if n < 1e-9:
-        e = np.zeros(u.shape[0])
-        e[1] = 1.0
+    for e in np.eye(u.shape[0])[:2]:
         t = R @ e
         t = t - (t @ u) * u
         n = np.linalg.norm(t)
+        if n >= 1e-9:
+            break
     return t / n
 
 
@@ -376,8 +374,6 @@ def ainfty_check(
     d: int,
     seed: int = 0,
     n_caps: int = 12,
-    radii=(0.2, 0.5, 1.0),
-    betas=(0.5, 1.0, 2.0),
 ) -> WeightReport:
     """Smallest (B, beta) on the beta grid making omega(B) <= B (sigma(B)/sigma(E))^beta omega(E)
     hold over the sampled caps and structured subsets; failure carries a witness."""
@@ -387,7 +383,7 @@ def ainfty_check(
     passed = True
     for u in centers:
         masses = {}
-        for delta in radii:
+        for delta in _CHECK_RADII:
             sig_b, w_b, subsets = _ainfty_subsets(mu, d, u, float(delta), masses)
             for sig_e, w_e, tag in subsets:
                 if sig_e <= 0:
@@ -402,7 +398,7 @@ def ainfty_check(
     best_beta = None
     best_B = math.inf
     per_beta = {}
-    for beta in betas:
+    for beta in _AINFTY_BETAS:
         if not records:
             break
         need = max(w_b / ((sig_b / sig_e) ** beta * w_e) for w_b, sig_b, w_e, sig_e in records)
@@ -414,7 +410,7 @@ def ainfty_check(
         best_B = math.inf
     return WeightReport(
         ainfty=(best_B, best_beta, passed),
-        config={"seed": seed, "n_caps": n_caps, "radii": list(radii), "per_beta": per_beta},
+        config={"seed": seed, "n_caps": n_caps, "radii": list(_CHECK_RADII), "per_beta": per_beta},
         witness=witness,
     )
 
@@ -424,7 +420,6 @@ def rhinfty_check(
     d: int,
     seed: int = 0,
     n_caps: int = 12,
-    radii=(0.2, 0.5, 1.0),
 ) -> WeightReport:
     """Smallest C with omega(u) <= (C/sigma(B)) integral_B omega over the sampled caps,
     the supremum probed on local quadrature nodes."""
@@ -433,7 +428,7 @@ def rhinfty_check(
     passed = True
     witness = None
     for u in centers:
-        for delta in radii:
+        for delta in _CHECK_RADII:
             local = cap_quadrature(d, u, float(delta))
             # cap_mass's value over the cap's measure, from the rule built for the sup
             if isinstance(mu, Lebesgue):
@@ -456,7 +451,7 @@ def rhinfty_check(
         C = math.inf
     return WeightReport(
         rhinfty=(C, passed),
-        config={"seed": seed, "n_caps": n_caps, "radii": list(radii)},
+        config={"seed": seed, "n_caps": n_caps, "radii": list(_CHECK_RADII)},
         witness=witness,
     )
 
@@ -469,7 +464,6 @@ def regularize_set(
     d: int | None = None,
     rule: QuadratureRule | None = None,
     default_delta_r: float = 2.0,
-    overlap_cap: int = 24,
     spacing_factor: float = SPACING_FACTOR,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> SetSpec:
@@ -503,9 +497,9 @@ def regularize_set(
     tree = cKDTree(net)
     chord = 2.0 * math.sin(min(radius, math.pi) / 2.0)
     counts = tree.query_ball_point(probe, r=chord, return_length=True)
-    if int(np.max(counts)) > overlap_cap:
+    if int(np.max(counts)) > _OVERLAP_CAP:
         raise NetConstructionError(
-            f"cover overlap {int(np.max(counts))} exceeds the bound {overlap_cap}"
+            f"cover overlap {int(np.max(counts))} exceeds the bound {_OVERLAP_CAP}"
         )
 
     good = num >= delta * den

@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 _GOLDEN = math.pi * (1.0 + math.sqrt(5.0))
+# densifications covering_net tries before giving up
+_NET_TRIES = 4
 
 
 def north_pole(d: int) -> np.ndarray:
@@ -192,12 +194,12 @@ def candidate_centers(d: int, L: int, per_great_circle: int | None = None) -> np
     raise ValueError(f"unsupported sphere dimension d={d}")
 
 
-def covering_net(d: int, spacing: float, max_tries: int = 4) -> np.ndarray:
+def covering_net(d: int, spacing: float) -> np.ndarray:
     """Discrete net whose caps of radius ``spacing`` cover S^d with bounded overlap.
 
     d=1 uses a uniform grid (covering radius exactly half the grid step); d=2
     uses a Fibonacci lattice sized for the target covering radius, verified
-    against a finer probe lattice, densified up to ``max_tries`` times.
+    against a finer probe lattice, densified up to ``_NET_TRIES`` times.
     """
     if spacing <= 0 or spacing > math.pi:
         raise NetConstructionError(f"net spacing {spacing} out of range")
@@ -207,7 +209,7 @@ def covering_net(d: int, spacing: float, max_tries: int = 4) -> np.ndarray:
     if d != 2:
         raise ValueError(f"unsupported sphere dimension d={d}")
     n = max(16, int(math.ceil(4.0 * math.pi / (0.7 * spacing) ** 2)))
-    for _ in range(max_tries):
+    for _ in range(_NET_TRIES):
         net = fibonacci_lattice(n)
         probe = fibonacci_lattice(4 * n + 1)
         tree = cKDTree(net)
@@ -218,7 +220,7 @@ def covering_net(d: int, spacing: float, max_tries: int = 4) -> np.ndarray:
             return net
         n = int(math.ceil(1.5 * n))
     raise NetConstructionError(
-        f"could not reach covering radius {spacing} within {max_tries} densifications"
+        f"could not reach covering radius {spacing} within {_NET_TRIES} densifications"
     )
 
 

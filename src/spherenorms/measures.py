@@ -132,20 +132,20 @@ def set_measure(E: SetSpec, mu: MeasureSpec, rule: QuadratureRule) -> float:
     return float(w.sum())
 
 
-def cap_mass(mu: MeasureSpec, d: int, center, radius: float, n_r: int = 48, n_phi: int = 96) -> float:
+def cap_mass(mu: MeasureSpec, d: int, center, radius: float) -> float:
     """mu(B(center, radius)) via a local polar rule (exact cap geometry)."""
     if isinstance(mu, Lebesgue):
         return cap_measure(d, radius)
-    rule = cap_quadrature(d, center, radius, n_r=n_r, n_phi=n_phi)
+    rule = cap_quadrature(d, center, radius)
     return float(rule.weights @ weight_values(mu, rule.nodes))
 
 
-def regularized_measure(mu: MeasureSpec, L: int, u, d: int, n_r: int = 48, n_phi: int = 96) -> float:
+def regularized_measure(mu: MeasureSpec, L: int, u, d: int) -> float:
     """Local average density mu(B(u, 1/L)) / sigma(B(u, 1/L))."""
     if L < 1:
         raise ValueError("degree must be >= 1")
     u = np.asarray(u, dtype=float)
-    return cap_mass(mu, d, u, 1.0 / L, n_r=n_r, n_phi=n_phi) / cap_measure(d, 1.0 / L)
+    return cap_mass(mu, d, u, 1.0 / L) / cap_measure(d, 1.0 / L)
 
 
 def measure_to_dict(mu: MeasureSpec) -> dict:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError
-from .geometry import frame_at
+from .geometry import frame_at, uniform_circle
 from .sets import SetSpec, min_feature_scale
 
 __all__ = ["QuadratureRule", "build_quadrature", "cap_quadrature", "feature_rule", "rule_dim",
@@ -56,11 +56,16 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _circle_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    theta = 2.0 * math.pi * np.arange(n) / n
-    nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    weights = np.full(n, 2.0 * math.pi / n)
-    return nodes, weights
+def _ring_nodes(t: np.ndarray, n_phi: int) -> np.ndarray:
+    """Points of S^2 on the rings z = t, n_phi equispaced longitudes from phi = 0
+    per ring, in ring-major order."""
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
+    nodes = np.empty((t.size * n_phi, 3))
+    nodes[:, 0] = np.outer(s, np.cos(phi)).ravel()
+    nodes[:, 1] = np.outer(s, np.sin(phi)).ravel()
+    nodes[:, 2] = np.repeat(t, n_phi)
+    return nodes
 
 
 def build_quadrature(
@@ -83,8 +88,8 @@ def build_quadrature(
         n = max(n, 4)
         if n > max_nodes:
             raise ResourceLimitError(f"rule would need {n} nodes (cap {max_nodes})")
-        nodes, weights = _circle_rule(n)
-        return QuadratureRule(1, nodes, weights, exact_degree, {"n": n, "oversample": oversample})
+        weights = np.full(n, 2.0 * math.pi / n)
+        return QuadratureRule(1, uniform_circle(n), weights, exact_degree, {"n": n, "oversample": oversample})
     if d != 2:
         raise ValueError(f"unsupported sphere dimension d={d}")
 
@@ -100,17 +105,9 @@ def build_quadrature(
             f"rule would need {n_t}x{n_phi}={n_t * n_phi} nodes (cap {max_nodes})"
         )
     x, wx = _gauss_legendre(n_t)
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    w_phi = 2.0 * math.pi / n_phi
-    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    cos_p, sin_p = np.cos(phi), np.sin(phi)
-    nodes = np.empty((n_t * n_phi, 3))
-    nodes[:, 0] = np.outer(s, cos_p).ravel()
-    nodes[:, 1] = np.outer(s, sin_p).ravel()
-    nodes[:, 2] = np.repeat(x, n_phi)
-    weights = np.repeat(wx * w_phi, n_phi)
+    weights = np.repeat(wx * (2.0 * math.pi / n_phi), n_phi)
     return QuadratureRule(
-        2, nodes, weights, exact_degree, {"n_t": n_t, "n_phi": n_phi, "oversample": oversample}
+        2, _ring_nodes(x, n_phi), weights, exact_degree, {"n_t": n_t, "n_phi": n_phi, "oversample": oversample}
     )
 
 
@@ -137,16 +134,8 @@ def cap_quadrature(d: int, center, radius: float, n_r: int = 48, n_phi: int = 96
     a = math.cos(radius)
     t = 0.5 * (1.0 - a) * x + 0.5 * (1.0 + a)
     wt = 0.5 * (1.0 - a) * wx
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    w_phi = 2.0 * math.pi / n_phi
-    s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-    local = np.empty((n_r * n_phi, 3))
-    local[:, 0] = np.outer(s, np.cos(phi)).ravel()
-    local[:, 1] = np.outer(s, np.sin(phi)).ravel()
-    local[:, 2] = np.repeat(t, n_phi)
-    R = frame_at(center)
-    nodes = local @ R.T
-    weights = np.repeat(wt * w_phi, n_phi)
+    nodes = _ring_nodes(t, n_phi) @ frame_at(center).T
+    weights = np.repeat(wt * (2.0 * math.pi / n_phi), n_phi)
     return QuadratureRule(2, nodes, weights, 0, {"cap": True, "n_r": n_r, "n_phi": n_phi})
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 import spherenorms as sn
 
@@ -66,3 +67,35 @@ def test_wrong_dimension_rejected():
         sn.basis_matrix(spec, np.zeros((4, 2)))
     with pytest.raises(ValueError):
         sn.BasisSpec(3, 2)
+
+
+@pytest.mark.skipif(not hasattr(scipy.special, "assoc_legendre_p_all"),
+                    reason="scipy.special.assoc_legendre_p_all needs SciPy 1.15")
+@pytest.mark.parametrize("L", [0, 1, 7, 20, 40])
+def test_assoc_legendre_matches_scipy(L):
+    # SciPy's fully normalized table integrates to 1 over [-1, 1] and carries
+    # the Condon-Shortley sign; ours integrates to 1 over the sphere without it.
+    # Interior points only: at x = 1 SciPy 1.17.1 returns 1.0 for every l.
+    x = np.concatenate([np.linspace(-0.999, 0.999, 41), [0.0, 0.5, -0.9999]])
+    P = sn.normalized_assoc_legendre(L, x)
+    ref = scipy.special.assoc_legendre_p_all(L, L, x, norm=True)[0, :, : L + 1]
+    sign = (-1.0) ** np.arange(L + 1)
+    want = ref * sign[None, :, None] / math.sqrt(2.0 * math.pi)
+    np.testing.assert_allclose(P, want, rtol=0.0, atol=5e-13)
+
+
+@pytest.mark.parametrize("L", [0, 1, 5, 16])
+def test_sphere_basis_columns_are_legendre_table_times_trig(L):
+    # basis_matrix and normalized_assoc_legendre share one recurrence, so the
+    # columns equal the table's entries times the trig factors bit for bit
+    pts = sn.random_points(2, 300, np.random.default_rng(L))
+    pts[:2] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+    B = sn.basis_matrix(sn.BasisSpec(2, L), pts)
+    P = sn.normalized_assoc_legendre(L, pts[:, 2])
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    sqrt2 = math.sqrt(2.0)
+    for l in range(L + 1):
+        np.testing.assert_array_equal(B[:, l * l], P[l, 0])
+        for m in range(1, l + 1):
+            np.testing.assert_array_equal(B[:, l * l + 2 * m - 1], sqrt2 * P[l, m] * np.cos(m * phi))
+            np.testing.assert_array_equal(B[:, l * l + 2 * m], sqrt2 * P[l, m] * np.sin(m * phi))

@@ -164,17 +164,20 @@ def test_doubling_fit_matches_pairwise_loops():
     gamma = 1.0
     for j, k in pairs:
         gamma = max(gamma, float((np.log(masses[:, k] / masses[:, j]) / math.log(radii[k] / radii[j])).max()))
-    c_high = c_low = 1.0
+    c_low = 1.0
     for j, k in pairs:
         q = radii[k] / radii[j]
         ratio = masses[:, k] / masses[:, j]
-        c_high = max(c_high, float((ratio / q**gamma).max()))
         c_low = max(c_low, float((q ** (1.0 / gamma) / ratio).max()))
     # same arithmetic; only the log implementation may differ, by a few ulps
     tol = 8 * np.finfo(float).eps
     assert rep.doubling_exponent == pytest.approx(gamma, rel=tol)
-    assert rep.doubling_c_high == pytest.approx(c_high, rel=tol)
     assert rep.doubling_c_low == pytest.approx(c_low, rel=tol)
+    # gamma is the largest growth over these pairs, so the upper power bound
+    # holds with constant 1 on every pair (why no upper constant is reported)
+    for j, k in pairs:
+        q = radii[k] / radii[j]
+        assert np.all(masses[:, k] / masses[:, j] <= q**rep.doubling_exponent * (1.0 + tol))
 
 
 def test_doubling_circle_small_scale():
@@ -193,7 +196,6 @@ def test_doubling_sandwich_holds_with_recorded_constants():
     mu = sn.PowerDistanceWeight(2.0, sn.north_pole(2))
     rep = sn.doubling_constant(mu, scales=[0.05, 0.1, 0.3], d=2, seed=4)
     assert rep.doubling_c_low >= 1.0 - 1e-12
-    assert rep.doubling_c_high >= 1.0 - 1e-12
     # the fitted exponent reproduces the masses it was fitted to
     assert rep.doubling_exponent >= 1.0
 

@@ -1,8 +1,9 @@
 """The window kernels of functionals.py against direct references: the
-density masses against the all-pairs block scan they replaced, the Poisson
-scan against poisson_kernel summed node by node, the memory bound of the
-density blocks, the cap masses ainfty_check asks for, and the local rules
-rhinfty_check builds."""
+density masses against the all-pairs block scan they replaced, the
+adversary's anchor against its own all-pairs scan, the Poisson scan against
+poisson_kernel summed node by node, the memory bound of the density blocks,
+the cap masses ainfty_check asks for, and the local rules rhinfty_check
+builds."""
 
 import math
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spherenorms as sn
+from spherenorms import concentration as C
 from spherenorms import functionals as F
 from spherenorms.geometry import candidate_centers, random_rotation
 from spherenorms.quadrature import QuadratureRule
@@ -204,3 +206,58 @@ def test_rhinfty_builds_each_local_rule_once(monkeypatch, d, mu, C):
     assert len(builds) == len(set(builds)) == 39
     assert rep.rhinfty == (C, True) and rep.witness is None
     assert rep.config == {"seed": 0, "n_caps": 12, "radii": [0.2, 0.5, 1.0]}
+
+
+def all_pairs_anchor(spec, rule, mask):
+    """The adversary's anchor as the all-pairs scan computed it: window masses
+    at radius 2/L summed over every node, 8,192 nodes at a time."""
+    if not mask.any() or mask.all():
+        return rule.nodes[0]
+    centers = candidate_centers(spec.d, spec.L, 4 * max(spec.L, 3))
+    cos_r = math.cos(min(2.0 / max(spec.L, 1), math.pi))
+    ind = mask.astype(float) * rule.weights
+    num = np.zeros(centers.shape[0])
+    for i0 in range(0, rule.n_nodes, 8192):
+        D = centers @ rule.nodes[i0 : i0 + 8192].T
+        num += (D >= cos_r) @ ind[i0 : i0 + 8192]
+    return centers[int(np.argmin(num))]
+
+
+def anchor_set(d, kind, seed):
+    """A seeded set of the given kind: a cap union, arcs (d=1), a band, or a
+    cap union's complement."""
+    rng = np.random.default_rng(seed)
+    caps = sn.random_cap_union(d, int(rng.integers(1, 7)), float(rng.uniform(0.15, 1.2)), seed)
+    if kind == "caps":
+        return caps
+    if kind == "complement":
+        return sn.Complement(caps)
+    if kind == "arcs":
+        starts = np.sort(rng.uniform(0.0, 2.0 * math.pi, int(rng.integers(1, 4))))
+        return sn.Arcs([[a, a + float(rng.uniform(0.15, 1.5))] for a in starts])
+    lo = float(rng.uniform(0.0, 2.5))
+    return sn.Band(sn.random_points(d, 1, rng)[0], lo, lo + float(rng.uniform(0.15, math.pi - lo)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(2, 20), st.sampled_from(["caps", "arcs", "band", "complement"]),
+       st.integers(0, 2**31 - 1))
+def test_anchor_matches_all_pairs_scan(d, L, kind, seed):
+    if d == 2 and kind == "arcs":
+        kind = "caps"
+    E = anchor_set(d, kind, seed)
+    spec = sn.BasisSpec(d, L)
+    rule = C.default_rule(E, d, L)
+    mask = membership(E, rule.nodes)
+    np.testing.assert_array_equal(C._thin_density_center(spec, rule, mask), all_pairs_anchor(spec, rule, mask))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("fill", [False, True], ids=["empty", "full"])
+def test_anchor_of_empty_and_full_mask(d, fill):
+    spec = sn.BasisSpec(d, 6)
+    rule = sn.build_quadrature(d, 12)
+    mask = np.full(rule.n_nodes, fill)
+    got = C._thin_density_center(spec, rule, mask)
+    np.testing.assert_array_equal(got, all_pairs_anchor(spec, rule, mask))
+    np.testing.assert_array_equal(got, rule.nodes[0])
