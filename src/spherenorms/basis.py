@@ -5,8 +5,9 @@ Legendre functions (positive convention, no Condon-Shortley sign); d=1 uses
 the trigonometric system {1/sqrt(2 pi), cos(k t)/sqrt(pi), sin(k t)/sqrt(pi)}.
 Ordering is (degree, order) lexicographic: for each degree the m = 0 function
 comes first, then cos/sin pairs for m = 1..degree.  On a d=2 product rule,
-``ring_factors`` applies the node x basis matrix and its transpose through
-per-ring Legendre values and per-longitude trig values, without forming it.
+``ring_factors`` applies the node x basis matrix and its transpose, and
+builds its weighted half-factor, through per-ring Legendre values and
+per-longitude trig values, without forming it.
 """
 
 from __future__ import annotations
@@ -134,6 +135,34 @@ class RingFactors:
         ring = (w.reshape(n_t, -1) @ self.trig.T).reshape(n_t, n_m, 2).transpose(1, 0, 2)
         grid = np.matmul(self.legendre.transpose(0, 2, 1), ring)  # (m, l, cos|sin)
         return grid.ravel()[self.slot]
+
+    def half_factor(self, a: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+        """Upper-triangular R with ``R.T @ R = B[keep].T @ diag(a[keep]) @ B[keep]``
+        (every node when ``keep`` is None), for node weights ``a >= 0``.
+
+        Ring j's rows of B are ``trig.T @ lift_j``, where ``lift_j`` puts the
+        ring's Legendre value of each basis column in that column's trig row.
+        A QR of the ring's kept rows of ``sqrt(a) * trig.T`` leaves at most
+        2(L+1) rows; lifted through ``lift_j`` and stacked over the rings they
+        go into one final QR.  This is the node sum regrouped ring by ring.
+        """
+        n_m, n_t, _ = self.legendre.shape
+        m, l, s = np.unravel_index(self.slot, (n_m, n_m, 2))
+        lift = self.legendre[m, :, l]  # (dim Pi_L, n_t)
+        root = np.sqrt(a).reshape(n_t, -1)
+        kept = np.ones(root.shape, dtype=bool) if keep is None else np.reshape(keep, root.shape)
+        blocks = [np.empty((0, self.slot.size))]
+        for j in range(n_t):
+            W = root[j, kept[j], None] * self.trig.T[kept[j]]
+            if W.shape[0]:
+                blocks.append(np.linalg.qr(W, mode="r")[:, 2 * m + s] * lift[:, j])
+        return _triangular_factor(np.vstack(blocks), self.slot.size)
+
+
+def _triangular_factor(rows: np.ndarray, n: int) -> np.ndarray:
+    """n x n upper-triangular R with R.T @ R = rows.T @ rows (zero for no rows)."""
+    R = np.linalg.qr(rows, mode="r")
+    return np.vstack([R, np.zeros((n - R.shape[0], n))])
 
 
 def ring_factors(spec: BasisSpec, rule) -> RingFactors:

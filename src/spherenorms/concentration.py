@@ -4,24 +4,33 @@ sup-norm ratio estimation, and the spectral-tail uncertainty ratio.
 
 The best L^2 comparison constant over Pi_L is 1/lambda_min of the pencil
 (G_E, G_full), where G_X is the quadratic form Q -> integral_X |Q|^2 dmu in an
-orthonormal basis.  lambda_min is computed from half-factors: a streamed QR of
-the weighted basis rows gives triangular R_E, R_full with G_X = R_X^T R_X, and
-lambda_min = sigma_min(R_E R_full^{-1})^2.  Going through singular values of
-the factor instead of eigenvalues of the assembled Gram keeps tiny
-concentrations resolvable down to roughly 1e-30 instead of the 1e-16
-eigensolver floor.
+orthonormal basis.  lambda_min is computed from half-factors: triangular R_E,
+R_full with G_X = R_X^T R_X, and lambda_min = sigma_min(R_E R_full^{-1})^2.
+Going through singular values of the factor instead of eigenvalues of the
+assembled Gram resolves concentrations down to (eps sigma_max)^2, about
+1e-32, not about 1e-16.  ``diagnostics['lambda_floor']`` holds that floor
+(eps lambda_max on the closed-form d=1 path); sweeps flag values under it
+as ``below_floor``.
+
+The quadrature path applies the rule's node x basis matrix B one way per
+dimension.  On S^2 the ring factors of a ``build_quadrature`` product rule
+apply B and B^T and build half-factors ring by ring (per-ring QR of the trig
+rows, lifted through the ring's Legendre values, then one QR); other d=2 rules
+raise ValueError.  On S^1, B is formed if n_nodes * dim Pi_L <= 2e8, else
+ResourceLimitError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .basis import BasisSpec, basis_dim, basis_matrix, ring_factors
+from .basis import BasisSpec, _triangular_factor, basis_dim, basis_matrix, ring_factors
 from .errors import DegenerateMeasureError, EmptyIntersectionError, ResourceLimitError
 from .functionals import _local_masses
 from .geometry import candidate_centers
@@ -46,7 +55,8 @@ __all__ = [
 
 DEFAULT_MAX_DIM = 1089
 _NODE_CHUNK = 8192
-_QR_BLOCK = 49152
+_MAX_DENSE_ENTRIES = 2 * 10**8
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,20 +168,22 @@ def _arc_gram(arcs: list[tuple[float, float]], L: int) -> np.ndarray:
 
 # -- quadrature-path assembly ---------------------------------------------------
 
-def _basis_blocks(spec: BasisSpec, rule: QuadratureRule, mu: MeasureSpec, mask: np.ndarray | None = None):
-    """Per block of ``_NODE_CHUNK`` rule nodes, yield (basis rows, mu-weights)
-    of the block's nodes, or of its masked nodes only; blocks with no masked
-    node are skipped."""
-    for i0 in range(0, rule.n_nodes, _NODE_CHUNK):
-        chunk = slice(i0, min(i0 + _NODE_CHUNK, rule.n_nodes))
-        a = rule.weights[chunk] * weight_values(mu, rule.nodes[chunk])
-        pts = rule.nodes[chunk]
-        if mask is not None:
-            m = mask[chunk]
-            if not m.any():
-                continue
-            pts, a = pts[m], a[m]
-        yield basis_matrix(spec, pts), a
+def _node_basis(spec: BasisSpec, rule: QuadratureRule):
+    """The rule's node x basis matrix B as ``forward(c) = B @ c``,
+    ``adjoint(w) = B.T @ w`` and ``half_factor(a, keep)`` (see ``RingFactors``):
+    ring factors on S^2, ValueError unless the rule is a product rule; B itself
+    on S^1, ResourceLimitError if it has more than 2e8 entries."""
+    if spec.d == 2:
+        return ring_factors(spec, rule)
+    if rule.n_nodes * basis_dim(spec) > _MAX_DENSE_ENTRIES:
+        raise ResourceLimitError(f"the {rule.n_nodes} x {basis_dim(spec)} node x basis matrix is too large")
+    B = basis_matrix(spec, rule.nodes)
+
+    def half_factor(a, keep=None):
+        keep = slice(None) if keep is None else keep
+        return _triangular_factor(B[keep] * np.sqrt(a[keep])[:, None], B.shape[1])
+
+    return SimpleNamespace(forward=lambda c: B @ c, adjoint=lambda w: B.T @ w, half_factor=half_factor)
 
 
 def gram_matrix(
@@ -193,47 +205,10 @@ def gram_matrix(
         return _arc_gram(arc_list(E), spec.L)
     if rule is None:
         rule = default_rule(E, spec.d, spec.L)
-    R, _ = _stream_factor(spec, rule, mu, membership(E, rule.nodes))
+    a = rule.weights * weight_values(mu, rule.nodes)
+    R = _node_basis(spec, rule).half_factor(a, membership(E, rule.nodes))
     G = R.T @ R
     return 0.5 * (G + G.T)
-
-
-def _stream_factor(
-    spec: BasisSpec,
-    rule: QuadratureRule,
-    mu: MeasureSpec,
-    mask: np.ndarray | None,
-) -> tuple[np.ndarray, int]:
-    """Upper-triangular R with R^T R = sum over (masked) nodes of a * Y Y^T,
-    built by blockwise QR so the Gram itself is never formed."""
-    N = basis_dim(spec)
-    R = None
-    pending: list[np.ndarray] = []
-    pending_rows = 0
-    total_rows = 0
-
-    def merge():
-        nonlocal R, pending, pending_rows
-        if not pending:
-            return
-        stack = pending if R is None else [R] + pending
-        R = np.linalg.qr(np.vstack(stack), mode="r")
-        pending = []
-        pending_rows = 0
-
-    for B, a in _basis_blocks(spec, rule, mu, mask):
-        rows = B * np.sqrt(a)[:, None]
-        pending.append(rows)
-        pending_rows += rows.shape[0]
-        total_rows += rows.shape[0]
-        if pending_rows >= _QR_BLOCK:
-            merge()
-    merge()
-    if R is None:
-        R = np.zeros((N, N))
-    elif R.shape[0] < N:
-        R = np.vstack([R, np.zeros((N - R.shape[0], N))])
-    return R, total_rows
 
 
 def lambda_min(
@@ -260,7 +235,8 @@ def lambda_min(
         lam = float(evals[0])
         witness = evecs[:, 0]
         resid = float(np.linalg.norm(G @ witness - lam * witness))
-        diag = {"method": "exact-arcs", "residual": resid, "cond_full": 1.0}
+        diag = {"method": "exact-arcs", "residual": resid, "cond_full": 1.0,
+                "lambda_floor": float(_EPS * evals[-1])}
         return ConcentrationReport(lam, _reciprocal(lam), witness, diag)
 
     if rule is None:
@@ -268,19 +244,22 @@ def lambda_min(
     if rule.exact_degree < 2 * L:
         raise ValueError("rule exactness must reach degree 2L for the polynomial part")
 
+    basis = _node_basis(spec, rule)
     mask = membership(E, rule.nodes)
+    a = rule.weights * weight_values(mu, rule.nodes)
     if isinstance(mu, Lebesgue):
         R_full = None
         cond_full = 1.0
     else:
-        R_full, _ = _stream_factor(spec, rule, mu, mask=None)
+        R_full = basis.half_factor(a)
         diag_full = np.abs(np.diag(R_full))
         if diag_full.min() <= 1e-14 * max(diag_full.max(), 1.0):
             raise DegenerateMeasureError("full-sphere Gram is numerically singular for this measure")
         s_full = np.linalg.svd(R_full, compute_uv=False)
         cond_full = float((s_full[0] / s_full[-1]) ** 2)
 
-    R_E, n_masked = _stream_factor(spec, rule, mu, mask=mask)
+    R_E = basis.half_factor(a, mask)
+    n_masked = int(mask.sum())
     if R_full is None:
         T = R_E
     else:
@@ -315,8 +294,9 @@ def lambda_min(
         "residual": resid,
         "cond_full": cond_full,
         "n_nodes": rule.n_nodes,
-        "n_masked": int(n_masked),
+        "n_masked": n_masked,
         "rule": dict(rule.descriptor),
+        "lambda_floor": float((_EPS * svals[0]) ** 2),
     }
     return ConcentrationReport(lam, _reciprocal(lam), witness, diag)
 
@@ -346,11 +326,9 @@ def lp_ratio(
         return float(c @ G_E @ c) / float(c @ c)
     if rule is None:
         rule = default_rule(E, spec.d, spec.L)
-
-    def mass(mask=None):
-        return sum(float(a @ np.abs(B @ c) ** p) for B, a in _basis_blocks(spec, rule, mu, mask))
-
-    num, den = mass(membership(E, rule.nodes)), mass()
+    vp = np.abs(_node_basis(spec, rule).forward(c)) ** p
+    a = rule.weights * weight_values(mu, rule.nodes)
+    num, den = float((a * membership(E, rule.nodes)) @ vp), float(a @ vp)
     if den == 0.0:
         raise ValueError("zero polynomial mass")
     return num / den
@@ -401,10 +379,8 @@ def worst_case_lp(
     starts -- the projection kernel peaked at the thinnest spot of E and a
     squared zonal peak -- plus seeded random coefficient vectors.  The result
     is an upper bound on the true minimum ratio; p = 2 is the certifiable case
-    where it can be cross-checked against the eigensolver.  On S^2 the basis
-    is applied ring by ring through ``ring_factors``, so a d=2 rule must be a
-    product rule from ``build_quadrature``; d=1 forms the full evaluation
-    matrix, for every p.
+    where it can be cross-checked against the eigensolver.  The basis is
+    applied as in every concentration function (``_node_basis``).
     """
     if not (1.0 <= p < math.inf):
         raise ValueError("p must lie in [1, infinity)")
@@ -413,15 +389,8 @@ def worst_case_lp(
     N = _check_dim(spec, max_dim)
     if rule is None:
         rule = default_rule(E, d, L)
+    basis = _node_basis(spec, rule)
     mask = membership(E, rule.nodes)
-    if d == 2:
-        rings = ring_factors(spec, rule)
-        forward, adjoint = rings.forward, rings.adjoint
-    else:
-        if rule.n_nodes * N > 2 * 10**8:
-            raise ResourceLimitError("the adversary needs the full evaluation matrix in memory")
-        B = basis_matrix(spec, rule.nodes)
-        forward, adjoint = (lambda c: B @ c), (lambda w: B.T @ w)
 
     if p == 2.0:
         G_E = gram_matrix(E, mu, spec, rule)
@@ -432,12 +401,12 @@ def worst_case_lp(
         objective = _p2_objective(G_E, G_full)
     else:
         a_full = rule.weights * weight_values(mu, rule.nodes)
-        objective = _pnorm_objective(forward, adjoint, a_full, a_full * mask, p)
+        objective = _pnorm_objective(basis.forward, basis.adjoint, a_full, a_full * mask, p)
 
     rng = np.random.default_rng(seed)
     anchor = _thin_density_center(spec, rule, mask)
     # the projection kernel and the squared zonal peak, both centered at the anchor
-    starts = [basis_matrix(spec, anchor[None, :])[0], _zonal_peak_start(spec, rule, anchor, adjoint)]
+    starts = [basis_matrix(spec, anchor[None, :])[0], _zonal_peak_start(spec, rule, anchor, basis.adjoint)]
     while len(starts) < restarts:
         starts.append(rng.standard_normal(N))
 
@@ -509,10 +478,8 @@ def uncertainty_check(
         return 1.0
     if rule is None:
         rule = default_rule(E, spec.d, spec.L)
-    mass_E = 0.0
-    for B, a in _basis_blocks(spec, rule, Lebesgue(), membership(E, rule.nodes)):
-        vals = B @ c
-        mass_E += float(a @ (vals * vals))
+    vals = _node_basis(spec, rule).forward(c)
+    mass_E = float((rule.weights * membership(E, rule.nodes)) @ (vals * vals))
     denom = mass_E + tail_norm_sq
     if denom == 0.0:
         raise ValueError("function vanishes on the set and has no spectral tail")

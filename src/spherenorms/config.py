@@ -93,6 +93,8 @@ def _eigen(cfg, E, L, params):
                         spacing_factor=cfg.spacing_factor)
     rep = lambda_min(E, cfg.measure, L, rule=rule)
     wit = f"n_masked={rep.diagnostics.get('n_masked', 'na')};residual={rep.diagnostics['residual']:.3e}"
+    if rep.lambda_min < rep.diagnostics["lambda_floor"]:
+        wit += ";below_floor"
     return rep.lambda_min, wit
 
 
@@ -179,7 +181,8 @@ FUNCTIONALS = {
     "eigen": Functional({}, (), _eigen, """\
 lambda_min: smallest eigenvalue of the pencil (G_E, G_full) on Pi_L,
 G_X[i,j] = integral_X Y_i Y_j dmu.  The best constant C_2 in
-integral |Q|^2 dmu <= C_2 integral_{E_L} |Q|^2 dmu is 1/lambda_min."""),
+integral |Q|^2 dmu <= C_2 integral_{E_L} |Q|^2 dmu is 1/lambda_min.
+The witness ends in ';below_floor' when lambda_min is under its rounding floor."""),
     "density": Functional({"r": 2.0}, (("r", _positive, "must be positive"),), _density, """\
 rho_hat: min over centers u of mu(E_L * B(u, r/L)) / mu(B(u, r/L)),
 the local relative density at the 1/L scale."""),

@@ -169,6 +169,15 @@ def test_dimension_guard():
     assert abs(rep.lambda_min - 1.0) <= 1e-9
 
 
+def test_circle_dense_basis_guard():
+    # d=1 holds the node x basis matrix: 200,200 nodes x dim Pi_500 = 1001 exceed 2e8 entries
+    E = sn.Arcs([[-1.0, 1.0]])
+    w = sn.PowerDistanceWeight(2.0, np.array([1.0, 0.0]))
+    rule = sn.build_quadrature(1, 1000, oversample=200.0)
+    with pytest.raises(ResourceLimitError):
+        sn.lambda_min(E, w, 500, rule=rule)
+
+
 def test_rule_exactness_guard():
     rule = sn.build_quadrature(2, 6)
     with pytest.raises(ValueError):

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import spherenorms as sn
+from spherenorms.acceptance import CONFIG_DENSE_NET, CONFIG_FIXED_CAP
 from spherenorms.cli import main
 from spherenorms.config import FUNCTIONALS, config_hash, load_config, parse_config, serialize_config
 from spherenorms.errors import ConfigError
 from spherenorms.runner import _job, plotdata, read_results, run_experiment
+from spherenorms.sets import realize_family
 
 SMALL_CONFIG = """
 schema: 1
@@ -205,6 +207,34 @@ functionals: [{name: eigen}]
 """
     )
     assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
+    # d=1 under a weight: 200,200 nodes x dim Pi_500 = 1001 exceed the 2e8-entry node x basis guard
+    cfg_path.write_text(
+        """
+d: 1
+L_list: [500]
+family: {kind: fixed, set: {kind: arcs, intervals: [[-1.0, 1.0]]}}
+measure: {kind: power_distance, exponent: 2.0, pole: [1.0, 0.0]}
+functionals: [{name: eigen}]
+quadrature: {oversample: 200}
+"""
+    )
+    assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("config, L, flagged", [
+    (CONFIG_FIXED_CAP, 16, True),
+    (CONFIG_FIXED_CAP, 8, False),
+    (CONFIG_DENSE_NET, 8, False),
+    # the d=1 closed-form path, whose eigh returns a negative lambda_min here
+    ("d: 1\nL_list: [16]\nfamily: {kind: fixed, set: {kind: arcs, intervals: [[-0.1, 0.1]]}}\nfunctionals: [eigen]\n",
+     16, True),
+], ids=["fixed-cap-16", "fixed-cap-8", "dense-net-8", "arc-16"])
+def test_eigen_witness_flags_values_below_floor(config, L, flagged):
+    cfg = parse_config(config)
+    value, witness = FUNCTIONALS["eigen"].compute(cfg, realize_family(cfg.family, cfg.d, L), L, {})
+    assert witness.endswith(";below_floor") == flagged
+    if cfg.d == 1:
+        assert value < 0.0
 
 
 @pytest.mark.parametrize("name", ["eigen", "density", "harmonic", "pnorm", "regularize"])

@@ -1,21 +1,26 @@
 """The ring factors of the d=2 basis on a product rule against the dense
 evaluation matrix they replace: the forward and adjoint maps, the adjoint
-identity, the L^p adversary's objective against its dense form, and the
+identity, the weighted half-factor, the L^p adversary's objective against its
+dense form, lambda_min against the streamed node-block QR it replaced, and the
 rules the factors refuse."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 import spherenorms as sn
 from spherenorms import concentration
+from spherenorms.acceptance import CONFIG_DENSE_NET
 from spherenorms.basis import basis_matrix, ring_factors
+from spherenorms.config import parse_config
 from spherenorms.geometry import random_rotation
 from spherenorms.measures import weight_values
 from spherenorms.quadrature import QuadratureRule
-from spherenorms.sets import membership
+from spherenorms.sets import membership, realize_family
 
 E2 = sn.random_cap_union(2, 12, 0.35, seed=4)
 MU2 = sn.PowerDistanceWeight(2.0, np.array([0.0, 0.0, 1.0]))
@@ -36,6 +41,39 @@ def dense_pnorm_objective(B, a_full, a_masked, p):
         return r, grad
 
     return fun
+
+
+def streamed_factor(spec, rule, mu, mask=None, node_chunk=8192, qr_block=49152):
+    """Upper-triangular R with R^T R = sum over the (masked) nodes of a Y Y^T,
+    by QR merges of dense basis rows, blocks of ``node_chunk`` nodes at a time,
+    as lambda_min built it before the ring-compressed half-factor: the
+    reference for it."""
+    N = sn.basis_dim(spec)
+    R, pending, pending_rows = None, [], 0
+    for i0 in range(0, rule.n_nodes, node_chunk):
+        chunk = slice(i0, min(i0 + node_chunk, rule.n_nodes))
+        a = rule.weights[chunk] * weight_values(mu, rule.nodes[chunk])
+        pts = rule.nodes[chunk]
+        if mask is not None:
+            pts, a = pts[mask[chunk]], a[mask[chunk]]
+        if pts.shape[0] == 0:
+            continue
+        pending.append(basis_matrix(spec, pts) * np.sqrt(a)[:, None])
+        pending_rows += pending[-1].shape[0]
+        if pending_rows >= qr_block:
+            R = np.linalg.qr(np.vstack(pending if R is None else [R] + pending), mode="r")
+            pending, pending_rows = [], 0
+    if pending:
+        R = np.linalg.qr(np.vstack(pending if R is None else [R] + pending), mode="r")
+    if R is None:
+        return np.zeros((N, N))
+    return np.vstack([R, np.zeros((N - R.shape[0], N))])
+
+
+def pencil_lambda(R_E, R_full):
+    """sigma_min(R_E R_full^{-1})^2, the pencil's smallest eigenvalue from its half-factors."""
+    T = scipy.linalg.solve_triangular(R_full, R_E.T, trans="T", lower=False).T
+    return float(np.linalg.svd(T, compute_uv=False)[-1] ** 2)
 
 
 def assert_close(got, want, rel):
@@ -74,6 +112,54 @@ def test_maps_match_dense_matrix(L, oversample, max_spacing, seed):
 
 @settings(max_examples=40, deadline=None)
 @rule_cases
+def test_half_factor_matches_dense_gram(L, oversample, max_spacing, seed):
+    rule = sn.build_quadrature(2, 2 * L, oversample=oversample, max_spacing=max_spacing)
+    spec = sn.BasisSpec(2, L)
+    B = basis_matrix(spec, rule.nodes)
+    rings = ring_factors(spec, rule)
+    rng = np.random.default_rng(seed)
+    E = sn.rotate(E2, random_rotation(2, rng))
+    a = rule.weights * weight_values(MU2, rule.nodes)
+    n_t, n_phi = rule.descriptor["n_t"], rule.descriptor["n_phi"]
+    emptied = membership(E, rule.nodes).reshape(n_t, n_phi)
+    emptied[rng.integers(n_t)] = False  # a ring with no kept node
+    for keep in (None, membership(E, rule.nodes), emptied.ravel(), np.zeros(rule.n_nodes, dtype=bool)):
+        R = rings.half_factor(a, keep)
+        kept = np.ones(rule.n_nodes) if keep is None else keep
+        G = B.T @ ((a * kept)[:, None] * B)
+        assert R.shape == (B.shape[1], B.shape[1])
+        assert np.array_equal(R, np.triu(R))
+        if not kept.any():
+            assert not R.any()
+            continue
+        assert_close(R.T @ R, G, 1e-13)
+
+
+@pytest.mark.parametrize("config, L", [
+    (CONFIG_DENSE_NET, 8),
+    ("""
+d: 2
+L_list: [12]
+family: {kind: random_caps, count: 24, radius: 0.35, seed: 0}
+measure: {kind: power_distance, exponent: 2.0, pole: [0.0, 0.0, 1.0]}
+functionals: [{name: eigen}]
+""", 12),
+], ids=["dense-net", "weighted-sphere"])
+def test_lambda_matches_streamed_factor(config, L):
+    cfg = parse_config(config)
+    E = realize_family(cfg.family, 2, L)
+    rule = concentration.default_rule(E, 2, L, oversample=cfg.oversample, spacing_factor=cfg.spacing_factor)
+    spec = sn.BasisSpec(2, L)
+    R_E = streamed_factor(spec, rule, cfg.measure, membership(E, rule.nodes))
+    R_full = np.eye(len(R_E)) if isinstance(cfg.measure, sn.Lebesgue) else streamed_factor(spec, rule, cfg.measure)
+    want = pencil_lambda(R_E, R_full)
+    assert want >= 1e-6
+    got = sn.lambda_min(E, cfg.measure, L, rule=rule).lambda_min
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@rule_cases
 def test_objective_matches_dense_reference(L, oversample, max_spacing, seed):
     rule = sn.build_quadrature(2, 2 * L, oversample=oversample, max_spacing=max_spacing)
     spec = sn.BasisSpec(2, L)
@@ -94,9 +180,11 @@ def test_objective_matches_dense_reference(L, oversample, max_spacing, seed):
     np.testing.assert_allclose(g, g_ref, rtol=0.0, atol=1e-12 * scale)
 
 
-def test_sphere_search_evaluates_no_dense_basis(monkeypatch):
-    # only the projection-kernel start evaluates the basis, at one point
-    rule = concentration.default_rule(E2, 2, 6)
+def test_sphere_functions_evaluate_no_dense_basis(monkeypatch):
+    # only the adversary's projection-kernel start evaluates the basis, at one point
+    L = 6
+    rule = concentration.default_rule(E2, 2, L)
+    spec = sn.BasisSpec(2, L)
     sizes = []
     real_basis_matrix = concentration.basis_matrix
 
@@ -105,20 +193,37 @@ def test_sphere_search_evaluates_no_dense_basis(monkeypatch):
         return real_basis_matrix(spec, points)
 
     monkeypatch.setattr(concentration, "basis_matrix", counted)
-    rep = sn.worst_case_lp(E2, MU2, 6, p=4.0, restarts=3, seed=0, rule=rule, d=2)
+    rep = sn.worst_case_lp(E2, MU2, L, p=4.0, restarts=3, seed=0, rule=rule, d=2)
     assert 0.0 < rep.value < 1.0
-    assert sizes and max(sizes) <= rule.descriptor["n_t"]
+    assert sizes == [1]
+    eig = sn.lambda_min(E2, MU2, L, rule=rule)
+    sn.gram_matrix(E2, MU2, spec, rule)
+    assert 0.0 < sn.lp_ratio(eig.witness, E2, MU2, 3.0, spec, rule) < 1.0
+    assert sn.uncertainty_check(eig.witness, E2, spec, rule) > 1.0
+    sn.worst_case_lp(E2, MU2, L, p=2.0, restarts=2, seed=0, rule=rule, d=2)
+    assert sizes == [1, 1]
 
 
 def test_rules_without_ring_structure_are_refused():
     spec = sn.BasisSpec(2, 4)
-    cap = sn.cap_quadrature(2, np.array([0.6, 0.0, 0.8]), 0.5)
-    with pytest.raises(ValueError):
-        sn.worst_case_lp(E2, MU2, 4, p=4.0, restarts=2, rule=cap, d=2)
+    # a cap rule, labelled exact to degree 8 so that lambda_min's exactness check passes
+    cap = replace(sn.cap_quadrature(2, np.array([0.6, 0.0, 0.8]), 0.5), exact_degree=8)
     # a product rule turned away from the pole keeps its descriptor but not its rings
     rule = sn.build_quadrature(2, 8)
     R = random_rotation(2, np.random.default_rng(5))
     turned = QuadratureRule(2, rule.nodes @ R.T, rule.weights, 8, dict(rule.descriptor))
+    c = np.random.default_rng(6).standard_normal(sn.basis_dim(spec))
+    for bad in (cap, turned):
+        with pytest.raises(ValueError, match="product"):
+            sn.worst_case_lp(E2, MU2, 4, p=4.0, restarts=2, rule=bad, d=2)
+        with pytest.raises(ValueError, match="product"):
+            sn.lambda_min(E2, MU2, 4, rule=bad)
+        with pytest.raises(ValueError, match="product"):
+            sn.gram_matrix(E2, MU2, spec, bad)
+        with pytest.raises(ValueError, match="product"):
+            sn.lp_ratio(c, E2, MU2, 3.0, spec, bad)
+        with pytest.raises(ValueError, match="product"):
+            sn.uncertainty_check(c, E2, spec, bad)
     with pytest.raises(ValueError):
         ring_factors(spec, turned)
     with pytest.raises(ValueError):
