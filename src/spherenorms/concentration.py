@@ -8,16 +8,18 @@ orthonormal basis.  lambda_min is computed from half-factors: triangular R_E,
 R_full with G_X = R_X^T R_X, and lambda_min = sigma_min(R_E R_full^{-1})^2.
 Going through singular values of the factor instead of eigenvalues of the
 assembled Gram resolves concentrations down to (eps sigma_max)^2, about
-1e-32, not about 1e-16.  ``diagnostics['lambda_floor']`` holds that floor
-(eps lambda_max on the closed-form d=1 path); sweeps flag values under it
-as ``below_floor``.
+1e-32, not about 1e-16.  ``diagnostics['lambda_floor']`` holds that floor;
+sweeps flag values under it as ``below_floor``.
 
-The quadrature path applies the rule's node x basis matrix B one way per
-dimension.  On S^2 the ring factors of a ``build_quadrature`` product rule
-apply B and B^T and build half-factors ring by ring (per-ring QR of the trig
-rows, lifted through the ring's Legendre values, then one QR); other d=2 rules
-raise ValueError.  On S^1, B is formed if n_nodes * dim Pi_L <= 2e8, else
-ResourceLimitError.
+Every Gram comes from a quadrature rule.  On S^1 under the plain measure the
+rule is Gauss-Legendre on E's arcs (``arc_quadrature``): all its nodes lie in
+E and it integrates the degree-2L products to rounding, so those Grams carry
+no masking error.  Elsewhere set indicators mask a densified global rule.
+The rule's node x basis matrix B is applied one way per dimension.  On S^2
+the ring factors of a ``build_quadrature`` product rule apply B and B^T and
+build half-factors ring by ring (per-ring QR of the trig rows, lifted through
+the ring's Legendre values, then one QR); other d=2 rules raise ValueError.
+On S^1, B is formed if n_nodes * dim Pi_L <= 2e8, else ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .errors import DegenerateMeasureError, EmptyIntersectionError, ResourceLimi
 from .functionals import _local_masses
 from .geometry import candidate_centers
 from .measures import Lebesgue, MeasureSpec, weight_values
-from .quadrature import SPACING_FACTOR, QuadratureRule, feature_rule, rule_dim
-from .sets import FullSphere, SetSpec, arc_list, membership
+from .quadrature import SPACING_FACTOR, QuadratureRule, arc_quadrature, feature_rule, rule_dim
+from .sets import FullSphere, SetSpec, membership
 from .special import jacobi_eval, sphere_lambda
 
 __all__ = [
@@ -99,71 +101,16 @@ def default_rule(E: SetSpec, d: int, L: int, oversample: float = 4.0,
 
 
 def _is_exact_case(E: SetSpec, mu: MeasureSpec, d: int) -> bool:
-    if d != 1 or not isinstance(mu, Lebesgue):
-        return False
-    try:
-        arc_list(E)
-    except (TypeError, ValueError):
-        return False
-    return True
+    return d == 1 and isinstance(mu, Lebesgue)
 
 
-def _use_exact(E: SetSpec, mu: MeasureSpec, d: int, method: str) -> bool:
-    """Whether the closed-form arc path runs: always under 'auto' when it
-    applies, never under 'quadrature', and under 'exact' or an error."""
-    if method not in ("auto", "quadrature", "exact"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "quadrature":
-        return False
-    exact = _is_exact_case(E, mu, d)
-    if method == "exact" and not exact:
-        raise ValueError("exact path requires d=1 with the plain surface measure")
-    return exact
-
-
-# -- exact trigonometric Gram over arc unions (d=1, Lebesgue) ------------------
-
-def _arc_gram(arcs: list[tuple[float, float]], L: int) -> np.ndarray:
-    """Gram of the trigonometric basis over a disjoint arc union, by antiderivatives."""
-    N = 2 * L + 1
-    G = np.zeros((N, N))
-    if not arcs or L < 0:
-        return G
-
-    def dS(m, a, b):
-        # integral of cos(m t): sin(m t)/m, with the m=0 limit t
-        m = np.asarray(m, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (np.sin(m * b) - np.sin(m * a)) / m
-        return np.where(m == 0, b - a, out)
-
-    def dC(m, a, b):
-        # integral of sin(m t): -cos(m t)/m, zero in the m=0 limit
-        m = np.asarray(m, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (np.cos(m * a) - np.cos(m * b)) / m
-        return np.where(m == 0, 0.0, out)
-
-    k = np.arange(1, L + 1)
-    J, K = np.meshgrid(k, k, indexing="ij")
-    cos_idx = 2 * k - 1
-    sin_idx = 2 * k
-    for s, ln in arcs:
-        a, b = s, s + ln
-        G[0, 0] += (b - a) / (2.0 * math.pi)
-        if L >= 1:
-            c_norm = 1.0 / (math.sqrt(2.0 * math.pi) * math.sqrt(math.pi))
-            G[0, cos_idx] += c_norm * dS(k, a, b)
-            G[0, sin_idx] += c_norm * dC(k, a, b)
-            half_pi = 0.5 / math.pi
-            G[np.ix_(cos_idx, cos_idx)] += half_pi * (dS(J - K, a, b) + dS(J + K, a, b))
-            G[np.ix_(sin_idx, sin_idx)] += half_pi * (dS(J - K, a, b) - dS(J + K, a, b))
-            CS = half_pi * (dC(K - J, a, b) + dC(K + J, a, b))
-            G[np.ix_(cos_idx, sin_idx)] += CS
-    G[1:, 0] = G[0, 1:]
-    if L >= 1:
-        G[np.ix_(sin_idx, cos_idx)] = G[np.ix_(cos_idx, sin_idx)].T
-    return 0.5 * (G + G.T)
+def _pick_rule(E: SetSpec, mu: MeasureSpec, spec: BasisSpec, rule: QuadratureRule | None) -> QuadratureRule:
+    """The rule a Gram over E is built from: on S^1 under the plain measure
+    Gauss-Legendre on E's arcs (exact, so it replaces any given rule), else
+    ``rule`` or the default rule."""
+    if _is_exact_case(E, mu, spec.d):
+        return arc_quadrature(E, 2 * spec.L)
+    return default_rule(E, spec.d, spec.L) if rule is None else rule
 
 
 # -- quadrature-path assembly ---------------------------------------------------
@@ -191,20 +138,12 @@ def gram_matrix(
     mu: MeasureSpec,
     spec: BasisSpec,
     rule: QuadratureRule | None = None,
-    method: str = "auto",
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> np.ndarray:
-    """Symmetric PSD matrix of integrals of Y_i Y_j over E against mu.
-
-    ``method='auto'`` uses closed-form arc integration for d=1 with the plain
-    surface measure (exact to rounding) and quadrature with indicator masks
-    otherwise; 'quadrature' and 'exact' force the respective path.
-    """
+    """Symmetric PSD matrix of integrals of Y_i Y_j over E against mu, from
+    the rule ``_pick_rule`` gives (indicator-masked unless it lies in E)."""
     _check_dim(spec, max_dim)
-    if _use_exact(E, mu, spec.d, method):
-        return _arc_gram(arc_list(E), spec.L)
-    if rule is None:
-        rule = default_rule(E, spec.d, spec.L)
+    rule = _pick_rule(E, mu, spec, rule)
     a = rule.weights * weight_values(mu, rule.nodes)
     R = _node_basis(spec, rule).half_factor(a, membership(E, rule.nodes))
     G = R.T @ R
@@ -217,7 +156,6 @@ def lambda_min(
     L: int,
     rule: QuadratureRule | None = None,
     d: int | None = None,
-    method: str = "auto",
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> ConcentrationReport:
     """Smallest eigenvalue of G_E x = lambda G_full x over Pi_L, with witness.
@@ -228,19 +166,7 @@ def lambda_min(
     d = rule_dim(d, rule)
     spec = BasisSpec(d, L)
     N = _check_dim(spec, max_dim)
-
-    if _use_exact(E, mu, d, method):
-        G = _arc_gram(arc_list(E), L)
-        evals, evecs = scipy.linalg.eigh(G)
-        lam = float(evals[0])
-        witness = evecs[:, 0]
-        resid = float(np.linalg.norm(G @ witness - lam * witness))
-        diag = {"method": "exact-arcs", "residual": resid, "cond_full": 1.0,
-                "lambda_floor": float(_EPS * evals[-1])}
-        return ConcentrationReport(lam, _reciprocal(lam), witness, diag)
-
-    if rule is None:
-        rule = default_rule(E, d, L)
+    rule = _pick_rule(E, mu, spec, rule)
     if rule.exact_degree < 2 * L:
         raise ValueError("rule exactness must reach degree 2L for the polynomial part")
 
@@ -322,8 +248,7 @@ def lp_ratio(
     if not np.all(np.isfinite(c)) or np.linalg.norm(c) == 0.0:
         raise ValueError("zero or non-finite polynomial")
     if p == 2.0 and _is_exact_case(E, mu, spec.d):
-        G_E = _arc_gram(arc_list(E), spec.L)
-        return float(c @ G_E @ c) / float(c @ c)
+        return float(c @ gram_matrix(E, mu, spec) @ c) / float(c @ c)
     if rule is None:
         rule = default_rule(E, spec.d, spec.L)
     vp = np.abs(_node_basis(spec, rule).forward(c)) ** p
@@ -393,12 +318,7 @@ def worst_case_lp(
     mask = membership(E, rule.nodes)
 
     if p == 2.0:
-        G_E = gram_matrix(E, mu, spec, rule)
-        if _is_exact_case(E, mu, d):
-            G_full = np.eye(N)
-        else:
-            G_full = gram_matrix(FullSphere(), mu, spec, rule, method="quadrature")
-        objective = _p2_objective(G_E, G_full)
+        objective = _p2_objective(gram_matrix(E, mu, spec, rule), gram_matrix(FullSphere(), mu, spec, rule))
     else:
         a_full = rule.weights * weight_values(mu, rule.nodes)
         objective = _pnorm_objective(basis.forward, basis.adjoint, a_full, a_full * mask, p)

@@ -2,7 +2,10 @@
 
 d=1 rules are uniform grids on the circle (exact for trigonometric degree up
 to n-1); d=2 rules are Gauss-Legendre in cos(theta) times a uniform grid in
-phi (exact for total degree up to the declared bound).  ``oversample`` and
+phi (exact for total degree up to the declared bound).  ``arc_quadrature``
+places Gauss-Legendre nodes in angle on each arc of a d=1 set, so integrals
+over the set itself of trigonometric polynomials up to the declared degree
+are exact to rounding, with no indicator mask.  ``oversample`` and
 ``max_spacing`` densify rules beyond the exactness requirement; that extra
 resolution only matters for discontinuous integrands (set indicators), where
 exactness claims do not apply.
@@ -18,9 +21,9 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .geometry import frame_at, uniform_circle
-from .sets import SetSpec, min_feature_scale
+from .sets import SetSpec, arc_list, min_feature_scale
 
-__all__ = ["QuadratureRule", "build_quadrature", "cap_quadrature", "feature_rule", "rule_dim",
+__all__ = ["QuadratureRule", "build_quadrature", "cap_quadrature", "arc_quadrature", "feature_rule", "rule_dim",
            "DEFAULT_MAX_NODES", "SPACING_FACTOR"]
 
 DEFAULT_MAX_NODES = 6_000_000
@@ -54,6 +57,19 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+def _refined_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of ``_gauss_legendre(n)`` with weights 2 / ((1 - x^2) P_n'(x)^2)
+    from the three-term recurrence and its derivative.  Against 40-digit weights
+    their summed error is 3e-15 at n = 79, where ``leggauss``'s is 1.4e-14; on
+    the arc [-3, 3] at L = 16 that moves sigma_min = 0.27 of the arc Gram by
+    4e-15 instead of 2e-14 to 7e-14."""
+    x = _gauss_legendre(n)[0]
+    p0, p1, d0, d1 = np.ones_like(x), x, np.zeros_like(x), np.ones_like(x)
+    for k in range(2, n + 1):
+        p0, p1, d0, d1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k, d1, d0 + (2 * k - 1) * p1
+    return x, 2.0 / ((1.0 - x) * (1.0 + x) * d1 * d1)
 
 
 def _ring_nodes(t: np.ndarray, n_phi: int) -> np.ndarray:
@@ -137,6 +153,25 @@ def cap_quadrature(d: int, center, radius: float, n_r: int = 48, n_phi: int = 96
     nodes = _ring_nodes(t, n_phi) @ frame_at(center).T
     weights = np.repeat(wt * (2.0 * math.pi / n_phi), n_phi)
     return QuadratureRule(2, nodes, weights, 0, {"cap": True, "n_r": n_r, "n_phi": n_phi})
+
+
+def arc_quadrature(E: SetSpec, exact_degree: int) -> QuadratureRule:
+    """Rule on the d=1 set E, Gauss-Legendre in angle on each of its arcs.
+
+    On an arc of length l, cos(k theta) with k <= exact_degree is an entire
+    function of the Gauss-Legendre variable with frequency k l / 2; n nodes
+    with 2n - 1 >= 0.6 exact_degree l + 40 integrate it to rounding (its
+    Chebyshev coefficients past 1.2 times the frequency decay geometrically).
+    """
+    arcs = arc_list(E)
+    nodes, weights = [np.empty((0, 2))], [np.empty(0)]
+    for s, ln in arcs:
+        x, wx = _refined_gauss_legendre(int(math.ceil((0.6 * exact_degree * ln + 41) / 2.0)))
+        theta = s + 0.5 * ln * (x + 1.0)
+        nodes.append(np.stack([np.cos(theta), np.sin(theta)], axis=1))
+        weights.append(0.5 * ln * wx)
+    weights = np.concatenate(weights)
+    return QuadratureRule(1, np.concatenate(nodes), weights, exact_degree, {"arcs": len(arcs), "n": weights.size})
 
 
 def feature_rule(

@@ -24,7 +24,8 @@ def test_gram_full_identity():
     for d, L in ((1, 12), (2, 6)):
         spec = sn.BasisSpec(d, L)
         rule = sn.build_quadrature(d, 2 * L)
-        G = sn.gram_matrix(sn.FullSphere(), sn.Lebesgue(), spec, rule, method="quadrature")
+        B = sn.basis_matrix(spec, rule.nodes)
+        G = B.T @ (rule.weights[:, None] * B)
         assert np.abs(G - np.eye(G.shape[0])).max() < 1e-12
 
 
@@ -61,7 +62,7 @@ def test_gram_complement_partition():
     E = sn.cap_set(sn.north_pole(2), 0.9)
     G_E = sn.gram_matrix(E, sn.Lebesgue(), spec, rule)
     G_C = sn.gram_matrix(sn.Complement(E), sn.Lebesgue(), spec, rule)
-    G_full = sn.gram_matrix(sn.FullSphere(), sn.Lebesgue(), spec, rule, method="quadrature")
+    G_full = sn.gram_matrix(sn.FullSphere(), sn.Lebesgue(), spec, rule)
     assert np.abs(G_E + G_C - G_full).max() < 1e-12
 
 
@@ -95,22 +96,26 @@ def test_lambda_toeplitz_oracle():
             rep = sn.lambda_min(sn.Arcs([[-a, a]]), sn.Lebesgue(), L, d=1)
             oracle = float(np.linalg.eigvalsh(toeplitz_gram(L, a))[0])
             assert abs(rep.lambda_min - oracle) <= 1e-8
-            assert rep.diagnostics["method"] == "exact-arcs"
+            # Gauss-Legendre on the one arc, every node inside it
+            assert rep.diagnostics["rule"] == {"arcs": 1, "n": rep.diagnostics["n_nodes"]}
+            assert rep.diagnostics["n_masked"] == rep.diagnostics["n_nodes"]
 
 
 def test_lambda_quadrature_method_forced():
-    # quadrature path on d=1 arcs agrees with the exact path at indicator accuracy
+    # the masked-rule path on d=1 arcs (reached through a constant weight, which
+    # the arc rule does not take) agrees with the arc rule at indicator accuracy
     a, L = 1.2, 6
     E = sn.Arcs([[-a, a]])
     exact = sn.lambda_min(E, sn.Lebesgue(), L, d=1).lambda_min
     rule = sn.build_quadrature(1, 2 * L, max_spacing=1e-3)
-    quad = sn.lambda_min(E, sn.Lebesgue(), L, rule=rule, method="quadrature").lambda_min
+    one = sn.BandWeight(np.array([1.0, 0.0]), 0.0, math.pi, inside=1.0, outside=1.0)
+    quad = sn.lambda_min(E, one, L, rule=rule).lambda_min
     assert quad == pytest.approx(exact, rel=0.05, abs=1e-6)
 
 
 def test_lambda_rotation_invariance():
     rng = np.random.default_rng(21)
-    # d=1: exact path, rotation is an arc shift
+    # d=1: arc rule, rotation is an arc shift
     E = sn.Arcs([[0.2, 1.1], [3.0, 3.5]])
     lam = sn.lambda_min(E, sn.Lebesgue(), 10, d=1).lambda_min
     theta = 1.234
@@ -134,7 +139,7 @@ def test_witness_consistency():
     spec = sn.BasisSpec(2, L)
     ratio = sn.lp_ratio(rep.witness, E, sn.Lebesgue(), 2.0, spec, rule)
     assert abs(ratio - rep.lambda_min) <= 1e-8
-    # d=1 exact path
+    # d=1 arc rule
     E1 = sn.Arcs([[-1.4, 1.4]])
     rep1 = sn.lambda_min(E1, sn.Lebesgue(), 8, d=1)
     ratio1 = sn.lp_ratio(rep1.witness, E1, sn.Lebesgue(), 2.0, sn.BasisSpec(1, 8))
