@@ -37,8 +37,8 @@ from .errors import DegenerateMeasureError, EmptyIntersectionError, ResourceLimi
 from .functionals import _local_masses
 from .geometry import candidate_centers
 from .measures import Lebesgue, MeasureSpec, weight_values
-from .quadrature import SPACING_FACTOR, QuadratureRule, arc_quadrature, feature_rule, rule_dim
-from .sets import FullSphere, SetSpec, membership
+from .quadrature import DEFAULT_MAX_NODES, SPACING_FACTOR, QuadratureRule, arc_quadrature, feature_rule, rule_dim
+from .sets import SetSpec, membership
 from .special import jacobi_eval, sphere_lambda
 
 __all__ = [
@@ -73,7 +73,7 @@ class ConcentrationReport:
 
 @dataclass(frozen=True, eq=False)
 class PnormReport:
-    """Best found L^p mass ratio (upper bound on the true minimum) with witness."""
+    """Best found L^p mass ratio (upper bound on the true minimum, exact at p = 2) with witness."""
 
     value: float
     witness: np.ndarray
@@ -90,14 +90,10 @@ def _check_dim(spec: BasisSpec, max_dim: int) -> int:
     return N
 
 
-def default_rule(E: SetSpec, d: int, L: int, oversample: float = 4.0,
-                 exact_degree: int | None = None, max_nodes: int | None = None,
+def default_rule(E: SetSpec, d: int, L: int, oversample: float = 4.0, max_nodes: int = DEFAULT_MAX_NODES,
                  spacing_factor: float = SPACING_FACTOR) -> QuadratureRule:
     """Rule sized for degree-2L products and fine enough to resolve E's features."""
-    if exact_degree is None:
-        exact_degree = 2 * L
-    kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
-    return feature_rule(E, d, exact_degree, spacing_factor=spacing_factor, oversample=oversample, **kwargs)
+    return feature_rule(E, d, 2 * L, spacing_factor=spacing_factor, oversample=oversample, max_nodes=max_nodes)
 
 
 def _is_exact_case(E: SetSpec, mu: MeasureSpec, d: int) -> bool:
@@ -259,17 +255,6 @@ def lp_ratio(
     return num / den
 
 
-def _p2_objective(G_E, G_full):
-    def fun(c):
-        num = c @ G_E @ c
-        den = c @ G_full @ c
-        r = num / den
-        grad = 2.0 * (G_E @ c - r * (G_full @ c)) / den
-        return r, grad
-
-    return fun
-
-
 def _pnorm_objective(forward, adjoint, a_full, a_masked, p):
     """Ratio and gradient, with the basis applied as the linear maps
     ``forward(c) = B @ c`` and ``adjoint(w) = B.T @ w``."""
@@ -298,17 +283,21 @@ def worst_case_lp(
     d: int | None = None,
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> PnormReport:
-    """Adversarial search for the least-concentrated polynomial at exponent p.
+    """Least-concentrated polynomial at exponent p: the minimum ratio with its witness.
 
-    Projected-descent (L-BFGS on the scale-invariant ratio) from structured
-    starts -- the projection kernel peaked at the thinnest spot of E and a
-    squared zonal peak -- plus seeded random coefficient vectors.  The result
-    is an upper bound on the true minimum ratio; p = 2 is the certifiable case
-    where it can be cross-checked against the eigensolver.  The basis is
-    applied as in every concentration function (``_node_basis``).
+    At p = 2 the ratio is the Rayleigh quotient of the pencil (G_E, G_full), so
+    the value and witness are ``lambda_min``'s, with no search.  Otherwise the
+    result is an upper bound on the true minimum ratio: projected descent
+    (L-BFGS on the scale-invariant ratio) from structured starts -- the
+    projection kernel peaked at the thinnest spot of E and a squared zonal
+    peak -- plus seeded random coefficient vectors.  The basis is applied as
+    in every concentration function (``_node_basis``).
     """
     if not (1.0 <= p < math.inf):
         raise ValueError("p must lie in [1, infinity)")
+    if p == 2.0:
+        rep = lambda_min(E, mu, L, rule=rule, d=d, max_dim=max_dim)
+        return PnormReport(value=rep.lambda_min, witness=rep.witness, restarts=(rep.lambda_min,), seed=seed)
     d = rule_dim(d, rule)
     spec = BasisSpec(d, L)
     N = _check_dim(spec, max_dim)
@@ -316,12 +305,8 @@ def worst_case_lp(
         rule = default_rule(E, d, L)
     basis = _node_basis(spec, rule)
     mask = membership(E, rule.nodes)
-
-    if p == 2.0:
-        objective = _p2_objective(gram_matrix(E, mu, spec, rule), gram_matrix(FullSphere(), mu, spec, rule))
-    else:
-        a_full = rule.weights * weight_values(mu, rule.nodes)
-        objective = _pnorm_objective(basis.forward, basis.adjoint, a_full, a_full * mask, p)
+    a_full = rule.weights * weight_values(mu, rule.nodes)
+    objective = _pnorm_objective(basis.forward, basis.adjoint, a_full, a_full * mask, p)
 
     rng = np.random.default_rng(seed)
     anchor = _thin_density_center(spec, rule, mask)
@@ -359,8 +344,8 @@ def _thin_density_center(spec: BasisSpec, rule: QuadratureRule, mask: np.ndarray
     centers = candidate_centers(spec.d, spec.L, 4 * max(spec.L, 3))
     r = 2.0 / max(spec.L, 1)
     ind = mask.astype(float) * rule.weights
-    num, _ = _local_masses(centers, rule, ind, ind, r, r)
-    return centers[int(np.argmin(num))]
+    (mass,) = _local_masses(centers, rule, [(ind, r)])
+    return centers[int(np.argmin(mass))]
 
 
 def _zonal_peak_start(spec: BasisSpec, rule: QuadratureRule, center: np.ndarray, adjoint) -> np.ndarray:

@@ -168,13 +168,14 @@ def _weight_or_none(w) -> bool:
 @dataclass(frozen=True)
 class Functional:
     """One registry entry: parameter defaults, checks as (parameter, predicate,
-    message) rows, ``compute(cfg, E, L, params) -> (value, witness)``, and the
-    reference text ``spherenorms describe`` prints."""
+    message) rows, ``compute(cfg, E, L, params) -> (value, witness)``, the
+    ``spherenorms describe`` text, and whether compute reads neither E nor L."""
 
     defaults: dict
     checks: tuple
     compute: Callable
     describe: str
+    degree_free: bool = False
 
 
 FUNCTIONALS = {
@@ -210,7 +211,7 @@ optionally with a bounded weight w."""),
         _weights, """\
 doubling constant sup mu(B(u,2t))/mu(B(u,t)) with fitted growth
 exponent; reverse-Holder constant C (w <= C * cap averages); smallest
-(B, beta) with w(B) <= B (sigma(B)/sigma(E))^beta w(E) over samples."""),
+(B, beta) with w(B) <= B (sigma(B)/sigma(E))^beta w(E) over samples.""", degree_free=True),
     "regularize": Functional(
         {"eps": 0.5, "delta": None, "r": 2.0},
         (("eps", _positive, "must be positive"), ("r", _positive, "must be positive"),

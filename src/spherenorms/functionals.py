@@ -103,17 +103,17 @@ def _center_blocks(counts: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _local_masses(centers, rule, num_values, den_values, num_radius, den_radius):
-    """Per-center masses over caps: num over B(c, num_radius), den over B(c, den_radius).
+def _local_masses(centers, rule, windows):
+    """Per-center masses, one array per (values, radius) window: values summed over B(c, radius).
 
     Node u counts for center c when c . u >= cos(radius) in float64; a radius
     of pi or more takes the whole sphere.  A k-d tree over the nodes only
-    prunes: it hands over every node within the chord of the wider cap (with
+    prunes: it hands over every node within the chord of the widest cap (with
     slack for rounding), and the dot-product test decides each candidate pair.
     """
-    cos_num, cos_den = math.cos(min(num_radius, math.pi)), math.cos(min(den_radius, math.pi))
-    reach = math.sqrt(2.0 - 2.0 * min(cos_num, cos_den) + _CHORD_SLACK)
-    num, den = np.zeros(centers.shape[0]), np.zeros(centers.shape[0])
+    cos_r = [math.cos(min(radius, math.pi)) for _, radius in windows]
+    reach = math.sqrt(2.0 - 2.0 * min(cos_r) + _CHORD_SLACK)
+    masses = [np.zeros(centers.shape[0]) for _ in windows]
     # node chunks of at most _PAIR_BLOCK nodes cap every center's candidates
     for n0 in range(0, rule.n_nodes, _PAIR_BLOCK):
         nodes = rule.nodes[n0 : n0 + _PAIR_BLOCK]
@@ -125,10 +125,10 @@ def _local_masses(centers, rule, num_values, den_values, num_radius, den_radius)
             dots = np.take(centers[c0:c1, 0], ci) * np.take(nodes[:, 0], ni)
             for k in range(1, centers.shape[1]):
                 dots += np.take(centers[c0:c1, k], ci) * np.take(nodes[:, k], ni)
-            for out, cos_r, values in ((num, cos_num, num_values), (den, cos_den, den_values)):
-                keep = dots >= cos_r
+            for out, cos_w, (values, _) in zip(masses, cos_r, windows):
+                keep = dots >= cos_w
                 out[c0:c1] += np.bincount(ci[keep], weights=values[n0 + ni[keep]], minlength=c1 - c0)
-    return num, den
+    return masses
 
 
 def density_profile(
@@ -163,7 +163,7 @@ def density_profile(
     ind = membership(E, rule.nodes).astype(float)
     den_vals = rule.weights * weight_values(mu, rule.nodes)
     num_vals = den_vals * ind
-    num, den = _local_masses(centers, rule, num_vals, den_vals, num_radius, den_radius)
+    num, den = _local_masses(centers, rule, [(num_vals, num_radius), (den_vals, den_radius)])
     if np.any(den <= 0.0):
         raise ResolutionError("a window cap caught no quadrature node; refine the rule")
     rho = num / den
@@ -488,7 +488,7 @@ def regularize_set(
         rule = feature_rule(E, d, window=radius, spacing_factor=spacing_factor, max_nodes=max_nodes)
     ind = membership(E, rule.nodes).astype(float)
     num_vals = rule.weights * ind
-    num, den = _local_masses(net, rule, num_vals, rule.weights, radius, radius)
+    num, den = _local_masses(net, rule, [(num_vals, radius), (rule.weights, radius)])
     if np.any(den <= 0.0):
         raise NetConstructionError("net caps too small for the rule resolution")
 

@@ -6,7 +6,8 @@ Determinism contract: the results CSV depends only on the config (hash, seed
 included); wall times live in a separate timings file so reruns are
 byte-identical.  Jobs are independent per (L, functional) and may run in a
 process pool; rows are sorted by key before writing, so worker count does not
-affect output.
+affect output.  A degree-free functional runs once, at the first degree, and
+its row is repeated at every other degree with a wall time of 0.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .config import FUNCTIONALS, ExperimentConfig, config_hash
 from .sets import realize_family
@@ -55,7 +56,9 @@ def run_experiment(cfg: ExperimentConfig, output_dir, workers: int = 1, verbose:
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     digest = config_hash(cfg)
-    jobs = [(cfg, digest, L, i) for L in cfg.L_list for i in range(len(cfg.functionals))]
+    degree_free = [FUNCTIONALS[f.name].degree_free for f in cfg.functionals]
+    jobs = [(cfg, digest, L, i) for k, L in enumerate(cfg.L_list) for i in range(len(cfg.functionals))
+            if k == 0 or not degree_free[i]]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_job, jobs))
@@ -66,6 +69,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir, workers: int = 1, verbose:
             if verbose:
                 print(f"  L={row.L:4d} {row.functional:12s} value={row.value!r} ({row.wall_time_s:.1f}s)")
             rows.append(row)
+    rows += [replace(row, L=L, wall_time_s=0.0)
+             for (_, _, _, i), row in zip(jobs, rows) if degree_free[i] for L in cfg.L_list[1:]]
     rows.sort(key=lambda r: (r.L, r.functional))
     results_path = out / "results.csv"
     timings_path = out / "timings.csv"

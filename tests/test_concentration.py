@@ -220,17 +220,21 @@ def test_lp_ratio_peak_decay():
 
 
 def test_worst_case_p2_matches_eigensolver():
-    # d=1 arc: exact quadratic forms, optimizer must find the bottom eigenvalue
+    # at p = 2 the minimum ratio is the pencil's bottom eigenvalue, witness included
     E = sn.Arcs([[-1.0, 1.0]])
     L = 8
     rep = sn.lambda_min(E, sn.Lebesgue(), L, d=1)
     found = sn.worst_case_lp(E, sn.Lebesgue(), L, p=2.0, restarts=6, seed=1, d=1)
-    assert found.value == pytest.approx(rep.lambda_min, abs=1e-6)
-    # d=2 union of caps
+    assert found.value == rep.lambda_min
+    np.testing.assert_array_equal(found.witness, rep.witness)
+    # d=2 union of caps, under a weight
     E2 = sn.CapUnion(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), np.array([1.2, 1.0]))
-    rep2 = sn.lambda_min(E2, sn.Lebesgue(), 4, d=2)
-    found2 = sn.worst_case_lp(E2, sn.Lebesgue(), 4, p=2.0, restarts=6, seed=2, d=2)
-    assert found2.value == pytest.approx(rep2.lambda_min, abs=1e-6)
+    mu2 = sn.PowerDistanceWeight(2.0, np.array([0.0, 0.0, 1.0]))
+    rep2 = sn.lambda_min(E2, mu2, 4, d=2)
+    found2 = sn.worst_case_lp(E2, mu2, 4, p=2.0, restarts=6, seed=2, d=2)
+    assert found2.value == rep2.lambda_min
+    np.testing.assert_array_equal(found2.witness, rep2.witness)
+    assert sn.lp_ratio(found2.witness, E2, mu2, 2.0, sn.BasisSpec(2, 4)) == pytest.approx(found2.value, rel=1e-10)
 
 
 def test_worst_case_full_sphere_any_p():

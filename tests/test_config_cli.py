@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import spherenorms as sn
+import spherenorms.config as config_module
 from spherenorms.acceptance import CONFIG_DENSE_NET, CONFIG_FIXED_CAP
 from spherenorms.cli import main
 from spherenorms.config import FUNCTIONALS, config_hash, load_config, parse_config, serialize_config
 from spherenorms.errors import ConfigError
-from spherenorms.runner import _job, plotdata, read_results, run_experiment
+from spherenorms.runner import _job, plotdata, read_results, run_experiment, write_results
 from spherenorms.sets import realize_family
 
 SMALL_CONFIG = """
@@ -137,6 +138,31 @@ def test_run_experiment_deterministic(tmp_path):
     # timings live in the sidecar, not the results file
     assert "wall_time_s" in tim1.read_text().splitlines()[0]
     assert "wall_time_s" not in res1.read_text().splitlines()[0]
+
+
+def test_degree_free_functional_runs_once_per_sweep(monkeypatch, tmp_path):
+    text = """
+d: 1
+L_list: [4, 8, 12]
+family: {kind: fixed, set: {kind: arcs, intervals: [[-1.2, 1.2], [2.0, 3.4]]}}
+measure: {kind: power_distance, exponent: 2.0, pole: [1.0, 0.0]}
+functionals: [eigen, {name: weights, n_caps: 4}]
+"""
+    cfg = parse_config(text)
+    calls = []
+    for name in ("doubling_constant", "rhinfty_check", "ainfty_check"):
+        def counted(*args, _real=getattr(config_module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(config_module, name, counted)
+    res, tim, rows = run_experiment(cfg, tmp_path / "sweep")
+    assert sorted(calls) == ["ainfty_check", "doubling_constant", "rhinfty_check"]
+    assert [(r.L, r.functional) for r in rows] == [(L, f) for L in (4, 8, 12) for f in ("eigen", "weights")]
+    assert [r.wall_time_s == 0.0 for r in rows if r.functional == "weights"] == [False, True, True]
+    # the same bytes as running the weights job at every degree
+    per_degree = [_job((cfg, config_hash(cfg), L, i)) for L in cfg.L_list for i in range(2)]
+    write_results(per_degree, tmp_path / "per_degree.csv")
+    assert res.read_bytes() == (tmp_path / "per_degree.csv").read_bytes()
 
 
 def test_run_experiment_worker_pool_identical(tmp_path):

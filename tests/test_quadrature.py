@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -97,11 +98,49 @@ def test_cap_quadrature_integrates_smooth():
 
 def test_gauss_legendre_nodes_built_once_and_read_only():
     x, w = _gauss_legendre(48)
-    ref_x, ref_w = np.polynomial.legendre.leggauss(48)
-    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    ref_x = np.polynomial.legendre.leggauss(48)[0]
+    ref_w = w.copy()
+    assert np.array_equal(x, ref_x)
     assert _gauss_legendre(48)[0] is x
     assert not x.flags.writeable and not w.flags.writeable
     # the rules built on the shared arrays leave them untouched
     sn.cap_quadrature(2, sn.north_pole(2), 0.7)
     sn.build_quadrature(2, 94)
     assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+
+
+def _mp_gauss_legendre_weights(n: int) -> list:
+    """Gauss-Legendre weights 2 / ((1 - x^2) P_n'(x)^2) at 40 digits, the
+    nodes Newton-refined from float64 starting points."""
+    with mpmath.workdps(40):
+        weights = []
+        for x0 in np.polynomial.legendre.leggauss(n)[0]:
+            x = mpmath.mpf(float(x0))
+            for _ in range(6):
+                p0, p1 = mpmath.mpf(1), x
+                for k in range(2, n + 1):
+                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+                dp = n * (x * p1 - p0) / (x * x - 1)
+                x -= p1 / dp
+            weights.append(2 / ((1 - x * x) * dp * dp))
+        return weights
+
+
+@pytest.mark.parametrize("n", [48, 79, 150])
+def test_gauss_legendre_weights_match_extended_precision(n):
+    w = _gauss_legendre(n)[1]
+    ref = _mp_gauss_legendre_weights(n)
+    assert sum(abs(float(wi - ri)) for wi, ri in zip(w, ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("exact_degree, oversample", [(0, 1.0), (12, 1.0), (31, 2.5), (94, 4.0)])
+def test_product_rule_nodes_are_gauss_legendre_rings(exact_degree, oversample):
+    # the ring-major layout basis.ring_factors reads: leggauss nodes in z,
+    # n_phi equispaced longitudes from phi = 0 on each ring
+    rule = sn.build_quadrature(2, exact_degree, oversample=oversample)
+    n_t, n_phi = rule.descriptor["n_t"], rule.descriptor["n_phi"]
+    t = np.polynomial.legendre.leggauss(n_t)[0]
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
+    ref = np.stack([np.outer(s, np.cos(phi)).ravel(), np.outer(s, np.sin(phi)).ravel(), np.repeat(t, n_phi)], axis=1)
+    assert np.array_equal(rule.nodes, ref)

@@ -201,7 +201,7 @@ def test_sphere_functions_evaluate_no_dense_basis(monkeypatch):
     assert 0.0 < sn.lp_ratio(eig.witness, E2, MU2, 3.0, spec, rule) < 1.0
     assert sn.uncertainty_check(eig.witness, E2, spec, rule) > 1.0
     sn.worst_case_lp(E2, MU2, L, p=2.0, restarts=2, seed=0, rule=rule, d=2)
-    assert sizes == [1, 1]
+    assert sizes == [1]
 
 
 def test_rules_without_ring_structure_are_refused():
