@@ -47,6 +47,9 @@ __all__ = [
 # elementwise passes over a block stay in cache
 _CENTER_CHUNK = 64
 _NODE_CHUNK = 2048
+# every _SEED_STRIDE-th center of the harmonic grid is summed in full; the
+# smallest of those sums bounds the partial sums the other centers may keep
+_SEED_STRIDE = 16
 # candidate (center, node) pairs per density block; bounds the scan's temporaries
 _PAIR_BLOCK = 1 << 20
 # squared-chord slack of the tree query, far above the rounding of c . u
@@ -199,18 +202,14 @@ def relative_density(
                            spacing_factor=spacing_factor, max_nodes=max_nodes)
 
 
-def _poisson_from_dots(dots: np.ndarray, scale: float, rho_sq: float, d: int) -> np.ndarray:
-    """The Poisson kernel (1 - |x|^2)/|x - u|^(d+1), overwriting ``dots``,
-    where |x|^2 = rho_sq and |x - u|^2 = 1 + rho_sq + scale * dots."""
-    t = dots
-    t *= scale
-    t += 1.0 + rho_sq
+def _poisson_from_dots(t: np.ndarray, d: int, root: np.ndarray | None = None) -> np.ndarray:
+    """1/|x - u|^(d+1) from squared distances t = |x - u|^2, overwriting ``t``;
+    ``root``, of t's shape, takes the square root for d=2."""
     if d == 2:
-        t *= np.sqrt(t)
+        t *= np.sqrt(t, out=root)
     elif d != 1:
         raise ValueError(f"unsupported sphere dimension d={d}")
     np.reciprocal(t, out=t)
-    t *= 1.0 - rho_sq
     return t
 
 
@@ -220,19 +219,44 @@ def poisson_kernel(x, nodes, d: int) -> np.ndarray:
     rho_sq = float(x @ x)
     if rho_sq >= 1.0:
         raise ValueError("evaluation point must lie strictly inside the unit ball")
-    return _poisson_from_dots(nodes @ x, -2.0, rho_sq, d)
+    kernel = _poisson_from_dots(nodes @ (-2.0 * x) + (1.0 + rho_sq), d)
+    kernel *= 1.0 - rho_sq
+    return kernel
 
 
-def _poisson_sums(centers: np.ndarray, nodes: np.ndarray, values: np.ndarray, rho: float, d: int) -> np.ndarray:
-    """Per-center sums over all nodes u of P(rho c, u) * values[u], scanned
-    in blocks of centers and nodes."""
-    sums = np.zeros(centers.shape[0])
-    for c0 in range(0, centers.shape[0], _CENTER_CHUNK):
-        cc = centers[c0 : c0 + _CENTER_CHUNK]
-        for i0 in range(0, nodes.shape[0], _NODE_CHUNK):
-            kernel = _poisson_from_dots(cc @ nodes[i0 : i0 + _NODE_CHUNK].T, -2.0 * rho, rho * rho, d)
-            sums[c0 : c0 + _CENTER_CHUNK] += kernel @ values[i0 : i0 + _NODE_CHUNK]
-    return sums
+def _poisson_sums(
+    centers: np.ndarray, nodes: np.ndarray, values: np.ndarray, rho: float, d: int, bound: float = math.inf
+) -> tuple[np.ndarray, int]:
+    """Per-center sums over all nodes u of P(rho c, u) * values[u], and the
+    number of (center, node) terms summed.
+
+    The scan runs one node chunk at a time over blocks of centers, and every
+    center adds its chunks in node order.  The kernel is positive, so with
+    nonnegative values a partial sum never exceeds the full one: after each
+    chunk, a center whose partial sum is above ``bound`` is dropped and
+    reported as +inf.  Every other sum is complete.
+    """
+    # |rho c - u|^2 = [-2 rho c, 1 + rho^2] . [u, 1]; 1 - rho^2 goes into the values
+    lifted = np.hstack([-2.0 * rho * centers, np.full((centers.shape[0], 1), 1.0 + rho * rho)])
+    nodes = np.hstack([nodes, np.ones((nodes.shape[0], 1))])
+    values = values * (1.0 - rho * rho)
+    live = np.arange(centers.shape[0])
+    acc = np.zeros(centers.shape[0])
+    root = np.empty(_CENTER_CHUNK * _NODE_CHUNK)
+    pairs = 0
+    for i0 in range(0, nodes.shape[0], _NODE_CHUNK):
+        chunk = nodes[i0 : i0 + _NODE_CHUNK].T
+        chunk_values = values[i0 : i0 + _NODE_CHUNK]
+        for c0 in range(0, live.size, _CENTER_CHUNK):
+            t = lifted[c0 : c0 + _CENTER_CHUNK] @ chunk
+            acc[c0 : c0 + _CENTER_CHUNK] += _poisson_from_dots(t, d, root[: t.size].reshape(t.shape)) @ chunk_values
+        pairs += live.size * chunk.shape[1]
+        keep = ~(acc > bound)
+        if not keep.all():
+            live, lifted, acc = live[keep], lifted[keep], acc[keep]
+    sums = np.full(centers.shape[0], math.inf)
+    sums[live] = acc
+    return sums, pairs
 
 
 def harmonic_measure(E: SetSpec, x, rule: QuadratureRule) -> float:
@@ -265,15 +289,23 @@ def harmonic_infimum(
         rule = feature_rule(E, d, window=1.0 / L, spacing_factor=spacing_factor, max_nodes=max_nodes)
     centers = candidate_centers(d, L, resolution)
     mask = membership(E, rule.nodes)
+    grid = {"per_great_circle": resolution, "n_centers": centers.shape[0], "rule": dict(rule.descriptor)}
     if not mask.any():
-        return HarmonicReport(0.0, centers[0].copy(), L, {"per_great_circle": resolution})
-    acc = _poisson_sums(centers, rule.nodes[mask], rule.weights[mask] / sphere_measure(d), 1.0 - 1.0 / L, d)
+        return HarmonicReport(0.0, centers[0].copy(), L, {**grid, "pairs_summed": 0})
+    nodes, values, rho = rule.nodes[mask], rule.weights[mask] / sphere_measure(d), 1.0 - 1.0 / L
+    # the seeds' smallest full sum is a grid value, so a center whose partial
+    # sum exceeds it cannot hold the grid minimum
+    seed = np.zeros(centers.shape[0], dtype=bool)
+    seed[::_SEED_STRIDE] = True
+    acc = np.empty(centers.shape[0])
+    acc[seed], seed_pairs = _poisson_sums(centers[seed], nodes, values, rho, d)
+    acc[~seed], rest_pairs = _poisson_sums(centers[~seed], nodes, values, rho, d, bound=float(acc[seed].min()))
     best_i = int(np.argmin(acc))
     return HarmonicReport(
         delta_hat=float(acc[best_i]),
         argmin_center=centers[best_i].copy(),
         L=L,
-        resolution={"per_great_circle": resolution, "n_centers": centers.shape[0], "rule": dict(rule.descriptor)},
+        resolution={**grid, "pairs_summed": seed_pairs + rest_pairs},
     )
 
 

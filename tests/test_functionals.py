@@ -10,6 +10,8 @@ from scipy.integrate import quad
 import spherenorms as sn
 from spherenorms.errors import DegenerateMeasureError, ResolutionError
 from spherenorms.functionals import poisson_kernel
+from spherenorms.geometry import candidate_centers
+from spherenorms.quadrature import cap_quadrature
 from spherenorms.sets import EmptySet
 
 
@@ -118,6 +120,37 @@ def test_harmonic_infimum_fixed_cap_decays():
     d16 = sn.harmonic_infimum(E, 16, d=2).delta_hat
     assert d16 < d8
     assert d16 <= d8 / 1.5
+
+
+def funk_hecke_cap_harmonic(points, n, r, rho, l_max=400):
+    """omega(rho xi, cap(n, r)) on S^2 by the Funk-Hecke series
+    (1 - a)/2 + sum_{l>=1} rho^l P_l(xi . n) (P_{l-1}(a) - P_{l+1}(a))/2, a = cos r,
+    with P_l by the three-term recurrence; the tail is below rho^l_max."""
+    a, s = math.cos(r), points @ n
+    pa = [1.0, a]
+    for l in range(1, l_max + 1):
+        pa.append(((2 * l + 1) * a * pa[l] - l * pa[l - 1]) / (l + 1))
+    total = np.full(s.shape, (1.0 - a) / 2.0)
+    p_prev, p_cur = np.ones_like(s), s
+    for l in range(1, l_max + 1):
+        total += rho**l * p_cur * (pa[l - 1] - pa[l + 1]) / 2.0
+        p_prev, p_cur = p_cur, ((2 * l + 1) * s * p_cur - l * p_prev) / (l + 1)
+    return total
+
+
+@pytest.mark.parametrize("L", [2, 5])
+def test_harmonic_infimum_matches_funk_hecke_series(L):
+    # every node of the cap's own rule lies in the cap, so the scan is unmasked;
+    # the grid minimum sits far from the cap edge, where the rule resolves the
+    # kernel to rounding at rho = 1 - 1/L <= 0.8
+    n = np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98)
+    E = sn.cap_set(n, 1.0)
+    rule = cap_quadrature(2, n, 1.0)
+    assert sn.membership(E, rule.nodes).all()
+    rep = sn.harmonic_infimum(E, L, rule=rule)
+    centers = candidate_centers(2, L, rep.resolution["per_great_circle"])
+    want = float(funk_hecke_cap_harmonic(centers, n, 1.0, 1.0 - 1.0 / L).min())
+    assert abs(rep.delta_hat - want) <= 1e-12 * want
 
 
 def test_harmonic_infimum_dense_bounded():

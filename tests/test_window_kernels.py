@@ -1,9 +1,9 @@
 """The window kernels of functionals.py against direct references: the
 density masses against the all-pairs block scan they replaced, the
 adversary's anchor against its own all-pairs scan, the Poisson scan against
-poisson_kernel summed node by node, the memory bound of the density blocks,
-the cap masses ainfty_check asks for, and the local rules rhinfty_check
-builds."""
+poisson_kernel summed node by node, the pruned harmonic minimum against the
+full scan it replaced, the memory bound of the density blocks, the cap masses
+ainfty_check asks for, and the local rules rhinfty_check builds."""
 
 import math
 
@@ -17,6 +17,7 @@ from spherenorms import functionals as F
 from spherenorms.geometry import candidate_centers, random_rotation
 from spherenorms.quadrature import QuadratureRule
 from spherenorms.sets import membership
+from spherenorms.special import sphere_measure
 
 OLD_BLOCK = 512 * 32768  # entries of one block of the all-pairs scan
 
@@ -150,7 +151,8 @@ def test_poisson_scan_matches_kernel_node_by_node(d):
     mask = num > 0
     nodes, values = rule.nodes[mask], rule.weights[mask]
     rho = 1.0 - 1.0 / 5
-    got = F._poisson_sums(centers, nodes, values, rho, d)
+    got, pairs = F._poisson_sums(centers, nodes, values, rho, d)
+    assert pairs == centers.shape[0] * nodes.shape[0]
     want = np.array([values @ F.poisson_kernel(rho * c, nodes, d) for c in centers])
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -206,6 +208,67 @@ def test_rhinfty_builds_each_local_rule_once(monkeypatch, d, mu, C):
     assert len(builds) == len(set(builds)) == 39
     assert rep.rhinfty == (C, True) and rep.witness is None
     assert rep.config == {"seed": 0, "n_caps": 12, "radii": [0.2, 0.5, 1.0]}
+
+
+def full_scan_infimum(E, L, rule):
+    """The harmonic grid minimum as the full scan found it: the Poisson sum at
+    every center, 64 centers x 2048 nodes at a time, then the first argmin.
+    Returns (value, argmin index, n_centers, n_masked)."""
+    centers = candidate_centers(rule.d, L, 6 * L)
+    mask = membership(E, rule.nodes)
+    rho = 1.0 - 1.0 / L
+    lifted = np.hstack([-2.0 * rho * centers, np.full((centers.shape[0], 1), 1.0 + rho * rho)])
+    nodes = np.hstack([rule.nodes[mask], np.ones((int(mask.sum()), 1))])
+    values = rule.weights[mask] / sphere_measure(rule.d) * (1.0 - rho * rho)
+    sums = np.zeros(centers.shape[0])
+    for c0 in range(0, centers.shape[0], 64):
+        for i0 in range(0, nodes.shape[0], 2048):
+            t = lifted[c0 : c0 + 64] @ nodes[i0 : i0 + 2048].T
+            sums[c0 : c0 + 64] += F._poisson_from_dots(t, rule.d) @ values[i0 : i0 + 2048]
+    i = int(np.argmin(sums))
+    return float(sums[i]), i, centers.shape[0], int(mask.sum())
+
+
+def assert_infimum_matches_full_scan(E, L, rule):
+    rep = sn.harmonic_infimum(E, L, rule=rule)
+    value, i, n_centers, n_masked = full_scan_infimum(E, L, rule)
+    np.testing.assert_array_equal(rep.argmin_center, candidate_centers(rule.d, L, 6 * L)[i])
+    assert abs(rep.delta_hat - value) <= 1e-14 * value
+    assert rep.resolution["n_centers"] == n_centers
+    return rep, n_centers * n_masked
+
+
+# node spacings giving about 6,300 nodes on S^1 and 7,900 on S^2, so most
+# sets keep more than one 2048-node chunk for the pruning to act between
+PRUNE_SPACING = {1: 0.001, 2: 0.05}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(2, 24), st.sampled_from(["caps", "arcs", "band", "complement"]),
+       st.integers(0, 2**31 - 1))
+def test_pruned_harmonic_infimum_matches_full_scan(d, L, kind, seed):
+    if d == 2 and kind == "arcs":
+        kind = "caps"
+    rule = sn.build_quadrature(d, 0, max_spacing=PRUNE_SPACING[d])
+    rep, all_pairs = assert_infimum_matches_full_scan(anchor_set(d, kind, seed), L, rule)
+    assert rep.resolution["pairs_summed"] <= all_pairs
+
+
+def test_pruned_harmonic_infimum_skips_most_of_fixed_cap():
+    # the fixed-cap sweep's set and rule at L=16: exact, from about a third of the terms
+    E = sn.cap_set(sn.north_pole(2), math.pi / 3)
+    rule = F.feature_rule(E, 2, window=1.0 / 16)
+    rep, all_pairs = assert_infimum_matches_full_scan(E, 16, rule)
+    assert rep.resolution["pairs_summed"] <= 0.5 * all_pairs
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_harmonic_infimum_of_empty_set_reports_its_grid(d):
+    rep = sn.harmonic_infimum(sn.EmptySet(), 4, d=d)
+    assert rep.delta_hat == 0.0
+    assert rep.resolution["n_centers"] == candidate_centers(d, 4).shape[0]
+    assert rep.resolution["pairs_summed"] == 0
+    assert rep.resolution["rule"] == F.feature_rule(sn.EmptySet(), d, window=1.0 / 4).descriptor
 
 
 def all_pairs_anchor(spec, rule, mask):
