@@ -24,7 +24,7 @@ from .concentration import (
 )
 from .config import parse_config
 from .functionals import density_profile, regularize_set, relative_density, rhinfty_check
-from .geometry import candidate_centers, north_pole, random_points, south_pole
+from .geometry import candidate_centers, centers_per_great_circle, north_pole, random_points, south_pole
 from .measures import Lebesgue, PowerDistanceWeight
 from .quadrature import build_quadrature
 from .sets import Arcs, CapUnion, EmptySet, FullSphere, cap_set, realize_family
@@ -283,9 +283,8 @@ class AcceptanceSuite:
         for L in (8, 16, 32):
             E = realize_family(fam, 2, L)
             spec = BasisSpec(2, L)
-            scale = 0.5 / L
-            per_circle = max(6 * L, int(math.ceil(2.0 * math.pi / (scale / 2.0))))
-            grid = candidate_centers(2, L, per_circle)
+            # grid spacing below half the cap radius 0.5/L
+            grid = candidate_centers(2, L, centers_per_great_circle(L, window=0.25 / L))
             rng = np.random.default_rng([11, L])
             C = rng.standard_normal((basis_dim(spec), 50))
             mins_plain[L] = float(sup_norm_ratios(C, E, grid, spec=spec).min())

@@ -9,7 +9,9 @@ R_full with G_X = R_X^T R_X, and lambda_min = sigma_min(R_E R_full^{-1})^2.
 Going through singular values of the factor instead of eigenvalues of the
 assembled Gram resolves concentrations down to (eps sigma_max)^2, about
 1e-32, not about 1e-16.  ``diagnostics['lambda_floor']`` holds that floor;
-sweeps flag values under it as ``below_floor``.
+sweeps flag values under it as ``below_floor``.  Every other p=2 number --
+``gram_matrix``, ``lp_ratio`` at p=2 and ``uncertainty_check`` -- reads the
+same half-factors on the same rule.
 
 Every Gram comes from a quadrature rule.  On S^1 under the plain measure the
 rule is Gauss-Legendre on E's arcs (``arc_quadrature``): all its nodes lie in
@@ -96,19 +98,6 @@ def default_rule(E: SetSpec, d: int, L: int, oversample: float = 4.0, max_nodes:
     return feature_rule(E, d, 2 * L, spacing_factor=spacing_factor, oversample=oversample, max_nodes=max_nodes)
 
 
-def _is_exact_case(E: SetSpec, mu: MeasureSpec, d: int) -> bool:
-    return d == 1 and isinstance(mu, Lebesgue)
-
-
-def _pick_rule(E: SetSpec, mu: MeasureSpec, spec: BasisSpec, rule: QuadratureRule | None) -> QuadratureRule:
-    """The rule a Gram over E is built from: on S^1 under the plain measure
-    Gauss-Legendre on E's arcs (exact, so it replaces any given rule), else
-    ``rule`` or the default rule."""
-    if _is_exact_case(E, mu, spec.d):
-        return arc_quadrature(E, 2 * spec.L)
-    return default_rule(E, spec.d, spec.L) if rule is None else rule
-
-
 # -- quadrature-path assembly ---------------------------------------------------
 
 def _node_basis(spec: BasisSpec, rule: QuadratureRule):
@@ -129,6 +118,29 @@ def _node_basis(spec: BasisSpec, rule: QuadratureRule):
     return SimpleNamespace(forward=lambda c: B @ c, adjoint=lambda w: B.T @ w, half_factor=half_factor)
 
 
+def _half_factors(E: SetSpec, mu: MeasureSpec, spec: BasisSpec, rule: QuadratureRule | None, full: bool = True):
+    """``(rule, mask, R_E, R_full)``: the rule a Gram over E is built from, E's
+    mask on its nodes, and the half-factors with G_X = R_X^T R_X.
+
+    On S^1 under the plain measure the rule is Gauss-Legendre on E's arcs
+    (exact, so it replaces any given rule); else it is ``rule`` or the default
+    rule, and must integrate degree 2L exactly.  ``R_full`` is None under the
+    plain measure, whose full Gram is then the identity, and when ``full`` is
+    false.  The full sphere is factored before E, which keeps peak memory down
+    on weighted d=2 rules."""
+    if spec.d == 1 and isinstance(mu, Lebesgue):
+        rule = arc_quadrature(E, 2 * spec.L)
+    else:
+        rule = default_rule(E, spec.d, spec.L) if rule is None else rule
+        if rule.exact_degree < 2 * spec.L:
+            raise ValueError("rule exactness must reach degree 2L for the polynomial part")
+    basis = _node_basis(spec, rule)
+    mask = membership(E, rule.nodes)
+    a = rule.weights * weight_values(mu, rule.nodes)
+    R_full = basis.half_factor(a) if full and not isinstance(mu, Lebesgue) else None
+    return rule, mask, basis.half_factor(a, mask), R_full
+
+
 def gram_matrix(
     E: SetSpec,
     mu: MeasureSpec,
@@ -137,11 +149,9 @@ def gram_matrix(
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> np.ndarray:
     """Symmetric PSD matrix of integrals of Y_i Y_j over E against mu, from
-    the rule ``_pick_rule`` gives (indicator-masked unless it lies in E)."""
+    the rule ``_half_factors`` picks (indicator-masked unless it lies in E)."""
     _check_dim(spec, max_dim)
-    rule = _pick_rule(E, mu, spec, rule)
-    a = rule.weights * weight_values(mu, rule.nodes)
-    R = _node_basis(spec, rule).half_factor(a, membership(E, rule.nodes))
+    R = _half_factors(E, mu, spec, rule, full=False)[2]
     G = R.T @ R
     return 0.5 * (G + G.T)
 
@@ -162,30 +172,17 @@ def lambda_min(
     d = rule_dim(d, rule)
     spec = BasisSpec(d, L)
     N = _check_dim(spec, max_dim)
-    rule = _pick_rule(E, mu, spec, rule)
-    if rule.exact_degree < 2 * L:
-        raise ValueError("rule exactness must reach degree 2L for the polynomial part")
-
-    basis = _node_basis(spec, rule)
-    mask = membership(E, rule.nodes)
-    a = rule.weights * weight_values(mu, rule.nodes)
-    if isinstance(mu, Lebesgue):
-        R_full = None
-        cond_full = 1.0
+    rule, mask, R_E, R_full = _half_factors(E, mu, spec, rule)
+    if R_full is None:
+        cond_full, T = 1.0, R_E
     else:
-        R_full = basis.half_factor(a)
         diag_full = np.abs(np.diag(R_full))
         if diag_full.min() <= 1e-14 * max(diag_full.max(), 1.0):
             raise DegenerateMeasureError("full-sphere Gram is numerically singular for this measure")
         s_full = np.linalg.svd(R_full, compute_uv=False)
         cond_full = float((s_full[0] / s_full[-1]) ** 2)
-
-    R_E = basis.half_factor(a, mask)
-    n_masked = int(mask.sum())
-    if R_full is None:
-        T = R_E
-    else:
         T = scipy.linalg.solve_triangular(R_full, R_E.T, trans="T", lower=False).T
+    n_masked = int(mask.sum())
     try:
         _, svals, Vt = np.linalg.svd(T)
     except np.linalg.LinAlgError as exc:
@@ -235,7 +232,11 @@ def lp_ratio(
     spec: BasisSpec,
     rule: QuadratureRule | None = None,
 ) -> float:
-    """Mass ratio integral_E |Q|^p dmu / integral |Q|^p dmu for Q given in basis coordinates."""
+    """Mass ratio integral_E |Q|^p dmu / integral |Q|^p dmu for Q given in basis coordinates.
+
+    At p = 2 this is the Rayleigh quotient |R_E c|^2 / |R_full c|^2 of the
+    pencil ``lambda_min`` solves, from the same half-factors on the same rule;
+    other p sum |Q|^p on ``rule`` or the default rule."""
     if not (1.0 <= p < math.inf):
         raise ValueError("p must lie in [1, infinity)")
     c = np.asarray(coeffs, dtype=float)
@@ -243,13 +244,16 @@ def lp_ratio(
         raise ValueError("coefficient vector has the wrong length")
     if not np.all(np.isfinite(c)) or np.linalg.norm(c) == 0.0:
         raise ValueError("zero or non-finite polynomial")
-    if p == 2.0 and _is_exact_case(E, mu, spec.d):
-        return float(c @ gram_matrix(E, mu, spec) @ c) / float(c @ c)
-    if rule is None:
-        rule = default_rule(E, spec.d, spec.L)
-    vp = np.abs(_node_basis(spec, rule).forward(c)) ** p
-    a = rule.weights * weight_values(mu, rule.nodes)
-    num, den = float((a * membership(E, rule.nodes)) @ vp), float(a @ vp)
+    if p == 2.0:
+        _, _, R_E, R_full = _half_factors(E, mu, spec, rule)
+        e, f = R_E @ c, (c if R_full is None else R_full @ c)
+        num, den = float(e @ e), float(f @ f)
+    else:
+        if rule is None:
+            rule = default_rule(E, spec.d, spec.L)
+        vp = np.abs(_node_basis(spec, rule).forward(c)) ** p
+        a = rule.weights * weight_values(mu, rule.nodes)
+        num, den = float((a * membership(E, rule.nodes)) @ vp), float(a @ vp)
     if den == 0.0:
         raise ValueError("zero polynomial mass")
     return num / den
@@ -370,6 +374,8 @@ def uncertainty_check(
     ``coeffs`` holds the degree <= L part in basis coordinates; the spectral
     tail above degree L enters only through its total energy, so it is passed
     as a single nonnegative number (per-degree norms summed by the caller).
+    The head's mass on E is |R_E c|^2, from ``lambda_min``'s half-factor for
+    the plain measure, so at its witness the ratio is 1/lambda_min.
     """
     if tail_norm_sq < 0:
         raise ValueError("tail energy must be nonnegative")
@@ -381,11 +387,8 @@ def uncertainty_check(
         raise ValueError("zero function")
     if head_sq == 0.0:
         return 1.0
-    if rule is None:
-        rule = default_rule(E, spec.d, spec.L)
-    vals = _node_basis(spec, rule).forward(c)
-    mass_E = float((rule.weights * membership(E, rule.nodes)) @ (vals * vals))
-    denom = mass_E + tail_norm_sq
+    e = _half_factors(E, Lebesgue(), spec, rule)[2] @ c
+    denom = float(e @ e) + tail_norm_sq
     if denom == 0.0:
         raise ValueError("function vanishes on the set and has no spectral tail")
     return (head_sq + tail_norm_sq) / denom

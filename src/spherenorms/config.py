@@ -31,7 +31,7 @@ from .functionals import (
     relative_density,
     rhinfty_check,
 )
-from .geometry import candidate_centers
+from .geometry import candidate_centers, centers_per_great_circle
 from .measures import Lebesgue, MeasureSpec, measure_from_dict, measure_to_dict, validate_measure
 from .quadrature import DEFAULT_MAX_NODES, SPACING_FACTOR
 from .sets import CapUnion, SetFamily, family_from_dict, family_to_dict, min_feature_scale
@@ -123,7 +123,7 @@ def _supnorm(cfg, E, L, params):
     spec = BasisSpec(cfg.d, L)
     rng = np.random.default_rng([cfg.seed, L])
     # the center grid, refined until it resolves E's smallest feature
-    per_circle = max(cfg.resolution_factor * L, int(math.ceil(2.0 * math.pi / (min_feature_scale(E) / 2.0))))
+    per_circle = centers_per_great_circle(L, cfg.resolution_factor * L, window=min_feature_scale(E) / 2.0)
     grid = candidate_centers(cfg.d, L, per_circle)
     w = None if params["weight"] is None else measure_from_dict(params["weight"])
     C = rng.standard_normal((basis_dim(spec), int(params["samples"])))
@@ -145,10 +145,12 @@ def _weights(cfg, E, L, params):
 
 def _regularize(cfg, E, L, params):
     eps, r, delta = float(params["eps"]), float(params["r"]), params["delta"]
+    resolution = cfg.resolution_factor * L
     star = regularize_set(E, L, eps=eps, delta=(None if delta is None else float(delta)), d=cfg.d,
-                          default_delta_r=r, spacing_factor=cfg.spacing_factor, max_nodes=cfg.max_nodes)
-    rep = density_profile(star, Lebesgue(), L, num_radius=r / L, den_radius=r / (2 * L), d=cfg.d,
-                          spacing_factor=cfg.spacing_factor, max_nodes=cfg.max_nodes)
+                          resolution=resolution, default_delta_r=r, spacing_factor=cfg.spacing_factor,
+                          max_nodes=cfg.max_nodes)
+    rep = density_profile(star, Lebesgue(), L, num_radius=r / L, den_radius=r / (2 * L), resolution=resolution,
+                          d=cfg.d, spacing_factor=cfg.spacing_factor, max_nodes=cfg.max_nodes)
     n_caps = star.centers.shape[0] if isinstance(star, CapUnion) else 0
     return rep.rho_hat, f"good_caps={n_caps};eps={eps}"
 

@@ -18,11 +18,11 @@ from .errors import DegenerateMeasureError, NetConstructionError, ResolutionErro
 from .geometry import (
     candidate_centers,
     cap_measure,
+    centers_per_great_circle,
     covering_net,
-    fibonacci_lattice,
     frame_at,
+    north_pole,
     random_points,
-    uniform_circle,
 )
 from .measures import Lebesgue, MeasureSpec, PowerDistanceWeight, cap_mass, weight_values
 from .quadrature import DEFAULT_MAX_NODES, SPACING_FACTOR, QuadratureRule, cap_quadrature, feature_rule, rule_dim
@@ -57,8 +57,8 @@ _CHORD_SLACK = 1e-12
 # cap radii probed by both ainfty_check and rhinfty_check, and the A_infinity beta grid
 _CHECK_RADII = (0.2, 0.5, 1.0)
 _AINFTY_BETAS = (0.5, 1.0, 2.0)
-# largest number of net caps allowed to cover one point in regularize_set
-_OVERLAP_CAP = 24
+# centers sampled by doubling_constant
+_DOUBLING_CENTERS = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,20 +146,15 @@ def density_profile(
     spacing_factor: float = SPACING_FACTOR,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> DensityReport:
-    """Min over grid centers u of mu(E cap B(u, num_radius)) / mu(B(u, den_radius))."""
+    """Min over grid centers u of mu(E cap B(u, num_radius)) / mu(B(u, den_radius)).
+
+    ``resolution`` (default 6L points per great circle) is a floor: the grid
+    is refined until its spacing is below the smaller window."""
     d = rule_dim(d, rule)
     if L < 1:
         raise ValueError("degree must be >= 1")
     scale = min(num_radius, den_radius)
-    if resolution is None:
-        # default 6L centers per great circle, refined if the windows are smaller
-        resolution = max(6 * L, int(math.ceil(2.0 * math.pi / scale)) + 1)
-    spacing = 2.0 * math.pi / resolution
-    if spacing > scale + 1e-15:
-        raise ResolutionError(
-            f"center grid spacing {spacing:.4g} is coarser than the cap scale "
-            f"{scale:.4g}; raise the resolution"
-        )
+    resolution = centers_per_great_circle(L, resolution, window=scale)
     if rule is None:
         rule = feature_rule(E, d, window=scale, spacing_factor=spacing_factor, max_nodes=max_nodes)
     centers = candidate_centers(d, L, resolution)
@@ -190,7 +185,6 @@ def relative_density(
     L: int,
     r: float,
     resolution: int | None = None,
-    rule: QuadratureRule | None = None,
     d: int | None = None,
     spacing_factor: float = SPACING_FACTOR,
     max_nodes: int = DEFAULT_MAX_NODES,
@@ -198,7 +192,7 @@ def relative_density(
     """Grid approximation of inf_u mu(E cap B(u, r/L)) / mu(B(u, r/L))."""
     if r <= 0:
         raise ValueError("scale parameter r must be positive")
-    return density_profile(E, mu, L, r / L, r / L, resolution=resolution, rule=rule, d=d,
+    return density_profile(E, mu, L, r / L, r / L, resolution=resolution, d=d,
                            spacing_factor=spacing_factor, max_nodes=max_nodes)
 
 
@@ -211,17 +205,6 @@ def _poisson_from_dots(t: np.ndarray, d: int, root: np.ndarray | None = None) ->
         raise ValueError(f"unsupported sphere dimension d={d}")
     np.reciprocal(t, out=t)
     return t
-
-
-def poisson_kernel(x, nodes, d: int) -> np.ndarray:
-    """(1 - |x|^2)/|x - u|^(d+1) for an interior point x against node rows u."""
-    x = np.asarray(x, dtype=float)
-    rho_sq = float(x @ x)
-    if rho_sq >= 1.0:
-        raise ValueError("evaluation point must lie strictly inside the unit ball")
-    kernel = _poisson_from_dots(nodes @ (-2.0 * x) + (1.0 + rho_sq), d)
-    kernel *= 1.0 - rho_sq
-    return kernel
 
 
 def _poisson_sums(
@@ -262,12 +245,17 @@ def _poisson_sums(
 def harmonic_measure(E: SetSpec, x, rule: QuadratureRule) -> float:
     """Poisson integral of the indicator of E at the interior point x."""
     x = np.asarray(x, dtype=float)
-    d = rule.d
+    rho = float(np.linalg.norm(x))
+    if rho >= 1.0:
+        raise ValueError("evaluation point must lie strictly inside the unit ball")
     mask = membership(E, rule.nodes)
     if not mask.any():
         return 0.0
-    k = poisson_kernel(x, rule.nodes[mask], d)
-    return float(rule.weights[mask] @ k) / sphere_measure(d)
+    # at the origin the kernel is 1, so any unit vector serves as the center
+    center = x / rho if rho > 0.0 else north_pole(rule.d)
+    values = rule.weights[mask] / sphere_measure(rule.d)
+    sums, _ = _poisson_sums(center[None, :], rule.nodes[mask], values, rho, rule.d)
+    return float(sums[0])
 
 
 def harmonic_infimum(
@@ -283,8 +271,7 @@ def harmonic_infimum(
     d = rule_dim(d, rule)
     if L < 1:
         raise ValueError("degree must be >= 1")
-    if resolution is None:
-        resolution = 6 * L
+    resolution = centers_per_great_circle(L, resolution)
     if rule is None:
         rule = feature_rule(E, d, window=1.0 / L, spacing_factor=spacing_factor, max_nodes=max_nodes)
     centers = candidate_centers(d, L, resolution)
@@ -323,7 +310,6 @@ def doubling_constant(
     centers: np.ndarray | None = None,
     d: int | None = None,
     seed: int = 0,
-    n_centers: int = 24,
 ) -> WeightReport:
     """Sampled doubling constant sup mu(B(u, 2 delta))/mu(B(u, delta)) plus a
     power-growth exponent fitted to the sampled ball masses."""
@@ -333,7 +319,7 @@ def doubling_constant(
     if centers is None:
         if d is None:
             raise ValueError("give centers or the sphere dimension d")
-        centers = _sample_centers(mu, d, n_centers, seed)
+        centers = _sample_centers(mu, d, _DOUBLING_CENTERS, seed)
     else:
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         d = centers.shape[1] - 1
@@ -418,8 +404,6 @@ def ainfty_check(
         for delta in _CHECK_RADII:
             sig_b, w_b, subsets = _ainfty_subsets(mu, d, u, float(delta), masses)
             for sig_e, w_e, tag in subsets:
-                if sig_e <= 0:
-                    continue
                 if w_e <= 0.0:
                     if w_b > 0.0:
                         passed = False
@@ -494,46 +478,36 @@ def regularize_set(
     eps: float,
     delta: float | None = None,
     d: int | None = None,
-    rule: QuadratureRule | None = None,
+    resolution: int | None = None,
     default_delta_r: float = 2.0,
     spacing_factor: float = SPACING_FACTOR,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> SetSpec:
-    """Good-cap regularization: cover the sphere by caps B(v, eps/L) on a net,
-    keep those holding at least a delta fraction of surface measure of E, and
-    return their union.
+    """Good-cap regularization: cover the sphere by caps B(v, eps/L) on a
+    bounded-overlap net, keep those holding at least a delta fraction of
+    surface measure of E, and return their union.
 
     With delta unset, half the measured relative density of E at scale
-    ``default_delta_r``/L is used, matching the construction's smallness
-    requirement on delta relative to the density.
+    ``default_delta_r``/L is used (on a center grid of at least
+    ``resolution`` points per great circle), matching the construction's
+    smallness requirement on delta relative to the density.
     """
-    d = rule_dim(d, rule)
+    if d is None:
+        raise ValueError("give the sphere dimension d")
     if L < 1 or eps <= 0:
         raise ValueError("need L >= 1 and eps > 0")
     radius = eps / L
     net = covering_net(d, radius)
     if delta is None:
-        rd = relative_density(E, Lebesgue(), L, default_delta_r, d=d, spacing_factor=spacing_factor,
-                              max_nodes=max_nodes)
+        rd = relative_density(E, Lebesgue(), L, default_delta_r, resolution=resolution, d=d,
+                              spacing_factor=spacing_factor, max_nodes=max_nodes)
         delta = 0.5 * rd.rho_hat
-    if rule is None:
-        rule = feature_rule(E, d, window=radius, spacing_factor=spacing_factor, max_nodes=max_nodes)
+    rule = feature_rule(E, d, window=radius, spacing_factor=spacing_factor, max_nodes=max_nodes)
     ind = membership(E, rule.nodes).astype(float)
     num_vals = rule.weights * ind
     num, den = _local_masses(net, rule, [(num_vals, radius), (rule.weights, radius)])
     if np.any(den <= 0.0):
         raise NetConstructionError("net caps too small for the rule resolution")
-
-    # bounded-overlap certificate for the cover
-    probe = fibonacci_lattice(4 * net.shape[0] + 1) if d == 2 else uniform_circle(4 * net.shape[0] + 1)
-    tree = cKDTree(net)
-    chord = 2.0 * math.sin(min(radius, math.pi) / 2.0)
-    counts = tree.query_ball_point(probe, r=chord, return_length=True)
-    if int(np.max(counts)) > _OVERLAP_CAP:
-        raise NetConstructionError(
-            f"cover overlap {int(np.max(counts))} exceeds the bound {_OVERLAP_CAP}"
-        )
-
     good = num >= delta * den
     if not good.any():
         return EmptySet()

@@ -27,6 +27,7 @@ __all__ = [
     "frame_at",
     "fibonacci_lattice",
     "uniform_circle",
+    "centers_per_great_circle",
     "candidate_centers",
     "covering_net",
     "angle_of",
@@ -35,6 +36,8 @@ __all__ = [
 _GOLDEN = math.pi * (1.0 + math.sqrt(5.0))
 # densifications covering_net tries before giving up
 _NET_TRIES = 4
+# largest number of net caps allowed to cover one probe point
+_OVERLAP_CAP = 24
 
 
 def north_pole(d: int) -> np.ndarray:
@@ -175,14 +178,25 @@ def uniform_circle(n: int) -> np.ndarray:
     return np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
 
+def centers_per_great_circle(L: int, requested: int | None = None, window: float | None = None) -> int:
+    """Points per great circle of a center grid: ``requested`` (default 6L),
+    raised to ceil(2 pi / window) + 1 when a window is given, so that the grid
+    spacing stays below the window."""
+    n = 6 * max(L, 1) if requested is None else requested
+    if window is not None:
+        n = max(n, math.ceil(2.0 * math.pi / window) + 1)
+    return n
+
+
 def candidate_centers(d: int, L: int, per_great_circle: int | None = None) -> np.ndarray:
     """Grid of candidate centers for infima over u in S^d.
 
-    Resolution is expressed as points per great circle (default 6L); for d=2 a
-    Fibonacci lattice with the matching areal density is used.
+    Resolution is expressed as points per great circle (default
+    ``centers_per_great_circle(L)``); for d=2 a Fibonacci lattice with the
+    matching areal density is used.
     """
     if per_great_circle is None:
-        per_great_circle = 6 * max(L, 1)
+        per_great_circle = centers_per_great_circle(L)
     if per_great_circle < 3:
         raise ValueError("need at least 3 points per great circle")
     if d == 1:
@@ -197,9 +211,11 @@ def candidate_centers(d: int, L: int, per_great_circle: int | None = None) -> np
 def covering_net(d: int, spacing: float) -> np.ndarray:
     """Discrete net whose caps of radius ``spacing`` cover S^d with bounded overlap.
 
-    d=1 uses a uniform grid (covering radius exactly half the grid step); d=2
+    d=1 uses a uniform grid (covering radius exactly half the grid step; the
+    step is below ``spacing``, so no point lies in more than 5 caps).  d=2
     uses a Fibonacci lattice sized for the target covering radius, verified
-    against a finer probe lattice, densified up to ``_NET_TRIES`` times.
+    against a finer probe lattice, densified up to ``_NET_TRIES`` times; no
+    probe point may lie in more than ``_OVERLAP_CAP`` caps.
     """
     if spacing <= 0 or spacing > math.pi:
         raise NetConstructionError(f"net spacing {spacing} out of range")
@@ -217,6 +233,9 @@ def covering_net(d: int, spacing: float) -> np.ndarray:
         # covering radius in geodesic terms
         cover = 2.0 * np.arcsin(np.clip(chord.max() / 2.0, 0.0, 1.0))
         if cover <= spacing:
+            overlap = int(tree.query_ball_point(probe, r=2.0 * math.sin(spacing / 2.0), return_length=True).max())
+            if overlap > _OVERLAP_CAP:
+                raise NetConstructionError(f"cover overlap {overlap} exceeds the bound {_OVERLAP_CAP}")
             return net
         n = int(math.ceil(1.5 * n))
     raise NetConstructionError(

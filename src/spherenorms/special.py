@@ -159,17 +159,16 @@ def szego_envelope(lam: float, theta: float) -> float:
     )
 
 
-def szego_estimate(L: int, lam: float, theta: float, window_c: float = 4.0) -> SzegoApprox:
+def szego_estimate(L: int, lam: float, theta: float) -> SzegoApprox:
     """Leading oscillatory term for P_L^(1+lam,lam)(cos theta).
 
     main_term = k(theta)/sqrt(L) * cos((L+lam+1) theta - (2 lam+3) pi/4); the
     neglected correction is of size envelope/(L sin theta).  Valid only for
-    window_c/L <= theta <= pi - window_c/L; outside that window a WindowError
-    is raised.
+    4/L <= theta <= pi - 4/L; outside that window a WindowError is raised.
     """
     if L < 1:
         raise ValueError("degree must be >= 1")
-    lo, hi = window_c / L, math.pi - window_c / L
+    lo, hi = 4.0 / L, math.pi - 4.0 / L
     if not (lo <= theta <= hi):
         raise WindowError(
             f"theta={theta:.6g} outside validity window [{lo:.6g}, {hi:.6g}] for L={L}"

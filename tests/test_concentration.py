@@ -139,11 +139,23 @@ def test_witness_consistency():
     spec = sn.BasisSpec(2, L)
     ratio = sn.lp_ratio(rep.witness, E, sn.Lebesgue(), 2.0, spec, rule)
     assert abs(ratio - rep.lambda_min) <= 1e-8
+    assert ratio == pytest.approx(rep.lambda_min, rel=1e-6, abs=0.0)
     # d=1 arc rule
     E1 = sn.Arcs([[-1.4, 1.4]])
     rep1 = sn.lambda_min(E1, sn.Lebesgue(), 8, d=1)
     ratio1 = sn.lp_ratio(rep1.witness, E1, sn.Lebesgue(), 2.0, sn.BasisSpec(1, 8))
     assert abs(ratio1 - rep1.lambda_min) <= 1e-8
+    assert ratio1 == pytest.approx(rep1.lambda_min, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("a, L", [(1.0, 8), (2.0, 16)])
+def test_lp_ratio_at_the_witness_is_lambda_on_small_arcs(a, L):
+    # lambda_min = 3.8e-19 and 1.6e-16: far above the half-factor floor (5e-32)
+    # but at the rounding of an assembled Gram
+    E = sn.Arcs([[-a, a]])
+    rep = sn.lambda_min(E, sn.Lebesgue(), L, d=1)
+    ratio = sn.lp_ratio(rep.witness, E, sn.Lebesgue(), 2.0, sn.BasisSpec(1, L))
+    assert ratio == pytest.approx(rep.lambda_min, rel=1e-6, abs=0.0)
 
 
 def test_lambda_weighted_pencil():
@@ -281,6 +293,14 @@ def test_uncertainty_witness_attains_reciprocal():
     # adding tail energy pulls the ratio toward 1
     with_tail = sn.uncertainty_check(rep.witness, E, spec, rule, tail_norm_sq=5.0)
     assert 1.0 < with_tail < ratio
+
+
+@pytest.mark.parametrize("a, L", [(1.0, 8), (2.0, 16), (2.5, 16)])
+def test_uncertainty_ratio_at_the_witness_on_arcs(a, L):
+    E = sn.Arcs([[-a, a]])
+    rep = sn.lambda_min(E, sn.Lebesgue(), L, d=1)
+    ratio = sn.uncertainty_check(rep.witness, E, sn.BasisSpec(1, L))
+    assert ratio * rep.lambda_min == pytest.approx(1.0, abs=1e-6)
 
 
 def test_sup_norm_trivials():

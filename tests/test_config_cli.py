@@ -263,6 +263,27 @@ def test_eigen_witness_flags_values_below_floor(config, L, flagged):
         assert value >= 0.0
 
 
+def test_density_window_below_the_grid_spacing_refines_the_grid():
+    # r/L = 0.125 is below the 6L grid's spacing 2 pi / 48 = 0.1309
+    cfg = parse_config(CONFIG_DENSE_NET)
+    E = realize_family(cfg.family, 2, 8)
+    value, _ = FUNCTIONALS["density"].compute(cfg, E, 8, {"r": 1.0})
+    assert value == sn.relative_density(E, sn.Lebesgue(), 8, r=1.0, d=2).rho_hat
+    assert value == pytest.approx(0.018131849579546624, rel=1e-12)
+
+
+def test_regularize_follows_the_grid_factor():
+    # both density scans of the regularize job take per_great_circle_factor * L
+    E = realize_family(parse_config(CONFIG_DENSE_NET).family, 2, 8)
+    params = dict(FUNCTIONALS["regularize"].defaults)
+    values = {}
+    for factor in (6, 12):
+        cfg = parse_config(CONFIG_DENSE_NET + f"resolution: {{per_great_circle_factor: {factor}}}\n")
+        values[factor] = FUNCTIONALS["regularize"].compute(cfg, E, 8, params)[0]
+    assert values[6] == pytest.approx(3.4071095139954233, rel=1e-12)
+    assert values[12] == pytest.approx(3.431411058766765, rel=1e-12)
+
+
 @pytest.mark.parametrize("name", ["eigen", "density", "harmonic", "pnorm", "regularize"])
 def test_max_nodes_guards_every_rule(name, tmp_path):
     # every functional that builds a global rule honours quadrature.max_nodes

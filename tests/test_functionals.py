@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 import spherenorms as sn
 from spherenorms.errors import DegenerateMeasureError, ResolutionError
-from spherenorms.functionals import poisson_kernel
 from spherenorms.geometry import candidate_centers
 from spherenorms.quadrature import cap_quadrature
 from spherenorms.sets import EmptySet
@@ -43,8 +42,14 @@ def test_relative_density_dense_family_stable():
 
 
 def test_relative_density_resolution_error():
-    with pytest.raises(ResolutionError):
-        sn.relative_density(sn.FullSphere(), sn.Lebesgue(), 8, r=0.5, resolution=24, d=2)
+    # a requested grid coarser than the window is a floor: the grid is refined
+    rep = sn.relative_density(sn.FullSphere(), sn.Lebesgue(), 8, r=0.5, resolution=24, d=2)
+    assert rep.resolution["per_great_circle"] == math.ceil(2 * math.pi / (0.5 / 8)) + 1
+    assert rep.rho_hat == 1.0
+    # a rule too coarse for the window still fails
+    coarse = sn.build_quadrature(2, 2)
+    with pytest.raises(ResolutionError, match="caught no quadrature node"):
+        sn.density_profile(sn.FullSphere(), sn.Lebesgue(), 8, 0.05, 0.05, rule=coarse)
 
 
 def test_density_report_range():
@@ -52,14 +57,6 @@ def test_density_report_range():
     rep = sn.relative_density(E, sn.Lebesgue(), 8, r=2.0, d=2)
     assert 0.0 <= rep.rho_hat <= 1.0
     assert rep.resolution["n_centers"] > 0
-
-
-def test_poisson_kernel_normalized():
-    # the kernel integrates to the sphere measure for interior points
-    rule = sn.build_quadrature(2, 0, max_spacing=0.02)
-    x = 0.875 * sn.north_pole(2)
-    total = float(rule.weights @ poisson_kernel(x, rule.nodes, 2)) / (4 * math.pi)
-    assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_harmonic_measure_trivials():

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spherenorms as sn
+from spherenorms import geometry
+from spherenorms.errors import NetConstructionError
 from spherenorms.geometry import (
     apply_rotation,
+    centers_per_great_circle,
     covering_net,
     frame_at,
     rotation_taking,
@@ -125,6 +128,11 @@ def test_candidate_centers_resolution():
     pts2 = sn.candidate_centers(2, 8)
     h = 2 * math.pi / 48
     assert pts2.shape[0] == math.ceil(4 * math.pi / h**2)
+    # a requested count is a floor that a window raises until the spacing is below it
+    assert centers_per_great_circle(8) == 48
+    assert centers_per_great_circle(8, 24) == 24
+    assert centers_per_great_circle(8, 24, window=0.125) == 52 > 2 * math.pi / 0.125
+    assert centers_per_great_circle(8, window=1.0) == 48
 
 
 def test_covering_net_covers():
@@ -139,3 +147,10 @@ def test_covering_net_covers():
     th = uniform_circle(997)
     d1 = np.arccos(np.clip(th @ net1.T, -1, 1)).min(axis=1)
     assert d1.max() <= 0.1
+
+
+def test_covering_net_certifies_its_overlap(monkeypatch):
+    # the cover at spacing 0.15 puts up to a few caps over a probe point
+    monkeypatch.setattr(geometry, "_OVERLAP_CAP", 1)
+    with pytest.raises(NetConstructionError, match="cover overlap"):
+        covering_net(2, 0.15)

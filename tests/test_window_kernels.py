@@ -1,9 +1,10 @@
 """The window kernels of functionals.py against direct references: the
 density masses against the all-pairs block scan they replaced, the
 adversary's anchor against its own all-pairs scan, the Poisson scan against
-poisson_kernel summed node by node, the pruned harmonic minimum against the
-full scan it replaced, the memory bound of the density blocks, the cap masses
-ainfty_check asks for, and the local rules rhinfty_check builds."""
+the closed-form kernel summed node by node, the pruned harmonic minimum
+against the full scan it replaced, the memory bound of the density blocks,
+the cap masses ainfty_check asks for, and the local rules rhinfty_check
+builds."""
 
 import math
 
@@ -153,18 +154,9 @@ def test_poisson_scan_matches_kernel_node_by_node(d):
     rho = 1.0 - 1.0 / 5
     got, pairs = F._poisson_sums(centers, nodes, values, rho, d)
     assert pairs == centers.shape[0] * nodes.shape[0]
-    want = np.array([values @ F.poisson_kernel(rho * c, nodes, d) for c in centers])
+    # the kernel (1 - |x|^2) / |x - u|^(d+1) in closed form, node by node
+    want = np.array([values @ ((1.0 - rho**2) / np.linalg.norm(rho * c - nodes, axis=1) ** (d + 1)) for c in centers])
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_poisson_kernel_matches_power_formula(d):
-    rng = np.random.default_rng(9)
-    nodes = sn.random_points(d, 200, rng)
-    x = 0.8 * sn.random_points(d, 1, rng)[0]
-    dist = np.linalg.norm(x[None, :] - nodes, axis=1)
-    want = (1.0 - x @ x) / dist ** (d + 1)
-    np.testing.assert_allclose(F.poisson_kernel(x, nodes, d), want, rtol=1e-13, atol=0.0)
 
 
 def test_ainfty_asks_each_cap_mass_once(monkeypatch):
