@@ -22,6 +22,9 @@ from .special import dim_pi
 __all__ = ["BasisSpec", "RingFactors", "basis_dim", "basis_matrix", "basis_eval", "normalized_assoc_legendre",
            "ring_factors"]
 
+# buffered lifted ring rows, in multiples of dim Pi_L, that trigger a QR merge in ``half_factor``
+_MERGE_ROWS = 3
+
 
 @dataclass(frozen=True)
 class BasisSpec:
@@ -143,20 +146,26 @@ class RingFactors:
         Ring j's rows of B are ``trig.T @ lift_j``, where ``lift_j`` puts the
         ring's Legendre value of each basis column in that column's trig row.
         A QR of the ring's kept rows of ``sqrt(a) * trig.T`` leaves at most
-        2(L+1) rows; lifted through ``lift_j`` and stacked over the rings they
-        go into one final QR.  This is the node sum regrouped ring by ring.
+        2(L+1) rows, lifted through ``lift_j``.  Whenever the buffered lifted
+        rows reach ``_MERGE_ROWS`` x dim Pi_L they are folded into a running
+        triangular factor by one QR, so about (_MERGE_ROWS + 1) dim Pi_L rows
+        are held at a time.  This is the node sum regrouped ring by ring.
         """
         n_m, n_t, _ = self.legendre.shape
+        N = self.slot.size
         m, l, s = np.unravel_index(self.slot, (n_m, n_m, 2))
         lift = self.legendre[m, :, l]  # (dim Pi_L, n_t)
         root = np.sqrt(a).reshape(n_t, -1)
         kept = np.ones(root.shape, dtype=bool) if keep is None else np.reshape(keep, root.shape)
-        blocks = [np.empty((0, self.slot.size))]
+        blocks, rows = [np.empty((0, N))], 0
         for j in range(n_t):
             W = root[j, kept[j], None] * self.trig.T[kept[j]]
             if W.shape[0]:
                 blocks.append(np.linalg.qr(W, mode="r")[:, 2 * m + s] * lift[:, j])
-        return _triangular_factor(np.vstack(blocks), self.slot.size)
+                rows += blocks[-1].shape[0]
+                if rows >= _MERGE_ROWS * N:
+                    blocks, rows = [np.linalg.qr(np.vstack(blocks), mode="r")], 0
+        return _triangular_factor(np.vstack(blocks), N)
 
 
 def _triangular_factor(rows: np.ndarray, n: int) -> np.ndarray:

@@ -20,8 +20,10 @@ no masking error.  Elsewhere set indicators mask a densified global rule.
 The rule's node x basis matrix B is applied one way per dimension.  On S^2
 the ring factors of a ``build_quadrature`` product rule apply B and B^T and
 build half-factors ring by ring (per-ring QR of the trig rows, lifted through
-the ring's Legendre values, then one QR); other d=2 rules raise ValueError.
-On S^1, B is formed if n_nodes * dim Pi_L <= 2e8, else ResourceLimitError.
+the ring's Legendre values and folded into a running triangular factor every
+3 dim Pi_L rows); other d=2 rules raise ValueError.  On S^1, B is formed.  No
+degree is capped: one guard in ``_node_basis`` raises ResourceLimitError before
+any array sized by dim Pi_L is allocated, if they would pass 4e8 float64 entries.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .basis import BasisSpec, _triangular_factor, basis_dim, basis_matrix, ring_factors
+from .basis import _MERGE_ROWS, BasisSpec, _triangular_factor, basis_dim, basis_matrix, ring_factors
 from .errors import DegenerateMeasureError, EmptyIntersectionError, ResourceLimitError
 from .functionals import _local_masses
 from .geometry import candidate_centers
@@ -54,12 +56,15 @@ __all__ = [
     "sup_norm_ratio",
     "sup_norm_ratios",
     "default_rule",
-    "DEFAULT_MAX_DIM",
 ]
 
-DEFAULT_MAX_DIM = 1089
 _NODE_CHUNK = 8192
-_MAX_DENSE_ENTRIES = 2 * 10**8
+# float64 entries one call may hold in arrays sized by dim Pi_L (3.2 GB), and
+# the multiple of dim Pi_L^2 among them: the half-factor's merge stack of
+# (_MERGE_ROWS + 1) dim Pi_L rows held three times (blocks, stack, QR copy),
+# plus the two factors and two more for the pencil's SVD, which runs later
+_MAX_ENTRIES = 4 * 10**8
+_SQUARES = 3 * (_MERGE_ROWS + 1) + 4
 _EPS = float(np.finfo(float).eps)
 
 
@@ -83,15 +88,6 @@ class PnormReport:
     seed: int
 
 
-def _check_dim(spec: BasisSpec, max_dim: int) -> int:
-    N = basis_dim(spec)
-    if N > max_dim:
-        raise ResourceLimitError(
-            f"dim Pi_L = {N} exceeds the configured cap {max_dim}; raise max_dim to proceed"
-        )
-    return N
-
-
 def default_rule(E: SetSpec, d: int, L: int, oversample: float = 4.0, max_nodes: int = DEFAULT_MAX_NODES,
                  spacing_factor: float = SPACING_FACTOR) -> QuadratureRule:
     """Rule sized for degree-2L products and fine enough to resolve E's features."""
@@ -104,11 +100,17 @@ def _node_basis(spec: BasisSpec, rule: QuadratureRule):
     """The rule's node x basis matrix B as ``forward(c) = B @ c``,
     ``adjoint(w) = B.T @ w`` and ``half_factor(a, keep)`` (see ``RingFactors``):
     ring factors on S^2, ValueError unless the rule is a product rule; B itself
-    on S^1, ResourceLimitError if it has more than 2e8 entries."""
+    on S^1.  First, ResourceLimitError if the arrays sized by N = dim Pi_L
+    would pass ``_MAX_ENTRIES`` float64 entries: B (n_nodes N) on S^1, the
+    Legendre, lift and trig arrays (2 N n_t + 2(L+1) n_phi) on S^2, and
+    ``_SQUARES`` N^2 on both."""
+    N, n_t, n_phi = basis_dim(spec), rule.descriptor.get("n_t", 0), rule.descriptor.get("n_phi", 0)
+    entries = _SQUARES * N * N + (2 * N * n_t + 2 * (spec.L + 1) * n_phi if spec.d == 2 else rule.n_nodes * N)
+    if entries > _MAX_ENTRIES:
+        raise ResourceLimitError(f"dim Pi_L = {N} on {rule.n_nodes} nodes needs {entries:.3g} float64 entries "
+                                 f"(limit {_MAX_ENTRIES:.0e})")
     if spec.d == 2:
         return ring_factors(spec, rule)
-    if rule.n_nodes * basis_dim(spec) > _MAX_DENSE_ENTRIES:
-        raise ResourceLimitError(f"the {rule.n_nodes} x {basis_dim(spec)} node x basis matrix is too large")
     B = basis_matrix(spec, rule.nodes)
 
     def half_factor(a, keep=None):
@@ -146,11 +148,9 @@ def gram_matrix(
     mu: MeasureSpec,
     spec: BasisSpec,
     rule: QuadratureRule | None = None,
-    max_dim: int = DEFAULT_MAX_DIM,
 ) -> np.ndarray:
     """Symmetric PSD matrix of integrals of Y_i Y_j over E against mu, from
     the rule ``_half_factors`` picks (indicator-masked unless it lies in E)."""
-    _check_dim(spec, max_dim)
     R = _half_factors(E, mu, spec, rule, full=False)[2]
     G = R.T @ R
     return 0.5 * (G + G.T)
@@ -162,16 +162,15 @@ def lambda_min(
     L: int,
     rule: QuadratureRule | None = None,
     d: int | None = None,
-    max_dim: int = DEFAULT_MAX_DIM,
 ) -> ConcentrationReport:
     """Smallest eigenvalue of G_E x = lambda G_full x over Pi_L, with witness.
 
     For the plain surface measure with a rule exact to degree 2L the full
-    Gram is the identity and the pencil reduces to a standard problem.
+    Gram is the identity and the pencil reduces to a standard problem.  No
+    Gram is assembled, not even for the residual R_E^T R_E w - lambda R_full^T R_full w.
     """
     d = rule_dim(d, rule)
     spec = BasisSpec(d, L)
-    N = _check_dim(spec, max_dim)
     rule, mask, R_E, R_full = _half_factors(E, mu, spec, rule)
     if R_full is None:
         cond_full, T = 1.0, R_E
@@ -187,26 +186,19 @@ def lambda_min(
         _, svals, Vt = np.linalg.svd(T)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
-            f"eigensolve did not converge (dim {N}, {n_masked} masked nodes): {exc}"
+            f"eigensolve did not converge (dim {basis_dim(spec)}, {n_masked} masked nodes): {exc}"
         ) from exc
     sigma = float(svals[-1])
     lam = sigma * sigma
     v = Vt[-1]
-    if R_full is None:
-        witness = v
-    else:
-        witness = scipy.linalg.solve_triangular(R_full, v, lower=False)
+    witness = v if R_full is None else scipy.linalg.solve_triangular(R_full, v, lower=False)
     nrm = np.linalg.norm(witness)
     if nrm > 0:
         witness = witness / nrm
 
-    # residual of the pencil at the witness (assembled Grams, cheap at N^2)
-    G_E = R_E.T @ R_E
-    if R_full is None:
-        resid = float(np.linalg.norm(G_E @ witness - lam * witness))
-    else:
-        G_full = R_full.T @ R_full
-        resid = float(np.linalg.norm(G_E @ witness - lam * (G_full @ witness)))
+    # residual of the pencil at the witness, through the half-factors
+    full_w = witness if R_full is None else R_full.T @ (R_full @ witness)
+    resid = float(np.linalg.norm(R_E.T @ (R_E @ witness) - lam * full_w))
 
     diag = {
         "method": "pencil-qr-svd",
@@ -285,7 +277,6 @@ def worst_case_lp(
     seed: int = 0,
     rule: QuadratureRule | None = None,
     d: int | None = None,
-    max_dim: int = DEFAULT_MAX_DIM,
 ) -> PnormReport:
     """Least-concentrated polynomial at exponent p: the minimum ratio with its witness.
 
@@ -300,11 +291,11 @@ def worst_case_lp(
     if not (1.0 <= p < math.inf):
         raise ValueError("p must lie in [1, infinity)")
     if p == 2.0:
-        rep = lambda_min(E, mu, L, rule=rule, d=d, max_dim=max_dim)
+        rep = lambda_min(E, mu, L, rule=rule, d=d)
         return PnormReport(value=rep.lambda_min, witness=rep.witness, restarts=(rep.lambda_min,), seed=seed)
     d = rule_dim(d, rule)
     spec = BasisSpec(d, L)
-    N = _check_dim(spec, max_dim)
+    N = basis_dim(spec)
     if rule is None:
         rule = default_rule(E, d, L)
     basis = _node_basis(spec, rule)

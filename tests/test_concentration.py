@@ -3,11 +3,13 @@ closed-form oracles, L^p ratios, the adversarial search, uncertainty and
 sup-norm ratios."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 import spherenorms as sn
+from spherenorms import concentration
 from spherenorms.concentration import default_rule
 from spherenorms.errors import EmptyIntersectionError, ResourceLimitError
 
@@ -179,18 +181,24 @@ def test_degenerate_measure_error():
         sn.lambda_min(sn.FullSphere(), w, L, rule=rule)
 
 
-def test_dimension_guard():
-    with pytest.raises(ResourceLimitError):
-        sn.lambda_min(sn.FullSphere(), sn.Lebesgue(), 40, d=2)
-    rep = sn.lambda_min(sn.FullSphere(), sn.Lebesgue(), 40, d=2, max_dim=2000)
+def test_dimension_guard(monkeypatch):
+    # no degree cap: dim Pi_40 = 1681 runs
+    rep = sn.lambda_min(sn.FullSphere(), sn.Lebesgue(), 40, d=2)
     assert abs(rep.lambda_min - 1.0) <= 1e-9
+    # 16 (dim Pi_200)^2 = 2.6e10 entries pass the 4e8 budget: refused before the ring factors are built
+    monkeypatch.setattr(concentration, "ring_factors", None)
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        sn.lambda_min(sn.FullSphere(), sn.Lebesgue(), 200, d=2)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_circle_dense_basis_guard():
-    # d=1 holds the node x basis matrix: 200,200 nodes x dim Pi_500 = 1001 exceed 2e8 entries
+    # d=1 holds the node x basis matrix: 400,400 nodes x dim Pi_500 = 1001 plus
+    # 16 x 1001^2 factor entries pass the 4e8-entry budget
     E = sn.Arcs([[-1.0, 1.0]])
     w = sn.PowerDistanceWeight(2.0, np.array([1.0, 0.0]))
-    rule = sn.build_quadrature(1, 1000, oversample=200.0)
+    rule = sn.build_quadrature(1, 1000, oversample=400.0)
     with pytest.raises(ResourceLimitError):
         sn.lambda_min(E, w, 500, rule=rule)
 

@@ -227,13 +227,13 @@ def test_cli_resource_guard_exit_code(tmp_path):
     cfg_path.write_text(
         """
 d: 2
-L_list: [40]
+L_list: [200]
 family: {kind: fixed, set: {kind: full}}
 functionals: [{name: eigen}]
 """
     )
     assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
-    # d=1 under a weight: 200,200 nodes x dim Pi_500 = 1001 exceed the 2e8-entry node x basis guard
+    # d=1 under a weight: 400,400 nodes x dim Pi_500 = 1001 plus 16 x 1001^2 pass the 4e8-entry budget
     cfg_path.write_text(
         """
 d: 1
@@ -241,7 +241,7 @@ L_list: [500]
 family: {kind: fixed, set: {kind: arcs, intervals: [[-1.0, 1.0]]}}
 measure: {kind: power_distance, exponent: 2.0, pole: [1.0, 0.0]}
 functionals: [{name: eigen}]
-quadrature: {oversample: 200}
+quadrature: {oversample: 400}
 """
     )
     assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 2

@@ -1,10 +1,11 @@
 """The ring factors of the d=2 basis on a product rule against the dense
 evaluation matrix they replace: the forward and adjoint maps, the adjoint
-identity, the weighted half-factor, the L^p adversary's objective against its
-dense form, lambda_min against the streamed node-block QR it replaced, and the
-rules the factors refuse."""
+identity, the weighted half-factor and its memory peak, the L^p adversary's
+objective against its dense form, lambda_min against the streamed node-block
+QR it replaced, and the rules the factors refuse."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -112,6 +113,8 @@ def test_maps_match_dense_matrix(L, oversample, max_spacing, seed):
 
 @settings(max_examples=40, deadline=None)
 @rule_cases
+@example(3, 1.0, 0.05, 4)  # 63 rings of <= 8 rows against dim Pi_3 = 16: a merge every 6 rings
+@example(6, 1.0, 0.05, 5)  # 63 rings of <= 14 rows against dim Pi_6 = 49: a merge every 11 rings
 def test_half_factor_matches_dense_gram(L, oversample, max_spacing, seed):
     rule = sn.build_quadrature(2, 2 * L, oversample=oversample, max_spacing=max_spacing)
     spec = sn.BasisSpec(2, L)
@@ -133,6 +136,24 @@ def test_half_factor_matches_dense_gram(L, oversample, max_spacing, seed):
             assert not R.any()
             continue
         assert_close(R.T @ R, G, 1e-13)
+
+
+def test_half_factor_memory_stays_near_its_output():
+    # 315 rings of 26 rows would stack 8,190 x 169 rows (11 MB) before one QR;
+    # merged as they stream, the peak stays within the resource guard's
+    # multiple of dim Pi_L^2 (one factor is 0.23 MB), the lift array and
+    # O(n_nodes) weight arrays
+    rule = sn.build_quadrature(2, 24, max_spacing=0.01)
+    rings = ring_factors(sn.BasisSpec(2, 12), rule)
+    N, n_t = rings.slot.size, rule.descriptor["n_t"]
+    for keep in (None, membership(E2, rule.nodes)):
+        tracemalloc.start()
+        try:
+            rings.half_factor(rule.weights, keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (concentration._SQUARES * N * N + N * n_t + 2 * rule.n_nodes)
 
 
 @pytest.mark.parametrize("config, L", [
