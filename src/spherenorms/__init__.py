@@ -11,7 +11,6 @@ from .basis import BasisSpec, basis_dim, basis_eval, basis_matrix, normalized_as
 from .concentration import (
     ConcentrationReport,
     PnormReport,
-    default_rule,
     gram_matrix,
     lambda_min,
     lp_ratio,
@@ -65,7 +64,7 @@ from .measures import (
     set_measure,
     weight_values,
 )
-from .quadrature import QuadratureRule, build_quadrature, cap_quadrature
+from .quadrature import QuadratureRule, Sampling, build_quadrature, cap_quadrature
 from .sets import (
     Arcs,
     Band,

@@ -15,18 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from .basis import BasisSpec, basis_dim, basis_matrix, normalized_assoc_legendre
-from .concentration import (
-    default_rule,
-    lambda_min,
-    sup_norm_ratio,
-    sup_norm_ratios,
-    uncertainty_check,
-)
+from .concentration import lambda_min, sup_norm_ratio, sup_norm_ratios, uncertainty_check
 from .config import parse_config
 from .functionals import density_profile, regularize_set, relative_density, rhinfty_check
 from .geometry import candidate_centers, centers_per_great_circle, north_pole, random_points, south_pole
 from .measures import Lebesgue, PowerDistanceWeight
-from .quadrature import build_quadrature
+from .quadrature import Sampling, build_quadrature
 from .sets import Arcs, CapUnion, EmptySet, FullSphere, cap_set, realize_family
 from .runner import run_experiment
 from .special import dim_pi, jacobi_eval, kernel_spec, peak_polynomial, reproducing_kernel, sphere_measure, szego_envelope, szego_estimate
@@ -244,7 +238,7 @@ class AcceptanceSuite:
         L = 16
         E = realize_family(parse_config(CONFIG_DENSE_NET).family, 2, L)
         spec = BasisSpec(2, L)
-        rule = default_rule(E, 2, L)
+        rule = Sampling().rule(E, 2, 2 * L)
         rep = lambda_min(E, Lebesgue(), L, rule=rule)
         ratio = uncertainty_check(rep.witness, E, spec, rule)
         target = 1.0 / rep.lambda_min

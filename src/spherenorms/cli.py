@@ -6,7 +6,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, ResourceLimitError
+from .errors import (ConfigError, DegenerateMeasureError, EmptyIntersectionError, NetConstructionError,
+                     ResourceLimitError)
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -54,7 +55,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, DegenerateMeasureError, NetConstructionError, EmptyIntersectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

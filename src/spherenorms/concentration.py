@@ -41,7 +41,7 @@ from .errors import DegenerateMeasureError, EmptyIntersectionError, ResourceLimi
 from .functionals import _local_masses
 from .geometry import candidate_centers
 from .measures import Lebesgue, MeasureSpec, weight_values
-from .quadrature import DEFAULT_MAX_NODES, SPACING_FACTOR, QuadratureRule, arc_quadrature, feature_rule, rule_dim
+from .quadrature import QuadratureRule, Sampling, arc_quadrature, rule_dim
 from .sets import SetSpec, membership
 from .special import jacobi_eval, sphere_lambda
 
@@ -55,7 +55,6 @@ __all__ = [
     "uncertainty_check",
     "sup_norm_ratio",
     "sup_norm_ratios",
-    "default_rule",
 ]
 
 _NODE_CHUNK = 8192
@@ -86,12 +85,6 @@ class PnormReport:
     witness: np.ndarray
     restarts: tuple
     seed: int
-
-
-def default_rule(E: SetSpec, d: int, L: int, oversample: float = 4.0, max_nodes: int = DEFAULT_MAX_NODES,
-                 spacing_factor: float = SPACING_FACTOR) -> QuadratureRule:
-    """Rule sized for degree-2L products and fine enough to resolve E's features."""
-    return feature_rule(E, d, 2 * L, spacing_factor=spacing_factor, oversample=oversample, max_nodes=max_nodes)
 
 
 # -- quadrature-path assembly ---------------------------------------------------
@@ -125,15 +118,15 @@ def _half_factors(E: SetSpec, mu: MeasureSpec, spec: BasisSpec, rule: Quadrature
     mask on its nodes, and the half-factors with G_X = R_X^T R_X.
 
     On S^1 under the plain measure the rule is Gauss-Legendre on E's arcs
-    (exact, so it replaces any given rule); else it is ``rule`` or the default
-    rule, and must integrate degree 2L exactly.  ``R_full`` is None under the
-    plain measure, whose full Gram is then the identity, and when ``full`` is
-    false.  The full sphere is factored before E, which keeps peak memory down
-    on weighted d=2 rules."""
+    (exact, so it replaces any given rule); else it is ``rule`` or
+    ``Sampling().rule(E, d, 2L)``, and must integrate degree 2L exactly.
+    ``R_full`` is None under the plain measure, whose full Gram is then the
+    identity, and when ``full`` is false.  The full sphere is factored before
+    E, which keeps peak memory down on weighted d=2 rules."""
     if spec.d == 1 and isinstance(mu, Lebesgue):
         rule = arc_quadrature(E, 2 * spec.L)
     else:
-        rule = default_rule(E, spec.d, spec.L) if rule is None else rule
+        rule = Sampling().rule(E, spec.d, 2 * spec.L) if rule is None else rule
         if rule.exact_degree < 2 * spec.L:
             raise ValueError("rule exactness must reach degree 2L for the polynomial part")
     basis = _node_basis(spec, rule)
@@ -228,7 +221,7 @@ def lp_ratio(
 
     At p = 2 this is the Rayleigh quotient |R_E c|^2 / |R_full c|^2 of the
     pencil ``lambda_min`` solves, from the same half-factors on the same rule;
-    other p sum |Q|^p on ``rule`` or the default rule."""
+    other p sum |Q|^p on ``rule`` or ``Sampling().rule(E, d, 2L)``."""
     if not (1.0 <= p < math.inf):
         raise ValueError("p must lie in [1, infinity)")
     c = np.asarray(coeffs, dtype=float)
@@ -242,7 +235,7 @@ def lp_ratio(
         num, den = float(e @ e), float(f @ f)
     else:
         if rule is None:
-            rule = default_rule(E, spec.d, spec.L)
+            rule = Sampling().rule(E, spec.d, 2 * spec.L)
         vp = np.abs(_node_basis(spec, rule).forward(c)) ** p
         a = rule.weights * weight_values(mu, rule.nodes)
         num, den = float((a * membership(E, rule.nodes)) @ vp), float(a @ vp)
@@ -297,7 +290,7 @@ def worst_case_lp(
     spec = BasisSpec(d, L)
     N = basis_dim(spec)
     if rule is None:
-        rule = default_rule(E, d, L)
+        rule = Sampling().rule(E, d, 2 * L)
     basis = _node_basis(spec, rule)
     mask = membership(E, rule.nodes)
     a_full = rule.weights * weight_values(mu, rule.nodes)

@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from .basis import BasisSpec, basis_dim
-from .concentration import default_rule, lambda_min, sup_norm_ratios, worst_case_lp
+from .concentration import lambda_min, sup_norm_ratios, worst_case_lp
 from .errors import ConfigError
 from .functionals import (
     ainfty_check,
@@ -31,9 +31,9 @@ from .functionals import (
     relative_density,
     rhinfty_check,
 )
-from .geometry import candidate_centers, centers_per_great_circle
+from .geometry import candidate_centers
 from .measures import Lebesgue, MeasureSpec, measure_from_dict, measure_to_dict, validate_measure
-from .quadrature import DEFAULT_MAX_NODES, SPACING_FACTOR
+from .quadrature import Sampling
 from .sets import CapUnion, SetFamily, family_from_dict, family_to_dict, min_feature_scale
 
 __all__ = [
@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+# the YAML section holding each Sampling field
+_SAMPLING_KEYS = {"quadrature": ("oversample", "spacing_factor", "max_nodes"),
+                  "resolution": ("per_great_circle_factor",)}
+_TOP_KEYS = ("schema", "d", "L_list", "seed", "label", "family", "measure", "functionals", *_SAMPLING_KEYS)
 
 
 @dataclass(frozen=True)
@@ -66,16 +70,17 @@ class ExperimentConfig:
     functionals: tuple
     seed: int = 0
     label: str = ""
-    oversample: float = 4.0
-    spacing_factor: float = SPACING_FACTOR
-    max_nodes: int = DEFAULT_MAX_NODES
-    resolution_factor: int = 6
+    sampling: Sampling = Sampling()
     schema: int = SCHEMA_VERSION
 
 
 def _require(cond: bool, field_name: str, msg: str):
     if not cond:
         raise ConfigError(f"field {field_name!r}: {msg}")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # -- the functional registry ----------------------------------------------------
@@ -89,9 +94,7 @@ def _fmt_point(p: np.ndarray) -> str:
 
 
 def _eigen(cfg, E, L, params):
-    rule = default_rule(E, cfg.d, L, oversample=cfg.oversample, max_nodes=cfg.max_nodes,
-                        spacing_factor=cfg.spacing_factor)
-    rep = lambda_min(E, cfg.measure, L, rule=rule)
+    rep = lambda_min(E, cfg.measure, L, rule=cfg.sampling.rule(E, cfg.d, 2 * L))
     wit = f"n_masked={rep.diagnostics.get('n_masked', 'na')};residual={rep.diagnostics['residual']:.3e}"
     if rep.lambda_min < rep.diagnostics["lambda_floor"]:
         wit += ";below_floor"
@@ -99,22 +102,19 @@ def _eigen(cfg, E, L, params):
 
 
 def _density(cfg, E, L, params):
-    rep = relative_density(E, cfg.measure, L, r=float(params["r"]), resolution=cfg.resolution_factor * L,
-                           d=cfg.d, spacing_factor=cfg.spacing_factor, max_nodes=cfg.max_nodes)
+    rep = relative_density(E, cfg.measure, L, r=float(params["r"]), d=cfg.d, sampling=cfg.sampling)
     return rep.rho_hat, f"argmin={_fmt_point(rep.argmin_center)}"
 
 
 def _harmonic(cfg, E, L, params):
-    rep = harmonic_infimum(E, L, resolution=cfg.resolution_factor * L, d=cfg.d, spacing_factor=cfg.spacing_factor,
-                           max_nodes=cfg.max_nodes)
+    rep = harmonic_infimum(E, L, d=cfg.d, sampling=cfg.sampling)
     return rep.delta_hat, f"argmin={_fmt_point(rep.argmin_center)}"
 
 
 def _pnorm(cfg, E, L, params):
     rep = worst_case_lp(
         E, cfg.measure, L, p=float(params["p"]), restarts=int(params["restarts"]), seed=cfg.seed,
-        rule=default_rule(E, cfg.d, L, oversample=cfg.oversample, max_nodes=cfg.max_nodes,
-                          spacing_factor=cfg.spacing_factor), d=cfg.d,
+        rule=cfg.sampling.rule(E, cfg.d, 2 * L), d=cfg.d,
     )
     return rep.value, f"restarts={len(rep.restarts)};spread={max(rep.restarts) - min(rep.restarts):.3e}"
 
@@ -123,8 +123,7 @@ def _supnorm(cfg, E, L, params):
     spec = BasisSpec(cfg.d, L)
     rng = np.random.default_rng([cfg.seed, L])
     # the center grid, refined until it resolves E's smallest feature
-    per_circle = centers_per_great_circle(L, cfg.resolution_factor * L, window=min_feature_scale(E) / 2.0)
-    grid = candidate_centers(cfg.d, L, per_circle)
+    grid = candidate_centers(cfg.d, L, cfg.sampling.per_great_circle(L, window=min_feature_scale(E) / 2.0))
     w = None if params["weight"] is None else measure_from_dict(params["weight"])
     C = rng.standard_normal((basis_dim(spec), int(params["samples"])))
     worst = float(sup_norm_ratios(C, E, grid, weight=w, spec=spec).min())
@@ -145,12 +144,10 @@ def _weights(cfg, E, L, params):
 
 def _regularize(cfg, E, L, params):
     eps, r, delta = float(params["eps"]), float(params["r"]), params["delta"]
-    resolution = cfg.resolution_factor * L
     star = regularize_set(E, L, eps=eps, delta=(None if delta is None else float(delta)), d=cfg.d,
-                          resolution=resolution, default_delta_r=r, spacing_factor=cfg.spacing_factor,
-                          max_nodes=cfg.max_nodes)
-    rep = density_profile(star, Lebesgue(), L, num_radius=r / L, den_radius=r / (2 * L), resolution=resolution,
-                          d=cfg.d, spacing_factor=cfg.spacing_factor, max_nodes=cfg.max_nodes)
+                          default_delta_r=r, sampling=cfg.sampling)
+    rep = density_profile(star, Lebesgue(), L, num_radius=r / L, den_radius=r / (2 * L), d=cfg.d,
+                          sampling=cfg.sampling)
     n_caps = star.centers.shape[0] if isinstance(star, CapUnion) else 0
     return rep.rho_hat, f"good_caps={n_caps};eps={eps}"
 
@@ -256,12 +253,14 @@ def parse_config(text: str) -> ExperimentConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"not valid YAML: {exc}") from exc
     _require(isinstance(data, dict), "<document>", "must be a mapping")
+    for key in data:
+        _require(key in _TOP_KEYS, str(key), "unknown key")
 
     d = data.get("d")
-    _require(d in (1, 2), "d", "must be 1 or 2")
+    _require(_is_int(d) and d in (1, 2), "d", "must be 1 or 2")
     L_list = data.get("L_list")
     _require(
-        isinstance(L_list, list) and L_list and all(isinstance(x, int) and x >= 1 for x in L_list),
+        isinstance(L_list, list) and L_list and all(_is_int(x) and x >= 1 for x in L_list),
         "L_list",
         "must be a nonempty list of integers >= 1",
     )
@@ -282,24 +281,22 @@ def parse_config(text: str) -> ExperimentConfig:
     tags = [f.tag for f in functionals]
     _require(len(set(tags)) == len(tags), "functionals", "tags must be unique (set 'tag')")
 
-    quad = data.get("quadrature", {})
-    _require(isinstance(quad, dict), "quadrature", "must be a mapping")
-    oversample = float(quad.get("oversample", 4.0))
-    _require(oversample >= 1.0, "quadrature.oversample", "must be >= 1")
-    spacing_factor = float(quad.get("spacing_factor", SPACING_FACTOR))
-    _require(spacing_factor > 0, "quadrature.spacing_factor", "must be positive")
-    max_nodes = int(quad.get("max_nodes", DEFAULT_MAX_NODES))
-    _require(max_nodes >= 1, "quadrature.max_nodes", "must be >= 1")
+    settings = {}
+    for section, names in _SAMPLING_KEYS.items():
+        raw = data.get(section, {})
+        _require(isinstance(raw, dict), section, "must be a mapping")
+        for key, value in raw.items():
+            _require(key in names, f"{section}.{key}", "unknown key")
+            try:
+                settings[key] = Sampling.checked(key, value)
+            except ValueError as exc:
+                raise ConfigError(f"field '{section}.{key}': {exc}") from exc
 
-    res = data.get("resolution", {})
-    _require(isinstance(res, dict), "resolution", "must be a mapping")
-    resolution_factor = int(res.get("per_great_circle_factor", 6))
-    _require(resolution_factor >= 1, "resolution.per_great_circle_factor", "must be >= 1")
-
-    seed = int(data.get("seed", 0))
+    seed = data.get("seed", 0)
+    _require(_is_int(seed), "seed", "must be an integer")
     label = str(data.get("label") or data["family"].get("label", "") or family.label)
-    schema = int(data.get("schema", SCHEMA_VERSION))
-    _require(schema == SCHEMA_VERSION, "schema", f"supported schema version is {SCHEMA_VERSION}")
+    schema = data.get("schema", SCHEMA_VERSION)
+    _require(_is_int(schema) and schema == SCHEMA_VERSION, "schema", f"supported schema version is {SCHEMA_VERSION}")
 
     return ExperimentConfig(
         d=d,
@@ -309,10 +306,7 @@ def parse_config(text: str) -> ExperimentConfig:
         functionals=functionals,
         seed=seed,
         label=label,
-        oversample=oversample,
-        spacing_factor=spacing_factor,
-        max_nodes=max_nodes,
-        resolution_factor=resolution_factor,
+        sampling=Sampling(**settings),
         schema=schema,
     )
 
@@ -337,12 +331,7 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
         "family": family_to_dict(cfg.family),
         "measure": measure_to_dict(cfg.measure),
         "functionals": fns,
-        "quadrature": {
-            "oversample": cfg.oversample,
-            "spacing_factor": cfg.spacing_factor,
-            "max_nodes": cfg.max_nodes,
-        },
-        "resolution": {"per_great_circle_factor": cfg.resolution_factor},
+        **{section: {key: getattr(cfg.sampling, key) for key in names} for section, names in _SAMPLING_KEYS.items()},
     }
 
 

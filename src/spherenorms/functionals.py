@@ -18,14 +18,13 @@ from .errors import DegenerateMeasureError, NetConstructionError, ResolutionErro
 from .geometry import (
     candidate_centers,
     cap_measure,
-    centers_per_great_circle,
     covering_net,
     frame_at,
     north_pole,
     random_points,
 )
 from .measures import Lebesgue, MeasureSpec, PowerDistanceWeight, cap_mass, weight_values
-from .quadrature import DEFAULT_MAX_NODES, SPACING_FACTOR, QuadratureRule, cap_quadrature, feature_rule, rule_dim
+from .quadrature import QuadratureRule, Sampling, cap_quadrature, rule_dim
 from .sets import CapUnion, EmptySet, SetSpec, membership
 from .special import sphere_measure
 
@@ -140,23 +139,23 @@ def density_profile(
     L: int,
     num_radius: float,
     den_radius: float,
-    resolution: int | None = None,
     rule: QuadratureRule | None = None,
     d: int | None = None,
-    spacing_factor: float = SPACING_FACTOR,
-    max_nodes: int = DEFAULT_MAX_NODES,
+    sampling: Sampling = Sampling(),
 ) -> DensityReport:
     """Min over grid centers u of mu(E cap B(u, num_radius)) / mu(B(u, den_radius)).
 
-    ``resolution`` (default 6L points per great circle) is a floor: the grid
-    is refined until its spacing is below the smaller window."""
+    ``sampling`` sizes the center grid, refined until its spacing is below the
+    smaller window, and the rule unless one is given."""
     d = rule_dim(d, rule)
     if L < 1:
         raise ValueError("degree must be >= 1")
+    if not (0.0 < num_radius <= math.pi and 0.0 < den_radius <= math.pi):
+        raise ValueError(f"window radii must lie in (0, pi], got {num_radius} and {den_radius}")
     scale = min(num_radius, den_radius)
-    resolution = centers_per_great_circle(L, resolution, window=scale)
+    resolution = sampling.per_great_circle(L, window=scale)
     if rule is None:
-        rule = feature_rule(E, d, window=scale, spacing_factor=spacing_factor, max_nodes=max_nodes)
+        rule = sampling.rule(E, d, window=scale)
     centers = candidate_centers(d, L, resolution)
     ind = membership(E, rule.nodes).astype(float)
     den_vals = rule.weights * weight_values(mu, rule.nodes)
@@ -184,16 +183,11 @@ def relative_density(
     mu: MeasureSpec,
     L: int,
     r: float,
-    resolution: int | None = None,
     d: int | None = None,
-    spacing_factor: float = SPACING_FACTOR,
-    max_nodes: int = DEFAULT_MAX_NODES,
+    sampling: Sampling = Sampling(),
 ) -> DensityReport:
     """Grid approximation of inf_u mu(E cap B(u, r/L)) / mu(B(u, r/L))."""
-    if r <= 0:
-        raise ValueError("scale parameter r must be positive")
-    return density_profile(E, mu, L, r / L, r / L, resolution=resolution, d=d,
-                           spacing_factor=spacing_factor, max_nodes=max_nodes)
+    return density_profile(E, mu, L, r / L, r / L, d=d, sampling=sampling)
 
 
 def _poisson_from_dots(t: np.ndarray, d: int, root: np.ndarray | None = None) -> np.ndarray:
@@ -261,19 +255,18 @@ def harmonic_measure(E: SetSpec, x, rule: QuadratureRule) -> float:
 def harmonic_infimum(
     E: SetSpec,
     L: int,
-    resolution: int | None = None,
     rule: QuadratureRule | None = None,
     d: int | None = None,
-    spacing_factor: float = SPACING_FACTOR,
-    max_nodes: int = DEFAULT_MAX_NODES,
+    sampling: Sampling = Sampling(),
 ) -> HarmonicReport:
-    """Min of harmonic measure over x = (1 - 1/L) u with u on the center grid."""
+    """Min of harmonic measure over x = (1 - 1/L) u with u on the center grid
+    ``sampling`` sizes, on ``rule`` or the one ``sampling`` builds."""
     d = rule_dim(d, rule)
     if L < 1:
         raise ValueError("degree must be >= 1")
-    resolution = centers_per_great_circle(L, resolution)
+    resolution = sampling.per_great_circle(L)
     if rule is None:
-        rule = feature_rule(E, d, window=1.0 / L, spacing_factor=spacing_factor, max_nodes=max_nodes)
+        rule = sampling.rule(E, d, window=1.0 / L)
     centers = candidate_centers(d, L, resolution)
     mask = membership(E, rule.nodes)
     grid = {"per_great_circle": resolution, "n_centers": centers.shape[0], "rule": dict(rule.descriptor)}
@@ -478,19 +471,17 @@ def regularize_set(
     eps: float,
     delta: float | None = None,
     d: int | None = None,
-    resolution: int | None = None,
     default_delta_r: float = 2.0,
-    spacing_factor: float = SPACING_FACTOR,
-    max_nodes: int = DEFAULT_MAX_NODES,
+    sampling: Sampling = Sampling(),
 ) -> SetSpec:
     """Good-cap regularization: cover the sphere by caps B(v, eps/L) on a
     bounded-overlap net, keep those holding at least a delta fraction of
     surface measure of E, and return their union.
 
     With delta unset, half the measured relative density of E at scale
-    ``default_delta_r``/L is used (on a center grid of at least
-    ``resolution`` points per great circle), matching the construction's
-    smallness requirement on delta relative to the density.
+    ``default_delta_r``/L is used, matching the construction's smallness
+    requirement on delta relative to the density.  ``sampling`` sizes that
+    density scan and the rule the caps are weighed on.
     """
     if d is None:
         raise ValueError("give the sphere dimension d")
@@ -499,10 +490,8 @@ def regularize_set(
     radius = eps / L
     net = covering_net(d, radius)
     if delta is None:
-        rd = relative_density(E, Lebesgue(), L, default_delta_r, resolution=resolution, d=d,
-                              spacing_factor=spacing_factor, max_nodes=max_nodes)
-        delta = 0.5 * rd.rho_hat
-    rule = feature_rule(E, d, window=radius, spacing_factor=spacing_factor, max_nodes=max_nodes)
+        delta = 0.5 * relative_density(E, Lebesgue(), L, default_delta_r, d=d, sampling=sampling).rho_hat
+    rule = sampling.rule(E, d, window=radius)
     ind = membership(E, rule.nodes).astype(float)
     num_vals = rule.weights * ind
     num, den = _local_masses(net, rule, [(num_vals, radius), (rule.weights, radius)])

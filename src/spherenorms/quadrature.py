@@ -9,21 +9,23 @@ are exact to rounding, with no indicator mask.  ``cap_quadrature`` reuses
 the arc rule (d=1) and the product rule's rings, squeezed into the cap (d=2).
 ``oversample`` and ``max_spacing`` densify rules beyond the exactness
 requirement; that extra resolution only matters for discontinuous integrands
-(set indicators), where exactness claims do not apply."""
+(set indicators), where exactness claims do not apply.  ``Sampling`` sizes
+every masked rule and every center grid of a sweep."""
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ResourceLimitError
-from .geometry import frame_at, uniform_circle
+from .geometry import centers_per_great_circle, frame_at, uniform_circle
 from .sets import SetSpec, arc_list, min_feature_scale
 
-__all__ = ["QuadratureRule", "build_quadrature", "cap_quadrature", "arc_quadrature", "feature_rule", "rule_dim",
+__all__ = ["QuadratureRule", "Sampling", "build_quadrature", "cap_quadrature", "arc_quadrature", "rule_dim",
            "DEFAULT_MAX_NODES", "SPACING_FACTOR"]
 
 DEFAULT_MAX_NODES = 6_000_000
@@ -166,19 +168,51 @@ def arc_quadrature(E: SetSpec, exact_degree: int) -> QuadratureRule:
     return QuadratureRule(1, nodes, weights, exact_degree, {"arcs": len(arcs), "n": weights.size})
 
 
-def feature_rule(
-    E: SetSpec,
-    d: int,
-    exact_degree: int = 0,
-    window: float = math.inf,
-    spacing_factor: float = SPACING_FACTOR,
-    **kwargs,
-) -> QuadratureRule:
-    """Rule exact to ``exact_degree`` with node spacing at most the smaller of
-    E's smallest feature and ``window``, divided by ``spacing_factor``; other
-    keywords go to ``build_quadrature``."""
-    spacing = min(min_feature_scale(E), window) / spacing_factor
-    return build_quadrature(d, exact_degree, max_spacing=spacing, **kwargs)
+# Sampling's field checks: (type, predicate, message) per field
+_SAMPLING_CHECKS = {
+    "oversample": (float, lambda x: x >= 1.0, "must be >= 1"),
+    "spacing_factor": (float, lambda x: x > 0.0, "must be positive"),
+    "max_nodes": (int, lambda n: n >= 1, "must be >= 1"),
+    "per_great_circle_factor": (int, lambda n: n >= 1, "must be >= 1"),
+}
+
+
+@dataclass(frozen=True)
+class Sampling:
+    """How densely a sweep samples a set: the masked rule over it and the
+    center grids, from the settings configs give under ``quadrature:`` and
+    ``resolution:``."""
+
+    oversample: float = 4.0
+    spacing_factor: float = SPACING_FACTOR
+    max_nodes: int = DEFAULT_MAX_NODES
+    per_great_circle_factor: int = 6
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, self.checked(f.name, getattr(self, f.name)))
+
+    @staticmethod
+    def checked(name: str, value):
+        """``value`` as the type of field ``name``, or ValueError saying what it must be."""
+        kind, ok, msg = _SAMPLING_CHECKS[name]
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral if kind is int else numbers.Real):
+            raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+        if not (math.isfinite(value) and ok(value)):
+            raise ValueError(f"{name} {msg}")
+        return kind(value)
+
+    def rule(self, E: SetSpec, d: int, exact_degree: int = 0, window: float = math.inf) -> QuadratureRule:
+        """Product rule on S^d exact to ``exact_degree``, node spacing at most
+        min(E's smallest feature, ``window``) / ``spacing_factor``, densified
+        by ``oversample`` only if ``exact_degree`` > 0."""
+        spacing = min(min_feature_scale(E), window) / self.spacing_factor
+        return build_quadrature(d, exact_degree, oversample=self.oversample if exact_degree > 0 else 1.0,
+                                max_spacing=spacing, max_nodes=self.max_nodes)
+
+    def per_great_circle(self, L: int, window: float | None = None) -> int:
+        """Points per great circle of the center grid at degree L."""
+        return centers_per_great_circle(L, self.per_great_circle_factor * L, window)
 
 
 def rule_dim(d: int | None, rule: QuadratureRule | None) -> int:

@@ -218,6 +218,12 @@ def _merge_arcs(pairs: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return [(s % _TWO_PI, e - s) for s, e in merged]
 
 
+# gaps narrower than this between arcs are dropped from a complement: Gauss-
+# Legendre nodes on such a sliver would sit within rounding of its ends, where
+# membership cannot tell them from the neighbouring arcs' interiors
+_MIN_GAP = 1e-10
+
+
 def _complement_arcs(pairs: list[tuple[float, float]]) -> list[tuple[float, float]]:
     if not pairs:
         return [(0.0, _TWO_PI)]
@@ -228,7 +234,7 @@ def _complement_arcs(pairs: list[tuple[float, float]]) -> list[tuple[float, floa
     for (s1, l1), (s2, _) in zip(ordered, ordered[1:] + [(ordered[0][0] + _TWO_PI, 0.0)]):
         gap_start = s1 + l1
         gap_len = s2 - gap_start
-        if gap_len > 1e-14:
+        if gap_len > _MIN_GAP:
             out.append((gap_start % _TWO_PI, gap_len))
     return out
 

@@ -10,7 +10,6 @@ import pytest
 
 import spherenorms as sn
 from spherenorms import concentration
-from spherenorms.concentration import default_rule
 from spherenorms.errors import EmptyIntersectionError, ResourceLimitError
 
 
@@ -136,7 +135,7 @@ def test_witness_consistency():
     # d=2 quadrature path: the witness achieves the eigenvalue as an L^2 ratio
     E = sn.cap_set(sn.north_pole(2), 2.0)  # large cap, lambda well above the floor
     L = 6
-    rule = default_rule(E, 2, L)
+    rule = sn.Sampling().rule(E, 2, 2 * L)
     rep = sn.lambda_min(E, sn.Lebesgue(), L, rule=rule)
     spec = sn.BasisSpec(2, L)
     ratio = sn.lp_ratio(rep.witness, E, sn.Lebesgue(), 2.0, spec, rule)
@@ -293,7 +292,7 @@ def test_uncertainty_trivials():
 def test_uncertainty_witness_attains_reciprocal():
     E = sn.cap_set(sn.north_pole(2), 2.0)
     L = 6
-    rule = default_rule(E, 2, L)
+    rule = sn.Sampling().rule(E, 2, 2 * L)
     rep = sn.lambda_min(E, sn.Lebesgue(), L, rule=rule)
     spec = sn.BasisSpec(2, L)
     ratio = sn.uncertainty_check(rep.witness, E, spec, rule)

@@ -2,6 +2,8 @@
 and the command-line interface."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ def test_parse_and_defaults():
     assert cfg.d == 1
     assert cfg.L_list == (4, 8)
     assert cfg.label == "two-arcs"
-    assert cfg.oversample == 4.0
+    assert cfg.sampling.oversample == 4.0
     assert [f.name for f in cfg.functionals] == ["eigen", "density", "harmonic"]
     assert cfg.functionals[1].params["r"] == 2.0
 
@@ -60,15 +62,60 @@ def test_parse_and_defaults():
     ],
 )
 def test_validation_errors_name_the_field(mutation, field):
+    with pytest.raises(ConfigError) as err:
+        parse_config(_mutated(mutation))
+    assert field in str(err.value)
+
+
+def _mutated(mutation: str) -> str:
+    """SMALL_CONFIG with the top-level entry ``mutation`` sets replaced by it."""
     key = mutation.split(":")[0]
     lines = [ln for ln in SMALL_CONFIG.splitlines() if not ln.startswith(key)]
     if key == "functionals":
         # also drop the original functional list items
         lines = [ln for ln in lines if not ln.lstrip().startswith("- {name")]
-    text = "\n".join(lines) + "\n" + mutation
-    with pytest.raises(ConfigError) as err:
-        parse_config(text)
-    assert field in str(err.value)
+    return "\n".join(lines) + "\n" + mutation
+
+
+@pytest.mark.parametrize(
+    "mutation, field",
+    [
+        ("sed: 5", "sed"),
+        ("quadrature: {spacing_factr: 5.0}", "quadrature.spacing_factr"),
+        ("resolution: {per_great_circle: 12}", "resolution.per_great_circle"),
+        ("quadrature: {oversample: four}", "quadrature.oversample"),
+        ("quadrature: {oversample: .inf}", "quadrature.oversample"),
+        ("quadrature: {max_nodes: true}", "quadrature.max_nodes"),
+        ("resolution: {per_great_circle_factor: 2.5}", "resolution.per_great_circle_factor"),
+        ("d: true", "d"),
+        ("L_list: [true]", "L_list"),
+        ("seed: true", "seed"),
+        ("seed: seven", "seed"),
+    ],
+)
+def test_config_input_is_checked_not_guessed(mutation, field):
+    # unknown keys, non-numbers and booleans are refused under their own key
+    with pytest.raises(ConfigError, match=re.escape(f"field '{field}'")):
+        parse_config(_mutated(mutation))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+PINNED_HASHES = {
+    "dense_net_sweep": "60416521c812",
+    "dense_net_to_64": "92d246df1d1e",
+    "fixed_cap_decay": "a892c4f550a1",
+    "weighted_arcs": "ca7f00b6a8c8",
+    "weighted_sphere": "2045b03b1e26",
+}
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("configs/*.yaml")) + [ROOT / "perfbench" / "weighted_sphere.yaml"],
+                         ids=lambda p: p.stem)
+def test_shipped_configs_keep_their_canonical_form(path):
+    # the config_hash column of every shipped sweep stays what it was recorded as
+    cfg = load_config(path)
+    assert config_hash(parse_config(serialize_config(cfg))) == config_hash(cfg)
+    assert config_hash(cfg) == PINNED_HASHES[path.stem]
 
 
 REGISTRY_CONFIG = """
@@ -220,6 +267,35 @@ def test_cli_bad_config_exit_code(tmp_path):
     cfg_path = tmp_path / "bad.yaml"
     cfg_path.write_text("d: 7\n")
     assert main(["run", str(cfg_path)]) == 1
+
+
+@pytest.mark.parametrize("config, message", [
+    ("""
+d: 1
+L_list: [4]
+family: {kind: fixed, set: {kind: arcs, intervals: [[-1.0, 1.0]]}}
+measure: {kind: band_weight, axis: [1.0, 0.0], lo: 0.0, hi: 1.0, inside: 0.0, outside: 0.0}
+functionals: [eigen]
+""", "full-sphere Gram is numerically singular"),
+    ("""
+d: 1
+L_list: [1]
+family: {kind: fixed, set: {kind: arcs, intervals: [[-1.0, 1.0]]}}
+functionals: [{name: regularize, eps: 4.0}]
+""", "net spacing 4.0 out of range"),
+    ("""
+d: 1
+L_list: [4]
+family: {kind: fixed, set: {kind: empty}}
+functionals: [supnorm]
+""", "no evaluation node lies inside the set"),
+], ids=["degenerate-measure", "net-construction", "empty-intersection"])
+def test_cli_numerical_errors_exit_without_traceback(config, message, tmp_path, capsys):
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(config)
+    assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 def test_cli_resource_guard_exit_code(tmp_path):

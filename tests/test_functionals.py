@@ -43,13 +43,18 @@ def test_relative_density_dense_family_stable():
 
 def test_relative_density_resolution_error():
     # a requested grid coarser than the window is a floor: the grid is refined
-    rep = sn.relative_density(sn.FullSphere(), sn.Lebesgue(), 8, r=0.5, resolution=24, d=2)
+    rep = sn.relative_density(sn.FullSphere(), sn.Lebesgue(), 8, r=0.5, d=2,
+                              sampling=sn.Sampling(per_great_circle_factor=3))
     assert rep.resolution["per_great_circle"] == math.ceil(2 * math.pi / (0.5 / 8)) + 1
     assert rep.rho_hat == 1.0
     # a rule too coarse for the window still fails
     coarse = sn.build_quadrature(2, 2)
     with pytest.raises(ResolutionError, match="caught no quadrature node"):
         sn.density_profile(sn.FullSphere(), sn.Lebesgue(), 8, 0.05, 0.05, rule=coarse)
+    # window radii outside (0, pi] are refused before any grid or rule is sized
+    for num, den in ((0.0, 0.1), (0.1, 0.0), (0.1, -0.1), (-0.1, 0.1), (4.0, 0.1), (0.1, 4.0)):
+        with pytest.raises(ValueError, match="window radii"):
+            sn.density_profile(sn.FullSphere(), sn.Lebesgue(), 8, num, den, d=2)
 
 
 def test_density_report_range():

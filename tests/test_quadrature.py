@@ -77,6 +77,31 @@ def test_oversample_validation():
         sn.build_quadrature(2, 4, oversample=0.5)
 
 
+def test_sampling_sizes_rules_and_grids():
+    E = sn.cap_set(sn.north_pole(2), 0.3)
+    s = sn.Sampling(oversample=2, spacing_factor=5.0, max_nodes=10**6, per_great_circle_factor=3)
+    assert s.oversample == 2.0 and isinstance(s.oversample, float)
+    want = sn.build_quadrature(2, 8, oversample=2.0, max_spacing=0.3 / 5.0)
+    assert s.rule(E, 2, 8).descriptor == want.descriptor
+    # oversampling densifies only rules that must integrate a positive degree
+    assert s.rule(E, 2, window=0.1).descriptor == sn.build_quadrature(2, 0, max_spacing=0.1 / 5.0).descriptor
+    assert s.per_great_circle(8) == 24
+    assert s.per_great_circle(8, window=0.1) == math.ceil(2 * math.pi / 0.1) + 1
+    with pytest.raises(ResourceLimitError):
+        sn.Sampling(max_nodes=100).rule(E, 2, 8)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"oversample": 0.5}, "oversample must be >= 1"),
+    ({"spacing_factor": "2.5"}, "spacing_factor must be a number"),
+    ({"max_nodes": True}, "max_nodes must be an integer"),
+    ({"per_great_circle_factor": 0}, "per_great_circle_factor must be >= 1"),
+])
+def test_sampling_checks_its_fields(settings, message):
+    with pytest.raises(ValueError, match=message):
+        sn.Sampling(**settings)
+
+
 def test_cap_quadrature_mass():
     for d in (1, 2):
         for radius in (0.3, 1.2):

@@ -169,7 +169,7 @@ functionals: [{name: eigen}]
 def test_lambda_matches_streamed_factor(config, L):
     cfg = parse_config(config)
     E = realize_family(cfg.family, 2, L)
-    rule = concentration.default_rule(E, 2, L, oversample=cfg.oversample, spacing_factor=cfg.spacing_factor)
+    rule = cfg.sampling.rule(E, 2, 2 * L)
     spec = sn.BasisSpec(2, L)
     R_E = streamed_factor(spec, rule, cfg.measure, membership(E, rule.nodes))
     R_full = np.eye(len(R_E)) if isinstance(cfg.measure, sn.Lebesgue) else streamed_factor(spec, rule, cfg.measure)
@@ -204,7 +204,7 @@ def test_objective_matches_dense_reference(L, oversample, max_spacing, seed):
 def test_sphere_functions_evaluate_no_dense_basis(monkeypatch):
     # only the adversary's projection-kernel start evaluates the basis, at one point
     L = 6
-    rule = concentration.default_rule(E2, 2, L)
+    rule = sn.Sampling().rule(E2, 2, 2 * L)
     spec = sn.BasisSpec(2, L)
     sizes = []
     real_basis_matrix = concentration.basis_matrix

@@ -249,7 +249,7 @@ def test_pruned_harmonic_infimum_matches_full_scan(d, L, kind, seed):
 def test_pruned_harmonic_infimum_skips_most_of_fixed_cap():
     # the fixed-cap sweep's set and rule at L=16: exact, from about a third of the terms
     E = sn.cap_set(sn.north_pole(2), math.pi / 3)
-    rule = F.feature_rule(E, 2, window=1.0 / 16)
+    rule = sn.Sampling().rule(E, 2, window=1.0 / 16)
     rep, all_pairs = assert_infimum_matches_full_scan(E, 16, rule)
     assert rep.resolution["pairs_summed"] <= 0.5 * all_pairs
 
@@ -260,7 +260,7 @@ def test_harmonic_infimum_of_empty_set_reports_its_grid(d):
     assert rep.delta_hat == 0.0
     assert rep.resolution["n_centers"] == candidate_centers(d, 4).shape[0]
     assert rep.resolution["pairs_summed"] == 0
-    assert rep.resolution["rule"] == F.feature_rule(sn.EmptySet(), d, window=1.0 / 4).descriptor
+    assert rep.resolution["rule"] == sn.Sampling().rule(sn.EmptySet(), d, window=1.0 / 4).descriptor
 
 
 def all_pairs_anchor(spec, rule, mask):
@@ -302,7 +302,7 @@ def test_anchor_matches_all_pairs_scan(d, L, kind, seed):
         kind = "caps"
     E = anchor_set(d, kind, seed)
     spec = sn.BasisSpec(d, L)
-    rule = C.default_rule(E, d, L)
+    rule = sn.Sampling().rule(E, d, 2 * L)
     mask = membership(E, rule.nodes)
     np.testing.assert_array_equal(C._thin_density_center(spec, rule, mask), all_pairs_anchor(spec, rule, mask))
 
