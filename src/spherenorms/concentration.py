@@ -114,8 +114,8 @@ def _node_basis(spec: BasisSpec, rule: QuadratureRule):
 
 
 def _half_factors(E: SetSpec, mu: MeasureSpec, spec: BasisSpec, rule: QuadratureRule | None, full: bool = True):
-    """``(rule, mask, R_E, R_full)``: the rule a Gram over E is built from, E's
-    mask on its nodes, and the half-factors with G_X = R_X^T R_X.
+    """``(rule, R_E, R_full)``: the rule a Gram over E is built from and the
+    half-factors with G_X = R_X^T R_X.
 
     On S^1 under the plain measure the rule is Gauss-Legendre on E's arcs
     (exact, so it replaces any given rule); else it is ``rule`` or
@@ -130,10 +130,9 @@ def _half_factors(E: SetSpec, mu: MeasureSpec, spec: BasisSpec, rule: Quadrature
         if rule.exact_degree < 2 * spec.L:
             raise ValueError("rule exactness must reach degree 2L for the polynomial part")
     basis = _node_basis(spec, rule)
-    mask = membership(E, rule.nodes)
     a = rule.weights * weight_values(mu, rule.nodes)
     R_full = basis.half_factor(a) if full and not isinstance(mu, Lebesgue) else None
-    return rule, mask, basis.half_factor(a, mask), R_full
+    return rule, basis.half_factor(a, rule.inside(E)), R_full
 
 
 def gram_matrix(
@@ -144,7 +143,7 @@ def gram_matrix(
 ) -> np.ndarray:
     """Symmetric PSD matrix of integrals of Y_i Y_j over E against mu, from
     the rule ``_half_factors`` picks (indicator-masked unless it lies in E)."""
-    R = _half_factors(E, mu, spec, rule, full=False)[2]
+    R = _half_factors(E, mu, spec, rule, full=False)[1]
     G = R.T @ R
     return 0.5 * (G + G.T)
 
@@ -164,7 +163,7 @@ def lambda_min(
     """
     d = rule_dim(d, rule)
     spec = BasisSpec(d, L)
-    rule, mask, R_E, R_full = _half_factors(E, mu, spec, rule)
+    rule, R_E, R_full = _half_factors(E, mu, spec, rule)
     if R_full is None:
         cond_full, T = 1.0, R_E
     else:
@@ -174,7 +173,7 @@ def lambda_min(
         s_full = np.linalg.svd(R_full, compute_uv=False)
         cond_full = float((s_full[0] / s_full[-1]) ** 2)
         T = scipy.linalg.solve_triangular(R_full, R_E.T, trans="T", lower=False).T
-    n_masked = int(mask.sum())
+    n_masked = int(rule.inside(E).sum())
     try:
         _, svals, Vt = np.linalg.svd(T)
     except np.linalg.LinAlgError as exc:
@@ -230,7 +229,7 @@ def lp_ratio(
     if not np.all(np.isfinite(c)) or np.linalg.norm(c) == 0.0:
         raise ValueError("zero or non-finite polynomial")
     if p == 2.0:
-        _, _, R_E, R_full = _half_factors(E, mu, spec, rule)
+        _, R_E, R_full = _half_factors(E, mu, spec, rule)
         e, f = R_E @ c, (c if R_full is None else R_full @ c)
         num, den = float(e @ e), float(f @ f)
     else:
@@ -238,7 +237,7 @@ def lp_ratio(
             rule = Sampling().rule(E, spec.d, 2 * spec.L)
         vp = np.abs(_node_basis(spec, rule).forward(c)) ** p
         a = rule.weights * weight_values(mu, rule.nodes)
-        num, den = float((a * membership(E, rule.nodes)) @ vp), float(a @ vp)
+        num, den = float((a * rule.inside(E)) @ vp), float(a @ vp)
     if den == 0.0:
         raise ValueError("zero polynomial mass")
     return num / den
@@ -292,7 +291,7 @@ def worst_case_lp(
     if rule is None:
         rule = Sampling().rule(E, d, 2 * L)
     basis = _node_basis(spec, rule)
-    mask = membership(E, rule.nodes)
+    mask = rule.inside(E)
     a_full = rule.weights * weight_values(mu, rule.nodes)
     objective = _pnorm_objective(basis.forward, basis.adjoint, a_full, a_full * mask, p)
 
@@ -371,7 +370,7 @@ def uncertainty_check(
         raise ValueError("zero function")
     if head_sq == 0.0:
         return 1.0
-    e = _half_factors(E, Lebesgue(), spec, rule)[2] @ c
+    e = _half_factors(E, Lebesgue(), spec, rule)[1] @ c
     denom = float(e @ e) + tail_norm_sq
     if denom == 0.0:
         raise ValueError("function vanishes on the set and has no spectral tail")

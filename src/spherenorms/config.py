@@ -22,15 +22,8 @@ import yaml
 from .basis import BasisSpec, basis_dim
 from .concentration import lambda_min, sup_norm_ratios, worst_case_lp
 from .errors import ConfigError
-from .functionals import (
-    ainfty_check,
-    density_profile,
-    doubling_constant,
-    harmonic_infimum,
-    regularize_set,
-    relative_density,
-    rhinfty_check,
-)
+from .functionals import (ainfty_check, density_profile, doubling_constant, harmonic_infimum, regularize_set,
+                          rhinfty_check)
 from .geometry import candidate_centers
 from .measures import Lebesgue, MeasureSpec, measure_from_dict, measure_to_dict, validate_measure
 from .quadrature import Sampling
@@ -85,41 +78,44 @@ def _is_int(x) -> bool:
 
 # -- the functional registry ----------------------------------------------------
 #
-# A compute function maps (cfg, E, L, params), E being the family's set at
-# degree L, to (value, witness string).  It reaches the library through this
-# module's globals, so wrappers installed on those names see every call.
+# A compute function maps (cfg, E, L, params, rule), E being the family's set
+# at degree L, to (value, witness string); ``rule(exact_degree=0, window=inf)``
+# returns the degree's masked rule for that request, one object per node
+# layout.  It reaches the library through this module's globals, so wrappers
+# installed on those names see every call.
 
 def _fmt_point(p: np.ndarray) -> str:
     return "(" + " ".join(f"{x:.6f}" for x in p) + ")"
 
 
-def _eigen(cfg, E, L, params):
-    rep = lambda_min(E, cfg.measure, L, rule=cfg.sampling.rule(E, cfg.d, 2 * L))
+def _eigen(cfg, E, L, params, rule):
+    rep = lambda_min(E, cfg.measure, L, rule=rule(2 * L))
     wit = f"n_masked={rep.diagnostics.get('n_masked', 'na')};residual={rep.diagnostics['residual']:.3e}"
     if rep.lambda_min < rep.diagnostics["lambda_floor"]:
         wit += ";below_floor"
     return rep.lambda_min, wit
 
 
-def _density(cfg, E, L, params):
-    rep = relative_density(E, cfg.measure, L, r=float(params["r"]), d=cfg.d, sampling=cfg.sampling)
+def _density(cfg, E, L, params, rule):
+    r = float(params["r"])
+    rep = density_profile(E, cfg.measure, L, r / L, r / L, rule=rule(window=r / L), sampling=cfg.sampling)
     return rep.rho_hat, f"argmin={_fmt_point(rep.argmin_center)}"
 
 
-def _harmonic(cfg, E, L, params):
-    rep = harmonic_infimum(E, L, d=cfg.d, sampling=cfg.sampling)
+def _harmonic(cfg, E, L, params, rule):
+    rep = harmonic_infimum(E, L, rule=rule(window=1.0 / L), sampling=cfg.sampling)
     return rep.delta_hat, f"argmin={_fmt_point(rep.argmin_center)}"
 
 
-def _pnorm(cfg, E, L, params):
+def _pnorm(cfg, E, L, params, rule):
     rep = worst_case_lp(
         E, cfg.measure, L, p=float(params["p"]), restarts=int(params["restarts"]), seed=cfg.seed,
-        rule=cfg.sampling.rule(E, cfg.d, 2 * L), d=cfg.d,
+        rule=rule(2 * L), d=cfg.d,
     )
     return rep.value, f"restarts={len(rep.restarts)};spread={max(rep.restarts) - min(rep.restarts):.3e}"
 
 
-def _supnorm(cfg, E, L, params):
+def _supnorm(cfg, E, L, params, rule):
     spec = BasisSpec(cfg.d, L)
     rng = np.random.default_rng([cfg.seed, L])
     # the center grid, refined until it resolves E's smallest feature
@@ -130,7 +126,7 @@ def _supnorm(cfg, E, L, params):
     return worst, f"samples={params['samples']};grid={grid.shape[0]}"
 
 
-def _weights(cfg, E, L, params):
+def _weights(cfg, E, L, params, rule):
     seed, n_caps = int(params["seed"]), int(params["n_caps"])
     drep = doubling_constant(cfg.measure, params["scales"], d=cfg.d, seed=seed)
     rrep = rhinfty_check(cfg.measure, cfg.d, seed=seed, n_caps=n_caps)
@@ -142,7 +138,7 @@ def _weights(cfg, E, L, params):
     return drep.doubling_constant, wit
 
 
-def _regularize(cfg, E, L, params):
+def _regularize(cfg, E, L, params, rule):
     eps, r, delta = float(params["eps"]), float(params["r"]), params["delta"]
     star = regularize_set(E, L, eps=eps, delta=(None if delta is None else float(delta)), d=cfg.d,
                           default_delta_r=r, sampling=cfg.sampling)
@@ -167,7 +163,7 @@ def _weight_or_none(w) -> bool:
 @dataclass(frozen=True)
 class Functional:
     """One registry entry: parameter defaults, checks as (parameter, predicate,
-    message) rows, ``compute(cfg, E, L, params) -> (value, witness)``, the
+    message) rows, ``compute(cfg, E, L, params, rule) -> (value, witness)``, the
     ``spherenorms describe`` text, and whether compute reads neither E nor L."""
 
     defaults: dict

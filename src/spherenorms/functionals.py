@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .measures import Lebesgue, MeasureSpec, PowerDistanceWeight, cap_mass, weight_values
 from .quadrature import QuadratureRule, Sampling, cap_quadrature, rule_dim
-from .sets import CapUnion, EmptySet, SetSpec, membership
+from .sets import CapUnion, EmptySet, SetSpec
 from .special import sphere_measure
 
 __all__ = [
@@ -157,10 +157,8 @@ def density_profile(
     if rule is None:
         rule = sampling.rule(E, d, window=scale)
     centers = candidate_centers(d, L, resolution)
-    ind = membership(E, rule.nodes).astype(float)
     den_vals = rule.weights * weight_values(mu, rule.nodes)
-    num_vals = den_vals * ind
-    num, den = _local_masses(centers, rule, [(num_vals, num_radius), (den_vals, den_radius)])
+    num, den = _local_masses(centers, rule, [(den_vals * rule.inside(E), num_radius), (den_vals, den_radius)])
     if np.any(den <= 0.0):
         raise ResolutionError("a window cap caught no quadrature node; refine the rule")
     rho = num / den
@@ -242,7 +240,7 @@ def harmonic_measure(E: SetSpec, x, rule: QuadratureRule) -> float:
     rho = float(np.linalg.norm(x))
     if rho >= 1.0:
         raise ValueError("evaluation point must lie strictly inside the unit ball")
-    mask = membership(E, rule.nodes)
+    mask = rule.inside(E)
     if not mask.any():
         return 0.0
     # at the origin the kernel is 1, so any unit vector serves as the center
@@ -268,7 +266,7 @@ def harmonic_infimum(
     if rule is None:
         rule = sampling.rule(E, d, window=1.0 / L)
     centers = candidate_centers(d, L, resolution)
-    mask = membership(E, rule.nodes)
+    mask = rule.inside(E)
     grid = {"per_great_circle": resolution, "n_centers": centers.shape[0], "rule": dict(rule.descriptor)}
     if not mask.any():
         return HarmonicReport(0.0, centers[0].copy(), L, {**grid, "pairs_summed": 0})
@@ -492,9 +490,7 @@ def regularize_set(
     if delta is None:
         delta = 0.5 * relative_density(E, Lebesgue(), L, default_delta_r, d=d, sampling=sampling).rho_hat
     rule = sampling.rule(E, d, window=radius)
-    ind = membership(E, rule.nodes).astype(float)
-    num_vals = rule.weights * ind
-    num, den = _local_masses(net, rule, [(num_vals, radius), (rule.weights, radius)])
+    num, den = _local_masses(net, rule, [(rule.weights * rule.inside(E), radius), (rule.weights, radius)])
     if np.any(den <= 0.0):
         raise NetConstructionError("net caps too small for the rule resolution")
     good = num >= delta * den

@@ -11,7 +11,7 @@ import numpy as np
 
 from .geometry import apply_rotation, cap_measure, check_orthogonal, geodesic_distance
 from .quadrature import QuadratureRule, cap_quadrature
-from .sets import SetSpec, membership
+from .sets import SetSpec
 
 __all__ = [
     "Lebesgue",
@@ -125,7 +125,7 @@ def rotate_measure(mu: MeasureSpec, R) -> MeasureSpec:
 
 def set_measure(E: SetSpec, mu: MeasureSpec, rule: QuadratureRule) -> float:
     """mu(E) as the rule's weighted sum over nodes inside E."""
-    mask = membership(E, rule.nodes)
+    mask = rule.inside(E)
     if not mask.any():
         return 0.0
     w = rule.weights[mask] * weight_values(mu, rule.nodes[mask])

@@ -8,9 +8,10 @@ over the set itself of trigonometric polynomials up to the declared degree
 are exact to rounding, with no indicator mask.  ``cap_quadrature`` reuses
 the arc rule (d=1) and the product rule's rings, squeezed into the cap (d=2).
 ``oversample`` and ``max_spacing`` densify rules beyond the exactness
-requirement; that extra resolution only matters for discontinuous integrands
-(set indicators), where exactness claims do not apply.  ``Sampling`` sizes
-every masked rule and every center grid of a sweep."""
+requirement, which matters for discontinuous integrands (set indicators);
+a product rule declares the exactness of the layout it built, so equal
+layouts are equal rules.  ``Sampling`` sizes every masked rule and every
+center grid of a sweep."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .geometry import centers_per_great_circle, frame_at, uniform_circle
-from .sets import SetSpec, arc_list, min_feature_scale
+from .sets import SetSpec, arc_list, membership, min_feature_scale
 
 __all__ = ["QuadratureRule", "Sampling", "build_quadrature", "cap_quadrature", "arc_quadrature", "rule_dim",
            "DEFAULT_MAX_NODES", "SPACING_FACTOR"]
@@ -44,10 +45,20 @@ class QuadratureRule:
     weights: np.ndarray
     exact_degree: int
     descriptor: dict = field(default_factory=dict)
+    _masks: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
+
+    def inside(self, E: SetSpec) -> np.ndarray:
+        """E's read-only mask on the nodes, classified once per (rule, set); the
+        memo holds E, so its id is not reused while the entry lives."""
+        if id(E) not in self._masks:
+            mask = membership(E, self.nodes)
+            mask.flags.writeable = False
+            self._masks[id(E)] = (E, mask)
+        return self._masks[id(E)][1]
 
     def integrate(self, values) -> float:
         return float(self.weights @ np.asarray(values, dtype=float))
@@ -100,7 +111,9 @@ def build_quadrature(
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> QuadratureRule:
     """Product rule on S^d exact to ``exact_degree``, densified by ``oversample``
-    and, if given, until the nominal node spacing is below ``max_spacing``."""
+    and, if given, until the nominal node spacing is below ``max_spacing``.
+    The rule declares the exactness of the layout it built, which may pass
+    ``exact_degree``: n - 1 on S^1, min(2 n_t - 1, n_phi - 1) on S^2."""
     if exact_degree < 0:
         raise ValueError("exactness degree must be nonnegative")
     if oversample < 1.0:
@@ -113,7 +126,7 @@ def build_quadrature(
         if n > max_nodes:
             raise ResourceLimitError(f"rule would need {n} nodes (cap {max_nodes})")
         weights = np.full(n, 2.0 * math.pi / n)
-        return QuadratureRule(1, uniform_circle(n), weights, exact_degree, {"n": n, "oversample": oversample})
+        return QuadratureRule(1, uniform_circle(n), weights, n - 1, {"n": n})
     if d != 2:
         raise ValueError(f"unsupported sphere dimension d={d}")
 
@@ -122,14 +135,12 @@ def build_quadrature(
     if max_spacing is not None:
         n_t = max(n_t, int(math.ceil(math.pi / max_spacing)))
         n_phi = max(n_phi, int(math.ceil(2.0 * math.pi / max_spacing)))
-    n_t = max(n_t, 1)
-    n_phi = max(n_phi, 1)
     if n_t * n_phi > max_nodes:
         raise ResourceLimitError(
             f"rule would need {n_t}x{n_phi}={n_t * n_phi} nodes (cap {max_nodes})"
         )
     nodes, weights = _ring_rule(-1.0, n_t, n_phi)
-    return QuadratureRule(2, nodes, weights, exact_degree, {"n_t": n_t, "n_phi": n_phi, "oversample": oversample})
+    return QuadratureRule(2, nodes, weights, min(2 * n_t - 1, n_phi - 1), {"n_t": n_t, "n_phi": n_phi})
 
 
 def cap_quadrature(d: int, center, radius: float) -> QuadratureRule:

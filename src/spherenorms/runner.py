@@ -4,18 +4,23 @@ result CSVs into plot-ready series.
 
 Determinism contract: the results CSV depends only on the config (hash, seed
 included); wall times live in a separate timings file so reruns are
-byte-identical.  Jobs are independent per (L, functional) and may run in a
-process pool; rows are sorted by key before writing, so worker count does not
-affect output.  A degree-free functional runs once, at the first degree, and
-its row is repeated at every other degree with a wall time of 0.
+byte-identical.  A job is one degree: it realizes E_L once and runs that
+degree's functionals on it in config order, with one masked rule per node
+layout, so E_L is classified once per layout.  Each functional gets its own
+timed row (the first also pays for realizing E_L).  Jobs may run in a process
+pool; rows are sorted by key before writing, so worker count does not affect
+output.  A degree-free functional runs only in the first job, and its row is
+repeated at every other degree with a wall time of 0.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import time
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 from .config import FUNCTIONALS, ExperimentConfig, config_hash
 from .sets import realize_family
@@ -38,39 +43,46 @@ class ResultRow:
     wall_time_s: float
 
 
-def _job(args):
-    cfg, digest, L, fn_index = args
-    fn = cfg.functionals[fn_index]
-    t0 = time.perf_counter()
+def _job(cfg, digest, L, indices):
+    """Rows of the functionals at ``indices`` of the config at degree L, in order."""
+    t = time.perf_counter()
     E = realize_family(cfg.family, cfg.d, L)
-    value, witness = FUNCTIONALS[fn.name].compute(cfg, E, L, fn.params)
-    elapsed = time.perf_counter() - t0
-    return ResultRow(SCHEMA, digest, L, fn.tag, float(value), witness, elapsed)
+    layouts = {}
+
+    def rule(*request, **kw):
+        built = cfg.sampling.rule(E, cfg.d, *request, **kw)
+        return layouts.setdefault(tuple(built.descriptor.items()), built)
+
+    rows = []
+    for i in indices:
+        fn = cfg.functionals[i]
+        value, witness = FUNCTIONALS[fn.name].compute(cfg, E, L, fn.params, rule)
+        t0, t = t, time.perf_counter()
+        rows.append(ResultRow(SCHEMA, digest, L, fn.tag, float(value), witness, t - t0))
+    return rows
 
 
 def run_experiment(cfg: ExperimentConfig, output_dir, workers: int = 1, verbose: bool = False):
-    """Run every (L, functional) job, write results.csv and timings.csv, and
-    return the sorted rows."""
-    from pathlib import Path
-
+    """Run one job per degree, write results.csv and timings.csv, and return
+    the sorted rows."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     digest = config_hash(cfg)
     degree_free = [FUNCTIONALS[f.name].degree_free for f in cfg.functionals]
-    jobs = [(cfg, digest, L, i) for k, L in enumerate(cfg.L_list) for i in range(len(cfg.functionals))
-            if k == 0 or not degree_free[i]]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_job, jobs))
-    else:
-        rows = []
-        for j in jobs:
-            row = _job(j)
+    jobs = [(L, [i for i, free in enumerate(degree_free) if k == 0 or not free]) for k, L in enumerate(cfg.L_list)]
+    degrees, indices = zip(*[(L, ix) for L, ix in jobs if ix])
+    rows = []
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        for job_rows in (map if pool is None else pool.map)(_job, [cfg] * len(degrees), [digest] * len(degrees),
+                                                             degrees, indices):
+            rows += job_rows
             if verbose:
-                print(f"  L={row.L:4d} {row.functional:12s} value={row.value!r} ({row.wall_time_s:.1f}s)")
-            rows.append(row)
-    rows += [replace(row, L=L, wall_time_s=0.0)
-             for (_, _, _, i), row in zip(jobs, rows) if degree_free[i] for L in cfg.L_list[1:]]
+                for row in job_rows:
+                    print(f"  L={row.L:4d} {row.functional:12s} value={row.value!r} ({row.wall_time_s:.1f}s)")
+    # the first job's rows come first, one per functional in config order
+    first = [row for row, free in zip(rows, degree_free) if free]
+    rows += [replace(row, L=L, wall_time_s=0.0) for row in first for L in cfg.L_list[1:]]
     rows.sort(key=lambda r: (r.L, r.functional))
     results_path = out / "results.csv"
     timings_path = out / "timings.csv"

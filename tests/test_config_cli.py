@@ -1,6 +1,7 @@
 """Config parsing and validation, sweep determinism, CSV schema, plot data,
 and the command-line interface."""
 
+import functools
 import math
 import re
 from pathlib import Path
@@ -132,7 +133,7 @@ functionals: [{name: %s}]
 def test_registry_entry_runs_with_defaults(name, capsys):
     cfg = parse_config(REGISTRY_CONFIG % name)
     assert cfg.functionals[0].params == FUNCTIONALS[name].defaults
-    row = _job((cfg, config_hash(cfg), 4, 0))
+    (row,) = _job(cfg, config_hash(cfg), 4, [0])
     assert row.functional == name and row.L == 4
     assert math.isfinite(row.value) and row.witness
     assert main(["describe"]) == 0
@@ -207,7 +208,7 @@ functionals: [eigen, {name: weights, n_caps: 4}]
     assert [(r.L, r.functional) for r in rows] == [(L, f) for L in (4, 8, 12) for f in ("eigen", "weights")]
     assert [r.wall_time_s == 0.0 for r in rows if r.functional == "weights"] == [False, True, True]
     # the same bytes as running the weights job at every degree
-    per_degree = [_job((cfg, config_hash(cfg), L, i)) for L in cfg.L_list for i in range(2)]
+    per_degree = [row for L in cfg.L_list for row in _job(cfg, config_hash(cfg), L, [0, 1])]
     write_results(per_degree, tmp_path / "per_degree.csv")
     assert res.read_bytes() == (tmp_path / "per_degree.csv").read_bytes()
 
@@ -217,6 +218,16 @@ def test_run_experiment_worker_pool_identical(tmp_path):
     res1, _, _ = run_experiment(cfg, tmp_path / "serial", workers=1)
     res2, _, _ = run_experiment(cfg, tmp_path / "pool", workers=2)
     assert res1.read_bytes() == res2.read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_experiment_verbose_prints_every_row(tmp_path, capsys, workers):
+    cfg = parse_config(SMALL_CONFIG)
+    _, _, rows = run_experiment(cfg, tmp_path, workers=workers, verbose=True)
+    # one progress line per job row, from the pool as from the serial loop
+    lines = capsys.readouterr().out.splitlines()
+    printed = [re.fullmatch(r"  L=\s*(\d+) (\S+)\s+value=(\S+) \(\d+\.\ds\)", line).groups() for line in lines]
+    assert sorted(printed) == sorted((str(r.L), r.functional, repr(r.value)) for r in rows)
 
 
 def test_plotdata_two_series(tmp_path):
@@ -333,7 +344,8 @@ quadrature: {oversample: 400}
 ], ids=["fixed-cap-16", "fixed-cap-8", "dense-net-8", "arc-16"])
 def test_eigen_witness_flags_values_below_floor(config, L, flagged):
     cfg = parse_config(config)
-    value, witness = FUNCTIONALS["eigen"].compute(cfg, realize_family(cfg.family, cfg.d, L), L, {})
+    E = realize_family(cfg.family, cfg.d, L)
+    value, witness = FUNCTIONALS["eigen"].compute(cfg, E, L, {}, functools.partial(cfg.sampling.rule, E, cfg.d))
     assert witness.endswith(";below_floor") == flagged
     if cfg.d == 1:
         assert value >= 0.0
@@ -343,7 +355,7 @@ def test_density_window_below_the_grid_spacing_refines_the_grid():
     # r/L = 0.125 is below the 6L grid's spacing 2 pi / 48 = 0.1309
     cfg = parse_config(CONFIG_DENSE_NET)
     E = realize_family(cfg.family, 2, 8)
-    value, _ = FUNCTIONALS["density"].compute(cfg, E, 8, {"r": 1.0})
+    value, _ = FUNCTIONALS["density"].compute(cfg, E, 8, {"r": 1.0}, functools.partial(cfg.sampling.rule, E, 2))
     assert value == sn.relative_density(E, sn.Lebesgue(), 8, r=1.0, d=2).rho_hat
     assert value == pytest.approx(0.018131849579546624, rel=1e-12)
 
@@ -355,7 +367,7 @@ def test_regularize_follows_the_grid_factor():
     values = {}
     for factor in (6, 12):
         cfg = parse_config(CONFIG_DENSE_NET + f"resolution: {{per_great_circle_factor: {factor}}}\n")
-        values[factor] = FUNCTIONALS["regularize"].compute(cfg, E, 8, params)[0]
+        values[factor] = FUNCTIONALS["regularize"].compute(cfg, E, 8, params, functools.partial(cfg.sampling.rule, E, 2))[0]
     assert values[6] == pytest.approx(3.4071095139954233, rel=1e-12)
     assert values[12] == pytest.approx(3.431411058766765, rel=1e-12)
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import spherenorms as sn
 from spherenorms import concentration as C
@@ -202,10 +202,9 @@ def test_rhinfty_builds_each_local_rule_once(monkeypatch, d, mu, C):
     assert rep.config == {"seed": 0, "n_caps": 12, "radii": [0.2, 0.5, 1.0]}
 
 
-def full_scan_infimum(E, L, rule):
-    """The harmonic grid minimum as the full scan found it: the Poisson sum at
-    every center, 64 centers x 2048 nodes at a time, then the first argmin.
-    Returns (value, argmin index, n_centers, n_masked)."""
+def full_scan_sums(E, L, rule):
+    """The Poisson sum at every grid center as the full scan found it, 64
+    centers x 2048 nodes at a time.  Returns (sums, n_masked)."""
     centers = candidate_centers(rule.d, L, 6 * L)
     mask = membership(E, rule.nodes)
     rho = 1.0 - 1.0 / L
@@ -217,17 +216,26 @@ def full_scan_infimum(E, L, rule):
         for i0 in range(0, nodes.shape[0], 2048):
             t = lifted[c0 : c0 + 64] @ nodes[i0 : i0 + 2048].T
             sums[c0 : c0 + 64] += F._poisson_from_dots(t, rule.d) @ values[i0 : i0 + 2048]
-    i = int(np.argmin(sums))
-    return float(sums[i]), i, centers.shape[0], int(mask.sum())
+    return sums, int(mask.sum())
 
 
 def assert_infimum_matches_full_scan(E, L, rule):
+    """The pruned minimum equals the full scan's to 1e-14 relative, at the full
+    scan's first argmin where its minimum beats the runner-up by more than
+    that, else at a center whose full sum ties the minimum to 1e-14."""
     rep = sn.harmonic_infimum(E, L, rule=rule)
-    value, i, n_centers, n_masked = full_scan_infimum(E, L, rule)
-    np.testing.assert_array_equal(rep.argmin_center, candidate_centers(rule.d, L, 6 * L)[i])
+    sums, n_masked = full_scan_sums(E, L, rule)
+    centers = candidate_centers(rule.d, L, 6 * L)
+    i = int(np.argmin(sums))
+    value, runner_up = sums[i], np.partition(sums, 1)[1]
+    if runner_up - value > 1e-14 * value:
+        np.testing.assert_array_equal(rep.argmin_center, centers[i])
+    else:
+        (j,) = np.flatnonzero((centers == rep.argmin_center).all(axis=1))
+        assert sums[j] - value <= 1e-14 * value
     assert abs(rep.delta_hat - value) <= 1e-14 * value
-    assert rep.resolution["n_centers"] == n_centers
-    return rep, n_centers * n_masked
+    assert rep.resolution["n_centers"] == centers.shape[0]
+    return rep, centers.shape[0] * n_masked
 
 
 # node spacings giving about 6,300 nodes on S^1 and 7,900 on S^2, so most
@@ -238,6 +246,9 @@ PRUNE_SPACING = {1: 0.001, 2: 0.05}
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([1, 2]), st.integers(2, 24), st.sampled_from(["caps", "arcs", "band", "complement"]),
        st.integers(0, 2**31 - 1))
+# five caps covering the circle: every Poisson sum is 1 to rounding, a tie
+@example(1, 2, "caps", 59)
+@example(1, 2, "caps", 2**31 - 1)
 def test_pruned_harmonic_infimum_matches_full_scan(d, L, kind, seed):
     if d == 2 and kind == "arcs":
         kind = "caps"
