@@ -112,7 +112,8 @@ def _pnorm(cfg, E, L, params, rule):
         E, cfg.measure, L, p=float(params["p"]), restarts=int(params["restarts"]), seed=cfg.seed,
         rule=rule(2 * L), d=cfg.d,
     )
-    return rep.value, f"restarts={len(rep.restarts)};spread={max(rep.restarts) - min(rep.restarts):.3e}"
+    spread = max(rep.restarts) - min(rep.restarts)
+    return rep.value, f"restarts={len(rep.restarts)};spread={spread:.3e};evals={rep.evals}"
 
 
 def _supnorm(cfg, E, L, params, rule):
@@ -190,7 +191,7 @@ delta_hat: min over |x| = 1 - 1/L of the Poisson integral
         (("p", lambda p: 1 <= p < math.inf, "must be finite and >= 1"),
          ("restarts", _at_least_one, "must be >= 1")),
         _pnorm, """\
-adversarial upper bound on min over Q in Pi_L of
+best ratio found on the masked degree-2L rule (not a bound) for min over Q in Pi_L of
 integral_{E_L} |Q|^p dmu / integral |Q|^p dmu (exact at p=2 via eigen)."""),
     "supnorm": Functional(
         {"samples": 50, "weight": None},
