@@ -4,14 +4,14 @@ the scale-1/L regularized density."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import ClassVar, Union, get_args
 
 import numpy as np
 
 from .geometry import apply_rotation, cap_measure, check_orthogonal, geodesic_distance
 from .quadrature import QuadratureRule, cap_quadrature
-from .sets import SetSpec
+from .sets import SetSpec, coerce_fields, spec_from_dict, spec_to_dict
 
 __all__ = [
     "Lebesgue",
@@ -34,22 +34,27 @@ __all__ = [
 class Lebesgue:
     """Plain surface measure (weight identically 1)."""
 
+    kind: ClassVar[str] = "lebesgue"
+
 
 @dataclass(frozen=True, eq=False)
 class PowerDistanceWeight:
     """w(u) = (d(u, pole)/pi)^a; integrable for a > -d."""
 
+    kind: ClassVar[str] = "power_distance"
     exponent: float
     pole: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "pole", np.asarray(self.pole, dtype=float))
+        coerce_fields(self, float, "exponent")
 
 
 @dataclass(frozen=True, eq=False)
 class BandWeight:
     """Piecewise-constant weight: ``inside`` on the band d(u, axis) in [lo, hi], ``outside`` off it."""
 
+    kind: ClassVar[str] = "band_weight"
     axis: np.ndarray
     lo: float
     hi: float
@@ -58,6 +63,7 @@ class BandWeight:
 
     def __post_init__(self):
         object.__setattr__(self, "axis", np.asarray(self.axis, dtype=float))
+        coerce_fields(self, float, "lo", "hi", "inside", "outside")
         if self.inside < 0 or self.outside < 0:
             raise ValueError("weights must be nonnegative")
         if not (0.0 <= self.lo < self.hi <= math.pi):
@@ -66,7 +72,8 @@ class BandWeight:
 
 @dataclass(frozen=True, eq=False)
 class ProductWeight:
-    factors: tuple
+    kind: ClassVar[str] = "product"
+    factors: tuple = field(metadata={"load": lambda factors: [measure_from_dict(f) for f in factors]})
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
@@ -148,43 +155,12 @@ def regularized_measure(mu: MeasureSpec, L: int, u, d: int) -> float:
     return cap_mass(mu, d, u, 1.0 / L) / cap_measure(d, 1.0 / L)
 
 
+_MEASURE_KINDS = {cls.kind: cls for cls in get_args(MeasureSpec)}
+
+
 def measure_to_dict(mu: MeasureSpec) -> dict:
-    if isinstance(mu, Lebesgue):
-        return {"kind": "lebesgue"}
-    if isinstance(mu, PowerDistanceWeight):
-        return {
-            "kind": "power_distance",
-            "exponent": float(mu.exponent),
-            "pole": [float(x) for x in mu.pole],
-        }
-    if isinstance(mu, BandWeight):
-        return {
-            "kind": "band_weight",
-            "axis": [float(x) for x in mu.axis],
-            "lo": float(mu.lo),
-            "hi": float(mu.hi),
-            "inside": float(mu.inside),
-            "outside": float(mu.outside),
-        }
-    if isinstance(mu, ProductWeight):
-        return {"kind": "product", "factors": [measure_to_dict(f) for f in mu.factors]}
-    raise TypeError(f"unknown measure spec {type(mu).__name__}")
+    return spec_to_dict(mu)
 
 
 def measure_from_dict(data: dict) -> MeasureSpec:
-    kind = data.get("kind")
-    if kind == "lebesgue":
-        return Lebesgue()
-    if kind == "power_distance":
-        return PowerDistanceWeight(float(data["exponent"]), np.asarray(data["pole"], dtype=float))
-    if kind == "band_weight":
-        return BandWeight(
-            np.asarray(data["axis"], dtype=float),
-            float(data["lo"]),
-            float(data["hi"]),
-            float(data["inside"]),
-            float(data["outside"]),
-        )
-    if kind == "product":
-        return ProductWeight(tuple(measure_from_dict(f) for f in data["factors"]))
-    raise ValueError(f"unknown measure kind {kind!r}")
+    return spec_from_dict(data, _MEASURE_KINDS, "measure")

@@ -60,9 +60,6 @@ class QuadratureRule:
             self._masks[id(E)] = (E, mask)
         return self._masks[id(E)][1]
 
-    def integrate(self, values) -> float:
-        return float(self.weights @ np.asarray(values, dtype=float))
-
 
 @functools.lru_cache(maxsize=64)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:

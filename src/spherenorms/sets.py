@@ -8,9 +8,10 @@ integral sees.  Random kinds are fully determined by their seed.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import ClassVar, Union, get_args
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -59,6 +60,7 @@ _TREE_MIN_CAPS = 64
 class CapUnion:
     """Union of closed geodesic caps; centers (k, d+1), radii (k,)."""
 
+    kind: ClassVar[str] = "cap_union"
     centers: np.ndarray
     radii: np.ndarray
 
@@ -75,21 +77,24 @@ class CapUnion:
 class Band:
     """Points whose distance to ``axis`` lies in [lo, hi]."""
 
+    kind: ClassVar[str] = "band"
     axis: np.ndarray
     lo: float
     hi: float
 
     def __post_init__(self):
         object.__setattr__(self, "axis", np.asarray(self.axis, dtype=float))
+        coerce_fields(self, float, "lo", "hi")
         if not (0.0 <= self.lo < self.hi <= math.pi):
             raise ValueError("band bounds must satisfy 0 <= lo < hi <= pi")
 
 
 @dataclass(frozen=True, eq=False)
 class Arcs:
-    """d=1 only: union of closed arcs, stored as (start, length) rows."""
+    """d=1 only: union of closed arcs, stored as (start, length) rows, written as [start, end]."""
 
-    intervals: np.ndarray
+    kind: ClassVar[str] = "arcs"
+    intervals: np.ndarray = field(metadata={"dump": lambda iv: np.stack([iv[:, 0], iv[:, 0] + iv[:, 1]], 1).tolist()})
 
     def __post_init__(self):
         iv = np.atleast_2d(np.asarray(self.intervals, dtype=float))
@@ -106,19 +111,20 @@ class Arcs:
 
 @dataclass(frozen=True)
 class FullSphere:
-    pass
+    kind: ClassVar[str] = "full"
 
 
 @dataclass(frozen=True)
 class EmptySet:
-    pass
+    kind: ClassVar[str] = "empty"
 
 
 @dataclass(frozen=True, eq=False)
 class Complement:
     """Closure of the complement of the inner set."""
 
-    inner: "SetSpec"
+    kind: ClassVar[str] = "complement"
+    inner: "SetSpec" = field(metadata={"key": "of", "load": lambda data: set_from_dict(data)})
 
 
 SetSpec = Union[CapUnion, Band, Arcs, FullSphere, EmptySet, Complement]
@@ -131,6 +137,7 @@ def cap_set(center, radius: float) -> CapUnion:
 
 def random_cap_union(d: int, count: int, radius: float, seed: int) -> CapUnion:
     """Seeded family of caps with area-uniform centers (deterministic per seed)."""
+    d, count, seed = int(d), int(count), int(seed)
     if count < 1:
         raise ValueError("need at least one cap")
     rng = np.random.default_rng(seed)
@@ -308,54 +315,63 @@ def rotate(obj, R):
 
 
 # -- serialization ------------------------------------------------------------
+#
+# A spec's YAML form is its class's ``kind`` plus one key per field that is not
+# None, named as the field unless its metadata gives ``key``; metadata ``dump``
+# and ``load`` convert the value.  Nested specs and tuples of them recurse.
+
+def coerce_fields(spec, cast, *names) -> None:
+    """Cast the named fields of a frozen spec in place (YAML's 1 where 1.0 is meant); None stays."""
+    for name in names:
+        if getattr(spec, name) is not None:
+            object.__setattr__(spec, name, cast(getattr(spec, name)))
+
+
+def _dump(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_dump(v) for v in value]
+    return spec_to_dict(value) if is_dataclass(value) else value
+
+
+def spec_to_dict(spec) -> dict:
+    out = {"kind": spec.kind}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if value is not None:
+            out[f.metadata.get("key", f.name)] = f.metadata.get("dump", _dump)(value)
+    return out
+
+
+def spec_from_dict(data, kinds: dict, what: str):
+    """``kinds[data["kind"]]`` (a spec class or constructor) called with the other keys; unknown keys are refused."""
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind not in kinds:
+        raise ValueError(f"a {what} must be a mapping whose kind is one of {', '.join(kinds)}, not {data!r}")
+    make = kinds[kind]
+    params = fields(make) if is_dataclass(make) else inspect.signature(make).parameters.values()
+    schema = {getattr(p, "metadata", {}).get("key", p.name): p for p in params}
+    args = {}
+    for key, value in data.items():
+        if key != "kind":
+            if key not in schema:
+                raise ValueError(f"{what} kind {kind!r} has no key {key!r}")
+            load = getattr(schema[key], "metadata", {}).get("load")
+            args[schema[key].name] = value if load is None else load(value)
+    return make(**args)
+
+
+_SET_KINDS = {cls.kind: cls for cls in get_args(SetSpec)}
+_SET_KINDS.update(cap=cap_set, random_caps=random_cap_union)  # input-only: read as a cap union
+
 
 def set_to_dict(spec: SetSpec) -> dict:
-    if isinstance(spec, FullSphere):
-        return {"kind": "full"}
-    if isinstance(spec, EmptySet):
-        return {"kind": "empty"}
-    if isinstance(spec, CapUnion):
-        return {
-            "kind": "cap_union",
-            "centers": [[float(x) for x in c] for c in spec.centers],
-            "radii": [float(r) for r in spec.radii],
-        }
-    if isinstance(spec, Band):
-        return {
-            "kind": "band",
-            "axis": [float(x) for x in spec.axis],
-            "lo": float(spec.lo),
-            "hi": float(spec.hi),
-        }
-    if isinstance(spec, Arcs):
-        return {
-            "kind": "arcs",
-            "intervals": [[float(s), float(s + ln)] for s, ln in spec.intervals],
-        }
-    if isinstance(spec, Complement):
-        return {"kind": "complement", "of": set_to_dict(spec.inner)}
-    raise TypeError(f"unknown set spec {type(spec).__name__}")
+    return spec_to_dict(spec)
 
 
 def set_from_dict(data: dict) -> SetSpec:
-    kind = data.get("kind")
-    if kind == "full":
-        return FullSphere()
-    if kind == "empty":
-        return EmptySet()
-    if kind == "cap":
-        return cap_set(data["center"], float(data["radius"]))
-    if kind == "cap_union":
-        return CapUnion(np.asarray(data["centers"], dtype=float), np.asarray(data["radii"], dtype=float))
-    if kind == "band":
-        return Band(np.asarray(data["axis"], dtype=float), float(data["lo"]), float(data["hi"]))
-    if kind == "arcs":
-        return Arcs(np.asarray(data["intervals"], dtype=float))
-    if kind == "complement":
-        return Complement(set_from_dict(data["of"]))
-    if kind == "random_caps":
-        return random_cap_union(int(data["d"]), int(data["count"]), float(data["radius"]), int(data["seed"]))
-    raise ValueError(f"unknown set kind {kind!r}")
+    return spec_from_dict(data, _SET_KINDS, "set")
 
 
 # -- L-indexed families --------------------------------------------------------
@@ -364,7 +380,8 @@ def set_from_dict(data: dict) -> SetSpec:
 class FixedFamily:
     """The same set at every degree."""
 
-    spec: SetSpec
+    kind: ClassVar[str] = "fixed"
+    spec: SetSpec = field(metadata={"key": "set", "load": set_from_dict})
     label: str = "fixed"
 
 
@@ -372,11 +389,13 @@ class FixedFamily:
 class CapNetFamily:
     """Caps of radius r/L centered on a spacing tau/L lattice (both scale with L)."""
 
+    kind: ClassVar[str] = "cap_net"
     cap_radius_over_L: float
     net_spacing_over_L: float
     label: str = "cap_net"
 
     def __post_init__(self):
+        coerce_fields(self, float, "cap_radius_over_L", "net_spacing_over_L")
         if self.cap_radius_over_L <= 0 or self.net_spacing_over_L <= 0:
             raise ValueError("cap radius and net spacing factors must be positive")
 
@@ -385,6 +404,7 @@ class CapNetFamily:
 class RandomCapsFamily:
     """Seeded random caps; the seed is mixed with L so draws differ per degree."""
 
+    kind: ClassVar[str] = "random_caps"
     count: int
     seed: int
     radius_over_L: float | None = None
@@ -392,6 +412,8 @@ class RandomCapsFamily:
     label: str = "random_caps"
 
     def __post_init__(self):
+        coerce_fields(self, int, "count", "seed")
+        coerce_fields(self, float, "radius_over_L", "radius")
         if (self.radius is None) == (self.radius_over_L is None):
             raise ValueError("give exactly one of radius / radius_over_L")
 
@@ -423,41 +445,12 @@ def realize_family(family: SetFamily, d: int, L: int) -> SetSpec:
     raise TypeError(f"unknown family {type(family).__name__}")
 
 
+_FAMILY_KINDS = {cls.kind: cls for cls in get_args(SetFamily)}
+
+
 def family_to_dict(family: SetFamily) -> dict:
-    if isinstance(family, FixedFamily):
-        return {"kind": "fixed", "set": set_to_dict(family.spec), "label": family.label}
-    if isinstance(family, CapNetFamily):
-        return {
-            "kind": "cap_net",
-            "cap_radius_over_L": family.cap_radius_over_L,
-            "net_spacing_over_L": family.net_spacing_over_L,
-            "label": family.label,
-        }
-    if isinstance(family, RandomCapsFamily):
-        out = {"kind": "random_caps", "count": family.count, "seed": family.seed, "label": family.label}
-        if family.radius is not None:
-            out["radius"] = family.radius
-        else:
-            out["radius_over_L"] = family.radius_over_L
-        return out
-    raise TypeError(f"unknown family {type(family).__name__}")
+    return spec_to_dict(family)
 
 
 def family_from_dict(data: dict) -> SetFamily:
-    kind = data.get("kind")
-    label = data.get("label", kind)
-    if kind == "fixed":
-        return FixedFamily(set_from_dict(data["set"]), label=label)
-    if kind == "cap_net":
-        return CapNetFamily(
-            float(data["cap_radius_over_L"]), float(data["net_spacing_over_L"]), label=label
-        )
-    if kind == "random_caps":
-        return RandomCapsFamily(
-            count=int(data["count"]),
-            seed=int(data["seed"]),
-            radius_over_L=(float(data["radius_over_L"]) if "radius_over_L" in data else None),
-            radius=(float(data["radius"]) if "radius" in data else None),
-            label=label,
-        )
-    raise ValueError(f"unknown family kind {kind!r}")
+    return spec_from_dict(data, _FAMILY_KINDS, "family")

@@ -195,10 +195,6 @@ class PeakPolynomial:
     def degree(self) -> int:
         return self.ell * self.L
 
-    @property
-    def peak_value(self) -> float:
-        return float(jacobi_eval(self.L, 1.0 + sphere_lambda(self.d), sphere_lambda(self.d), 1.0)) ** self.ell
-
     def __call__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         t = np.clip(pts @ self.pole, -1.0, 1.0)

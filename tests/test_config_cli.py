@@ -119,6 +119,69 @@ def test_shipped_configs_keep_their_canonical_form(path):
     assert config_hash(cfg) == PINNED_HASHES[path.stem]
 
 
+# ints where floats are meant: the spec constructors coerce them, so the
+# canonical form (and the hash) is that of the same config written with floats
+INT_VALUED_CONFIG = """
+d: 2
+L_list: [8]
+family: {kind: fixed, set: {kind: complement, of: {kind: band, axis: [0, 0, 1], lo: 0, hi: 1}}}
+measure: {kind: product, factors: [{kind: power_distance, exponent: 2, pole: [0, 0, 1]}, {kind: band_weight, axis: [1, 0, 0], lo: 0, hi: 2, inside: 1, outside: 3}]}
+functionals: [eigen]
+"""
+
+
+@pytest.mark.parametrize("text, digest", [(CONFIG_DENSE_NET, "60416521c812"), (CONFIG_FIXED_CAP, "a892c4f550a1"),
+                                          (INT_VALUED_CONFIG, "cb51cc98ef16")],
+                         ids=["acceptance-dense-net", "acceptance-fixed-cap", "int-valued"])
+def test_config_hash_pins(text, digest):
+    cfg = parse_config(text)
+    assert config_hash(cfg) == digest
+    assert config_hash(parse_config(serialize_config(cfg))) == digest
+
+
+_BAND = "{kind: band, axis: [0, 0, 1], lo: 0.0, hi: 1.0}"
+_SPEC_TEXT = """
+d: 2
+L_list: [4]
+family: %s
+measure: %s
+functionals: [%s]
+"""
+
+
+@pytest.mark.parametrize(
+    "family, measure, functional, section, key",
+    [
+        ("{kind: cap_net, cap_radius_over_L: 0.5, net_spacing_over_L: 2.0, cap_radius_over_l: 0.4}", "{kind: lebesgue}",
+         "eigen", "family", "cap_radius_over_l"),
+        ("{kind: fixed, set: {kind: band, axis: [0, 0, 1], lo: 0.0, hi: 1.0, hii: 2.0}}", "{kind: lebesgue}",
+         "eigen", "family", "hii"),
+        ("{kind: fixed, set: {kind: complement, of: {kind: band, axis: [0, 0, 1], lo: 0.0, hi: 1.0, radius: 0.3}}}",
+         "{kind: lebesgue}", "eigen", "family", "radius"),
+        ("{kind: fixed, set: {kind: cap, center: [0, 0, 1], radius: 0.5, radii: 0.4}}", "{kind: lebesgue}",
+         "eigen", "family", "radii"),
+        ("{kind: fixed, set: {kind: random_caps, d: 2, count: 4, radius: 0.3, seed: 1, radius_over_L: 1.0}}",
+         "{kind: lebesgue}", "eigen", "family", "radius_over_L"),
+        ("{kind: fixed, set: %s}" % _BAND, "{kind: power_distance, exponent: 2.0, pole: [0, 0, 1], exponant: -5}",
+         "eigen", "measure", "exponant"),
+        ("{kind: fixed, set: %s}" % _BAND, "{kind: product, factors: [{kind: lebesgue, exponent: 2.0}]}",
+         "eigen", "measure", "exponent"),
+        ("{kind: fixed, set: %s}" % _BAND, "{kind: lebesgue}",
+         "{name: supnorm, weight: {kind: band_weight, axis: [0, 0, 1], lo: 0.0, hi: 1.0, inside: 1.0, outside: 2.0,"
+         " insde: 3.0}}", "functionals[0].weight", "insde"),
+    ],
+    ids=["cap_net", "band", "complement-of", "cap-alias", "random_caps-alias", "measure", "product-factor",
+         "supnorm-weight"],
+)
+def test_unknown_spec_keys_are_refused(family, measure, functional, section, key):
+    # a misspelt key under family:, measure: or a weight: would otherwise be
+    # dropped, and the run would use the default it meant to override
+    with pytest.raises(ConfigError, match=re.escape(f"field '{section}'")) as err:
+        parse_config(_SPEC_TEXT % (family, measure, functional))
+    assert repr(key) in str(err.value)
+    assert "unexpected keyword" not in str(err.value)
+
+
 REGISTRY_CONFIG = """
 d: 1
 L_list: [4]
