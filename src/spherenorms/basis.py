@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import ring_layout
 from .special import dim_pi
 
 __all__ = ["BasisSpec", "RingFactors", "basis_dim", "basis_matrix", "basis_eval", "normalized_assoc_legendre",
@@ -177,17 +178,15 @@ def _triangular_factor(rows: np.ndarray, n: int) -> np.ndarray:
 def ring_factors(spec: BasisSpec, rule) -> RingFactors:
     """Factors of ``basis_matrix(spec, rule.nodes)`` for a d=2 product rule from
     ``build_quadrature``: n_t Gauss-Legendre rings of n_phi equispaced
-    longitudes starting at phi = 0, read from the rule's descriptor."""
-    n_t, n_phi = rule.descriptor.get("n_t"), rule.descriptor.get("n_phi")
-    if spec.d != 2 or n_t is None or n_phi is None or n_t * n_phi != rule.n_nodes:
+    longitudes starting at phi = 0, as ``ring_layout`` reads them."""
+    if spec.d != 2 or rule.d != 2:
         raise ValueError("ring factors need a d=2 product rule (n_t rings x n_phi longitudes)")
-    z = rule.nodes[:, 2].reshape(n_t, n_phi)
-    if not ((z == z[:, :1]).all() and (rule.nodes[::n_phi, 1] == 0.0).all()):
-        raise ValueError("rule nodes are not in ring-major product order")
+    n_phi = ring_layout(rule)[1]
+    z = rule.nodes[::n_phi, 2]
     L = spec.L
     scale = np.full(L + 1, math.sqrt(2.0))
     scale[0] = 1.0
-    legendre = normalized_assoc_legendre(L, z[:, 0]).transpose(1, 2, 0) * scale[:, None, None]
+    legendre = normalized_assoc_legendre(L, z).transpose(1, 2, 0) * scale[:, None, None]
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     m_phi = np.outer(np.arange(L + 1), phi)
     trig = np.stack([np.cos(m_phi), np.sin(m_phi)], axis=1).reshape(2 * (L + 1), n_phi)

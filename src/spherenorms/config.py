@@ -121,9 +121,8 @@ def _supnorm(cfg, E, L, params, rule):
     rng = np.random.default_rng([cfg.seed, L])
     # the center grid, refined until it resolves E's smallest feature
     grid = candidate_centers(cfg.d, L, cfg.sampling.per_great_circle(L, window=min_feature_scale(E) / 2.0))
-    w = None if params["weight"] is None else measure_from_dict(params["weight"])
     C = rng.standard_normal((basis_dim(spec), int(params["samples"])))
-    worst = float(sup_norm_ratios(C, E, grid, weight=w, spec=spec).min())
+    worst = float(sup_norm_ratios(C, E, grid, weight=params["weight"], spec=spec).min())
     return worst, f"samples={params['samples']};grid={grid.shape[0]}"
 
 
@@ -238,6 +237,8 @@ def _parse_functional(entry, index: int) -> FunctionalSpec:
         except (KeyError, TypeError, ValueError) as exc:
             good, msg = False, f"{msg} ({exc})"
         _require(good, f"{where}.{key}", msg)
+    if params.get("weight") is not None:  # held as the measure it names
+        params["weight"] = measure_from_dict(params["weight"])
     tag = entry.get("tag", name)
     return FunctionalSpec(name=name, tag=str(tag), params=params)
 
@@ -317,7 +318,7 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
     fns = []
     for f in cfg.functionals:
         entry = {"name": f.name, "tag": f.tag}
-        entry.update({k: v for k, v in f.params.items() if v is not None})
+        entry.update({k: measure_to_dict(v) if k == "weight" else v for k, v in f.params.items() if v is not None})
         fns.append(entry)
     return {
         "schema": cfg.schema,

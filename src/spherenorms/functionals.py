@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateMeasureError, NetConstructionError, ResolutionError
 from .geometry import (
@@ -24,7 +23,7 @@ from .geometry import (
     random_points,
 )
 from .measures import Lebesgue, MeasureSpec, PowerDistanceWeight, cap_mass, weight_values
-from .quadrature import QuadratureRule, Sampling, cap_quadrature, rule_dim
+from .quadrature import QuadratureRule, Sampling, cap_quadrature, ring_layout, rule_dim
 from .sets import CapUnion, EmptySet, SetSpec
 from .special import sphere_measure
 
@@ -49,10 +48,11 @@ _NODE_CHUNK = 2048
 # every _SEED_STRIDE-th center of the harmonic grid is summed in full; the
 # smallest of those sums bounds the partial sums the other centers may keep
 _SEED_STRIDE = 16
-# candidate (center, node) pairs per density block; bounds the scan's temporaries
+# (center, ring) pairs, or counted (center, node) pairs, per density block; bounds the scan's temporaries
 _PAIR_BLOCK = 1 << 20
-# squared-chord slack of the tree query, far above the rounding of c . u
-_CHORD_SLACK = 1e-12
+# polar-angle slack of a window's ring band: a node the float64 test counts lies
+# within radius + sqrt(2 * 1e-15) of the center, far inside radius + 1e-6
+_BAND_SLACK = 1e-6
 # cap radii probed by both ainfty_check and rhinfty_check, and the A_infinity beta grid
 _CHECK_RADII = (0.2, 0.5, 1.0)
 _AINFTY_BETAS = (0.5, 1.0, 2.0)
@@ -95,41 +95,105 @@ class WeightReport:
 
 
 def _center_blocks(counts: np.ndarray) -> list[tuple[int, int]]:
-    """Consecutive center ranges whose candidate-pair counts sum to at most
-    ``_PAIR_BLOCK``; each single count is at most ``_PAIR_BLOCK``."""
+    """Consecutive center ranges whose counts sum to at most ``_PAIR_BLOCK``,
+    or single centers whose count alone is larger."""
     csum = np.cumsum(counts)
     bounds = [0]
     while bounds[-1] < counts.shape[0]:
-        done = int(csum[bounds[-1] - 1]) if bounds[-1] else 0
-        bounds.append(int(np.searchsorted(csum, done + _PAIR_BLOCK, side="right")))
+        done = csum[bounds[-1] - 1] if bounds[-1] else 0
+        bounds.append(max(bounds[-1] + 1, int(np.searchsorted(csum, done + _PAIR_BLOCK, side="right"))))
     return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _ring_runs(c, rings, coords, n_phi, cos_w):
+    """``(first, count)`` of the run of longitudes each (center, ring) pair's
+    window holds: ``c`` holds the pairs' centers, ``rings`` their ring
+    indices and ``coords`` the rule's nodes, one row per coordinate.  The
+    run within arccos((cos_w - c_z t) / (rho_c s)) of the center's longitude
+    is a first guess; then each end takes in its outer neighbour while the
+    float64 test passes it and gives up its own node while the test fails
+    it, until neither end moves."""
+    d = coords.shape[0] - 1
+    base = rings * n_phi
+    num = cos_w - c[:, 2] * coords[2, base] if d == 2 else np.full(rings.size, cos_w)
+    den = np.hypot(c[:, 0], c[:, 1]) * coords[0, base]
+    # a center on the axis sees its whole ring at one dot product
+    q = np.divide(num, den, out=np.where(num > 0.0, np.inf, -np.inf), where=den > 0.0)
+    step = 2.0 * math.pi / n_phi
+    mid = np.arctan2(c[:, 1], c[:, 0]) / step
+    half = np.arccos(np.clip(q, -1.0, 1.0)) / step
+    first = np.ceil(mid - half).astype(np.int64)
+    count = np.minimum(np.floor(mid + half).astype(np.int64) - first + 1, n_phi)
+    c = c.T.copy()
+
+    def passes(live, k):
+        at = base[live] + k % n_phi
+        dots = c[0, live] * coords[0, at]
+        for j in range(1, d + 1):
+            dots += c[j, live] * coords[j, at]
+        return dots >= cos_w
+
+    live = np.arange(rings.size)
+    while live.size:
+        grow = (count[live] < n_phi) & passes(live, first[live] - 1)
+        first[live] -= grow
+        count[live] += grow
+        shrink = (count[live] > 0) & ~passes(live, first[live])
+        first[live] += shrink
+        count[live] -= shrink
+        grow_end = (count[live] < n_phi) & passes(live, first[live] + count[live])
+        count[live] += grow_end
+        shrink_end = (count[live] > 0) & ~passes(live, first[live] + count[live] - 1)
+        count[live] -= shrink_end
+        live = live[grow | shrink | grow_end | shrink_end]
+    return first, count
 
 
 def _local_masses(centers, rule, windows):
     """Per-center masses, one array per (values, radius) window: values summed over B(c, radius).
 
-    Node u counts for center c when c . u >= cos(radius) in float64; a radius
-    of pi or more takes the whole sphere.  A k-d tree over the nodes only
-    prunes: it hands over every node within the chord of the widest cap (with
-    slack for rounding), and the dot-product test decides each candidate pair.
+    Node u counts for center c when c . u >= cos(radius) in float64, the
+    products added in coordinate order; a radius of pi or more takes the
+    whole sphere.  ``rule`` must be a product rule (``ring_layout``; the
+    uniform rule on S^1 is one ring), else ValueError.  The nodes a cap holds
+    on one ring are a run of consecutive longitudes, found from its closed
+    form and settled by that same test at both ends (``_ring_runs``), so the
+    counted nodes are those an all-pairs scan counts whenever the nodes the
+    test passes on a ring are consecutive.  Only rings within the widest
+    radius of a center are visited.  A center's nodes are summed one after
+    another, ring by ring, so windows holding equally many equal-weight nodes
+    tie exactly.
     """
+    n_phi = ring_layout(rule)[1]
+    coords = np.ascontiguousarray(rule.nodes.T)
     cos_r = [math.cos(min(radius, math.pi)) for _, radius in windows]
-    reach = math.sqrt(2.0 - 2.0 * min(cos_r) + _CHORD_SLACK)
+    reach = min(max(radius for _, radius in windows), math.pi) + _BAND_SLACK
+    # polar angles, negated so that they ascend with the ring index
+    polar = -np.arctan2(coords[0, ::n_phi], coords[2, ::n_phi] if rule.d == 2 else 0.0)
+    c_polar = -np.arctan2(np.hypot(centers[:, 0], centers[:, 1]), centers[:, 2] if rule.d == 2 else 0.0)
+    lowest = np.searchsorted(polar, c_polar - reach)
+    band = np.searchsorted(polar, c_polar + reach, side="right") - lowest
     masses = [np.zeros(centers.shape[0]) for _ in windows]
-    # node chunks of at most _PAIR_BLOCK nodes cap every center's candidates
-    for n0 in range(0, rule.n_nodes, _PAIR_BLOCK):
-        nodes = rule.nodes[n0 : n0 + _PAIR_BLOCK]
-        tree = cKDTree(nodes)
-        counts = tree.query_ball_point(centers, reach, return_length=True)
-        for c0, c1 in _center_blocks(counts):
-            pairs = cKDTree(centers[c0:c1]).sparse_distance_matrix(tree, reach, output_type="ndarray")
-            ci, ni = pairs["i"], pairs["j"]
-            dots = np.take(centers[c0:c1, 0], ci) * np.take(nodes[:, 0], ni)
-            for k in range(1, centers.shape[1]):
-                dots += np.take(centers[c0:c1, k], ci) * np.take(nodes[:, k], ni)
-            for out, cos_w, (values, _) in zip(masses, cos_r, windows):
-                keep = dots >= cos_w
-                out[c0:c1] += np.bincount(ci[keep], weights=values[n0 + ni[keep]], minlength=c1 - c0)
+    for c0, c1 in _center_blocks(band):
+        owner = np.repeat(np.arange(c1 - c0), band[c0:c1])
+        pair_end = np.cumsum(band[c0:c1])
+        rings = lowest[c0:c1][owner] + np.arange(owner.size) - (pair_end - band[c0:c1])[owner]
+        pair_centers = centers[c0:c1][owner]
+        runs = {cos_w: _ring_runs(pair_centers, rings, coords, n_phi, cos_w) for cos_w in dict.fromkeys(cos_r)}
+        held = np.max([np.bincount(owner, weights=count, minlength=c1 - c0) for _, count in runs.values()], axis=0)
+        pair_end = np.concatenate([[0], pair_end])
+        for b0, b1 in _center_blocks(held):
+            p0, p1 = pair_end[b0], pair_end[b1]
+            for cos_w, (first, count) in runs.items():
+                count = count[p0:p1]
+                offset = np.cumsum(count) - count
+                k = np.repeat(first[p0:p1] - offset, count) + np.arange(int(count.sum()))
+                k %= n_phi
+                k += np.repeat(rings[p0:p1] * n_phi, count)
+                owners = np.repeat(owner[p0:p1] - b0, count)
+                for out, (values, _), cos_v in zip(masses, windows, cos_r):
+                    if cos_v == cos_w:
+                        out[c0 + b0 : c0 + b1] = np.bincount(owners, weights=values[k], minlength=b1 - b0)
     return masses
 
 
@@ -146,7 +210,8 @@ def density_profile(
     """Min over grid centers u of mu(E cap B(u, num_radius)) / mu(B(u, den_radius)).
 
     ``sampling`` sizes the center grid, refined until its spacing is below the
-    smaller window, and the rule unless one is given."""
+    smaller window, and the rule unless one is given.  A given rule must be a
+    product rule from ``build_quadrature`` (``ring_layout``), else ValueError."""
     d = rule_dim(d, rule)
     if L < 1:
         raise ValueError("degree must be >= 1")

@@ -26,8 +26,8 @@ from .errors import ResourceLimitError
 from .geometry import centers_per_great_circle, frame_at, uniform_circle
 from .sets import SetSpec, arc_list, membership, min_feature_scale
 
-__all__ = ["QuadratureRule", "Sampling", "build_quadrature", "cap_quadrature", "arc_quadrature", "rule_dim",
-           "DEFAULT_MAX_NODES", "SPACING_FACTOR"]
+__all__ = ["QuadratureRule", "Sampling", "build_quadrature", "cap_quadrature", "arc_quadrature", "ring_layout",
+           "rule_dim", "DEFAULT_MAX_NODES", "SPACING_FACTOR"]
 
 DEFAULT_MAX_NODES = 6_000_000
 # default node spacing: the smallest set feature (or window scale) over this factor
@@ -83,7 +83,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _ring_rule(a: float, n_t: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the zone z >= a of S^2: Gauss-Legendre in z on
     [a, 1] times n_phi equispaced longitudes from phi = 0, in ring-major order
-    (the layout ``basis.ring_factors`` reads)."""
+    (the layout ``ring_layout`` reads)."""
     x, wx = _gauss_legendre(n_t)
     t = 0.5 * (1.0 - a) * x + 0.5 * (1.0 + a)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
@@ -138,6 +138,29 @@ def build_quadrature(
         )
     nodes, weights = _ring_rule(-1.0, n_t, n_phi)
     return QuadratureRule(2, nodes, weights, min(2 * n_t - 1, n_phi - 1), {"n_t": n_t, "n_phi": n_phi})
+
+
+def ring_layout(rule: QuadratureRule) -> tuple[int, int]:
+    """``(n_rings, n_phi)`` of a product rule from ``build_quadrature``: rings
+    of n_phi longitudes 2 pi k / n_phi in ring-major order, one ring on S^1
+    and rings of fixed, increasing z on S^2.  The nodes are checked against
+    that layout exactly; any other rule is a ValueError."""
+    if rule.d == 1:
+        n_rings, n_phi = 1, rule.descriptor.get("n")
+    else:
+        n_rings, n_phi = rule.descriptor.get("n_t"), rule.descriptor.get("n_phi")
+    ok = n_rings is not None and n_phi is not None and n_rings * n_phi == rule.n_nodes
+    if ok:
+        rings = rule.nodes.reshape(n_rings, n_phi, rule.d + 1)
+        phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+        s = rings[:, :1, 0]
+        ok = (rings[..., 0] == s * np.cos(phi)).all() and (rings[..., 1] == s * np.sin(phi)).all()
+        if ok and rule.d == 2:
+            z = rings[..., 2]
+            ok = (z == z[:, :1]).all() and (np.diff(z[:, 0]) > 0.0).all()
+    if not ok:
+        raise ValueError("need a product rule from build_quadrature (rings of equispaced longitudes from phi = 0)")
+    return n_rings, n_phi
 
 
 def cap_quadrature(d: int, center, radius: float) -> QuadratureRule:

@@ -139,6 +139,23 @@ def test_config_hash_pins(text, digest):
     assert config_hash(parse_config(serialize_config(cfg))) == digest
 
 
+SUPNORM_WEIGHT_CONFIG = """
+d: 1
+L_list: [4]
+family: {kind: fixed, set: {kind: arcs, intervals: [[-1.2, 1.2]]}}
+functionals: [{name: supnorm, weight: %s}]
+"""
+
+
+def test_supnorm_weight_spellings_share_one_hash():
+    # the weight is written in its canonical form, as the config's own measure is
+    ints = parse_config(SUPNORM_WEIGHT_CONFIG % "{kind: power_distance, exponent: 2, pole: [1, 0]}")
+    floats = parse_config(SUPNORM_WEIGHT_CONFIG % "{kind: power_distance, exponent: 2.0, pole: [1.0, 0.0]}")
+    assert serialize_config(ints) == serialize_config(floats)
+    assert config_hash(ints) == config_hash(floats)
+    assert config_hash(parse_config(serialize_config(ints))) == config_hash(ints)
+
+
 _BAND = "{kind: band, axis: [0, 0, 1], lo: 0.0, hi: 1.0}"
 _SPEC_TEXT = """
 d: 2

@@ -1,5 +1,6 @@
 """The window kernels of functionals.py against direct references: the
-density masses against the all-pairs block scan they replaced, the
+density masses against an all-pairs block scan (on random rotations of the
+set and centers, and on the edge cases of the ring runs), the
 adversary's anchor against its own all-pairs scan, the Poisson scan against
 the closed-form kernel summed node by node, the pruned harmonic minimum
 against the full scan it replaced, the memory bound of the density blocks,
@@ -16,7 +17,7 @@ import spherenorms as sn
 from spherenorms import concentration as C
 from spherenorms import functionals as F
 from spherenorms.geometry import candidate_centers, random_rotation
-from spherenorms.quadrature import QuadratureRule
+from spherenorms.quadrature import QuadratureRule, arc_quadrature
 from spherenorms.sets import membership
 from spherenorms.special import sphere_measure
 
@@ -52,17 +53,16 @@ SETS = {
 def window_case(d, L, seed, empty=False):
     """Centers, rule and the (indicator-weighted, plain) node values of SETS[d].
 
-    The set with the rule, and the centers, take two random rotations.  The
-    dot product of a pair within a rounding of cos(radius) may round either
-    way in the two scans (a BLAS product against a per-pair one); rotating the
-    grids apart keeps exact alignments, such as the antipodal pairs of two
-    uniform circle grids at radius pi, out of these cases.  Exact ties are
-    tested with exactly representable products below."""
+    The set and the centers take two random rotations; the rule stays the
+    product rule the kernel needs.  The dot product of a pair within a
+    rounding of cos(radius) may round either way in the two scans (a BLAS
+    product against a per-pair one); rotating the centers keeps exact
+    alignments, such as the antipodal pairs of two uniform circle grids at
+    radius pi, out of these cases.  Exact ties are tested with exactly
+    representable products below."""
     rng = np.random.default_rng(seed)
-    R = random_rotation(d, rng)
-    E = sn.EmptySet() if empty else sn.rotate(SETS[d], R)
+    E = sn.EmptySet() if empty else sn.rotate(SETS[d], random_rotation(d, rng))
     rule = sn.build_quadrature(d, 0, max_spacing=0.4 / L)
-    rule = QuadratureRule(d, rule.nodes @ R.T, rule.weights, 0)
     centers = candidate_centers(d, L) @ random_rotation(d, rng).T
     den = rule.weights * (1.0 + rng.random(rule.n_nodes))
     num = den * membership(E, rule.nodes)
@@ -100,25 +100,139 @@ def test_local_masses_cases(d, num_radius, den_radius, empty):
         np.testing.assert_allclose(got[1], den.sum(), rtol=1e-12)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("radius", [2.0, 0.3, 1e-3, 1e-7, 3e-8])
-def test_local_masses_boundary_is_closed(d, radius):
-    # nodes at dot product exactly cos(radius) from the center count, and the
-    # next float below does not; the dot products are exact whatever the
-    # summation order, since the center is a coordinate axis.  At the tiny
-    # radii the rounding of the nodes' coordinates is not small against the
-    # chord, so the tree query finds the boundary nodes only with its slack
-    c = math.cos(radius)
-    dots = [c, np.nextafter(c, -2.0), np.nextafter(c, 2.0), 1.0, -1.0]
-    nodes = np.zeros((len(dots), d + 1))
-    nodes[:, 0] = dots
-    nodes[:, 1] = np.sqrt(1.0 - np.square(dots))
-    rule = QuadratureRule(d, nodes, np.array([1.0, 2.0, 4.0, 8.0, 16.0]), 0)
-    centers = np.eye(d + 1)[:1]
-    got = F._local_masses(centers, rule, [(rule.weights, radius), (rule.weights, 0.5 * radius)])
-    assert got[0][0] == 1.0 + 4.0 + 8.0
-    assert got[1][0] == 8.0
-    assert_masses_match(got, all_pairs_masses(centers, rule, rule.weights, rule.weights, radius, 0.5 * radius))
+def sphere_points(polar, azimuth):
+    """Points of S^2 at the given polar angles and azimuths (broadcast)."""
+    polar, azimuth = np.broadcast_arrays(np.asarray(polar, dtype=float), np.asarray(azimuth, dtype=float))
+    return np.stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)], axis=-1)
+
+
+EDGE_RULES = {1: sn.build_quadrature(1, 0, max_spacing=0.05), 2: sn.build_quadrature(2, 0, max_spacing=0.05)}
+
+
+def edge_case_masses(d, centers, num_radius, den_radius):
+    """The kernel's masses on EDGE_RULES[d] with SETS[d]'s values, checked
+    against the all-pairs scan; returns (num, den, num values, den values)."""
+    rule = EDGE_RULES[d]
+    den = rule.weights * (1.0 + np.random.default_rng(7).random(rule.n_nodes))
+    num = den * membership(SETS[d], rule.nodes)
+    got = F._local_masses(centers, rule, [(num, num_radius), (den, den_radius)])
+    assert_masses_match(got, all_pairs_masses(centers, rule, num, den, num_radius, den_radius))
+    return got[0], got[1], num, den
+
+
+@pytest.mark.parametrize("num_radius, den_radius", [(0.4, 0.15), (1.3, 0.05), (2.8, 0.6)])
+def test_local_masses_windows_wrapping_past_phi_zero(num_radius, den_radius):
+    # centers at and about azimuth 0 (and just below 2 pi): every window's run
+    # of longitudes crosses phi = 0 on each ring it holds
+    step = 2.0 * math.pi / EDGE_RULES[2].descriptor["n_phi"]
+    azimuths = [0.0, 0.02, -0.02, 0.5 * step, -0.5 * step, 2.0 * math.pi - 1e-9]
+    centers = sphere_points(np.array([0.3, 1.2, 0.5 * math.pi, 2.5])[:, None], azimuths).reshape(-1, 3)
+    edge_case_masses(2, centers, num_radius, den_radius)
+    circle = np.stack([np.cos(azimuths), np.sin(azimuths)], axis=1)
+    edge_case_masses(1, circle, num_radius, den_radius)
+
+
+@pytest.mark.parametrize("radius", [0.05, 0.3, 0.5 * math.pi, 2.9, math.pi])
+def test_local_masses_centers_on_the_axis_count_whole_rings(radius):
+    # at c = +-e_z every node of a ring has the same dot product, so each ring
+    # counts whole or not at all; the pole's longitude division must not warn
+    rule = EDGE_RULES[2]
+    n_phi = rule.descriptor["n_phi"]
+    centers = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, 0.0, 1.0]])
+    edge_case_masses(2, centers, radius, 0.5 * radius)
+    (held,) = F._local_masses(centers, rule, [(np.ones(rule.n_nodes), radius)])
+    assert np.all(held % n_phi == 0)
+    assert held[0] == held[2] == n_phi * np.count_nonzero(rule.nodes[::n_phi, 2] >= math.cos(radius))
+
+
+@pytest.mark.parametrize("num_radius, den_radius", [(math.pi, 3.5), (math.pi - 1e-3, math.pi - 0.05),
+                                                    (math.pi - 1e-9, 5.0)])
+def test_local_masses_near_and_past_the_antipode(num_radius, den_radius):
+    # at radius pi or more every ring is whole; just short of pi only the
+    # rings about the antipode lose a run of longitudes
+    for d in (1, 2):
+        centers = candidate_centers(d, 3) @ random_rotation(d, np.random.default_rng(d)).T
+        num, den, num_values, den_values = edge_case_masses(d, centers, num_radius, den_radius)
+        if den_radius >= math.pi:
+            np.testing.assert_allclose(den, den_values.sum(), rtol=1e-12)
+        assert np.all(num <= num_values.sum() * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["north-of-ring", "south-of-ring"])
+@pytest.mark.parametrize("ring, radius", [(3, 0.1), (31, 0.7), (59, 0.1)])
+def test_local_masses_ring_tangent_to_the_window_is_empty(side, ring, radius):
+    # the window's edge touches ring j at the center's longitude, which lies
+    # half a step between two nodes: the run on ring j is empty, and the rings
+    # beyond it are out of reach
+    rule = EDGE_RULES[2]
+    n_phi = rule.descriptor["n_phi"]
+    polar = math.atan2(rule.nodes[ring * n_phi, 0], rule.nodes[ring * n_phi, 2])
+    center = sphere_points(polar + side * radius, math.pi / n_phi)[None, :]
+    edge_case_masses(2, center, radius, 1.5 * radius)
+    on_ring = np.zeros(rule.n_nodes)
+    on_ring[ring * n_phi : (ring + 1) * n_phi] = 1.0
+    (held,) = F._local_masses(center, rule, [(on_ring, radius)])
+    assert held[0] == 0.0
+    (held,) = F._local_masses(center, rule, [(on_ring, radius + 1e-2)])
+    assert held[0] > 0.0
+
+
+def boundary_radii(coords, radius):
+    """For the node coordinate whose arccos is nearest ``radius`` and is the
+    cosine of some float64 radius: the smallest such radius r, the next radius
+    below it (whose cosine is larger) and the first radius above it whose
+    cosine is smaller."""
+    for level in coords[np.argsort(np.abs(np.arccos(coords) - radius))]:
+        below, above = [math.acos(level)], [math.acos(level)]
+        for _ in range(100):
+            below.append(np.nextafter(below[-1], 0.0))
+            above.append(np.nextafter(above[-1], 4.0))
+        exact = [r for r in below + above if math.cos(r) == level]
+        if exact:
+            r_out = r_past = exact[0]
+            while math.cos(r_out) == level:
+                r_out = np.nextafter(r_out, 0.0)
+            while math.cos(r_past) == level:
+                r_past = np.nextafter(r_past, 4.0)
+            return np.nextafter(r_out, 4.0), r_out, r_past
+    raise AssertionError("no node coordinate is the cosine of a float64 radius")
+
+
+@pytest.mark.parametrize("radius, d", [(2.0, 1), (2.0, 2), (0.3, 1), (0.3, 2), (1e-3, 1), (3.0, 1), (3.0, 2)])
+def test_local_masses_boundary_is_closed(radius, d):
+    # a center on a coordinate axis meets every node of a product rule at an
+    # exact dot product: e_z meets each ring of the S^2 rule at its z, e_x each
+    # node of the S^1 rule at its x.  A radius near ``radius`` whose cosine is
+    # exactly one of those coordinates counts the nodes there; the next radius
+    # below, with a larger cosine, drops them, and the next one above keeps
+    # them.  On S^1 the nodes at +-phi may differ in x by a rounding, so a run
+    # may be lopsided
+    rule = sn.build_quadrature(d, 0, max_spacing=min(0.1, radius))
+    axis = 2 if d == 2 else 0
+    coord = rule.nodes[:, axis]
+    radii = boundary_radii(np.unique(coord), radius)
+    center = np.eye(d + 1)[axis][None, :]
+    got = F._local_masses(center, rule, [(np.ones(rule.n_nodes), r) for r in radii])
+    for held, r in zip(got, radii):
+        assert held[0] == np.count_nonzero(coord >= math.cos(r))
+    assert got[1][0] < got[0][0] <= got[2][0]
+    got = F._local_masses(center, rule, [(rule.weights, radii[0]), (rule.weights, radii[1])])
+    assert_masses_match(got, all_pairs_masses(center, rule, rule.weights, rule.weights, radii[0], radii[1]))
+
+
+def test_density_of_a_rule_without_rings_is_refused():
+    # the window kernel reads rings of equispaced longitudes; a product rule
+    # turned off the pole, or one without a ring layout, is refused
+    E = sn.cap_set(sn.north_pole(2), 1.0)
+    rule = sn.build_quadrature(2, 0, max_spacing=0.2)
+    turned = QuadratureRule(2, rule.nodes @ random_rotation(2, np.random.default_rng(5)).T, rule.weights, 0,
+                            dict(rule.descriptor))
+    arcs = arc_quadrature(SETS[1], 8)
+    for bad in (turned, sn.cap_quadrature(2, sn.north_pole(2), 1.0)):
+        with pytest.raises(ValueError, match="product"):
+            sn.density_profile(E, sn.Lebesgue(), 4, 0.5, 0.5, rule=bad)
+    with pytest.raises(ValueError, match="product"):
+        sn.density_profile(SETS[1], sn.Lebesgue(), 4, 0.5, 0.5, rule=arcs)
 
 
 def test_density_blocks_stay_within_old_block(monkeypatch):
