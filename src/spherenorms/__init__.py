@@ -42,7 +42,6 @@ from .functionals import (
     rhinfty_check,
 )
 from .geometry import (
-    Cap,
     candidate_centers,
     cap_measure,
     covering_net,

@@ -18,7 +18,7 @@ from .basis import BasisSpec, basis_dim, basis_matrix, normalized_assoc_legendre
 from .concentration import lambda_min, sup_norm_ratio, sup_norm_ratios, uncertainty_check
 from .config import parse_config
 from .functionals import density_profile, regularize_set, relative_density, rhinfty_check
-from .geometry import candidate_centers, centers_per_great_circle, north_pole, random_points, south_pole
+from .geometry import candidate_centers, north_pole, random_points, south_pole
 from .measures import Lebesgue, PowerDistanceWeight
 from .quadrature import Sampling, build_quadrature
 from .sets import Arcs, CapUnion, EmptySet, FullSphere, cap_set, realize_family
@@ -278,7 +278,7 @@ class AcceptanceSuite:
             E = realize_family(fam, 2, L)
             spec = BasisSpec(2, L)
             # grid spacing below half the cap radius 0.5/L
-            grid = candidate_centers(2, L, centers_per_great_circle(L, window=0.25 / L))
+            grid = candidate_centers(2, Sampling().per_great_circle(L, window=0.25 / L))
             rng = np.random.default_rng([11, L])
             C = rng.standard_normal((basis_dim(spec), 50))
             mins_plain[L] = float(sup_norm_ratios(C, E, grid, spec=spec).min())
@@ -288,7 +288,7 @@ class AcceptanceSuite:
             ok &= good
             msgs.append(f"{tag} mins {mins[8]:.4f}/{mins[16]:.4f}/{mins[32]:.4f} (floor {mins[8] / 2:.4f}: {good})")
         E_cap = cap_set(north_pole(2), math.pi / 3)
-        grid = candidate_centers(2, 8, 96)
+        grid = candidate_centers(2, 96)
         ratios = {}
         for ell in (1, 3):
             Q = peak_polynomial(2, 8, ell, south_pole(2))

@@ -43,7 +43,7 @@ from .geometry import candidate_centers
 from .measures import Lebesgue, MeasureSpec, weight_values
 from .quadrature import QuadratureRule, Sampling, arc_quadrature, rule_dim
 from .sets import SetSpec, membership
-from .special import jacobi_eval, sphere_lambda
+from .special import peak_polynomial
 
 __all__ = [
     "ConcentrationReport",
@@ -114,22 +114,35 @@ def _node_basis(spec: BasisSpec, rule: QuadratureRule):
     return SimpleNamespace(forward=lambda c: B @ c, adjoint=lambda w: B.T @ w, half_factor=half_factor)
 
 
+def _degree_rule(E: SetSpec, spec: BasisSpec, rule: QuadratureRule | None) -> QuadratureRule:
+    """``rule``, or ``Sampling().rule(E, d, 2L)`` when it is None; ValueError
+    unless it integrates degree 2L exactly."""
+    rule = Sampling().rule(E, spec.d, 2 * spec.L) if rule is None else rule
+    if rule.exact_degree < 2 * spec.L:
+        raise ValueError("rule exactness must reach degree 2L for the polynomial part")
+    return rule
+
+
+def _coefficients(coeffs, spec: BasisSpec | None, columns: bool = False) -> np.ndarray:
+    """``coeffs`` in float64: a vector over ``spec``'s basis or, with
+    ``columns``, one column per polynomial (a vector is one column); else ValueError."""
+    c = np.asarray(coeffs, dtype=float)
+    c = c[:, None] if columns and c.ndim == 1 else c
+    if spec is None or c.ndim != 1 + columns or c.shape[0] != basis_dim(spec):
+        raise ValueError("coefficients need one row per basis function")
+    return c
+
+
 def _half_factors(E: SetSpec, mu: MeasureSpec, spec: BasisSpec, rule: QuadratureRule | None, full: bool = True):
     """``(rule, R_E, R_full)``: the rule a Gram over E is built from and the
     half-factors with G_X = R_X^T R_X.
 
     On S^1 under the plain measure the rule is Gauss-Legendre on E's arcs
-    (exact, so it replaces any given rule); else it is ``rule`` or
-    ``Sampling().rule(E, d, 2L)``, and must integrate degree 2L exactly.
+    (exact, so it replaces any given rule); else it is ``_degree_rule``'s.
     ``R_full`` is None under the plain measure, whose full Gram is then the
     identity, and when ``full`` is false.  The full sphere is factored before
     E, which keeps peak memory down on weighted d=2 rules."""
-    if spec.d == 1 and isinstance(mu, Lebesgue):
-        rule = arc_quadrature(E, 2 * spec.L)
-    else:
-        rule = Sampling().rule(E, spec.d, 2 * spec.L) if rule is None else rule
-        if rule.exact_degree < 2 * spec.L:
-            raise ValueError("rule exactness must reach degree 2L for the polynomial part")
+    rule = arc_quadrature(E, 2 * spec.L) if spec.d == 1 and isinstance(mu, Lebesgue) else _degree_rule(E, spec, rule)
     basis = _node_basis(spec, rule)
     a = rule.weights * weight_values(mu, rule.nodes)
     R_full = basis.half_factor(a) if full and not isinstance(mu, Lebesgue) else None
@@ -221,12 +234,10 @@ def lp_ratio(
 
     At p = 2 this is the Rayleigh quotient |R_E c|^2 / |R_full c|^2 of the
     pencil ``lambda_min`` solves, from the same half-factors on the same rule;
-    other p sum |Q|^p on ``rule`` or ``Sampling().rule(E, d, 2L)``."""
+    other p sum |Q|^p on ``_degree_rule``'s rule (exact to degree 2L), masked by E."""
     if not (1.0 <= p < math.inf):
         raise ValueError("p must lie in [1, infinity)")
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (basis_dim(spec),):
-        raise ValueError("coefficient vector has the wrong length")
+    c = _coefficients(coeffs, spec)
     if not np.all(np.isfinite(c)) or np.linalg.norm(c) == 0.0:
         raise ValueError("zero or non-finite polynomial")
     if p == 2.0:
@@ -234,8 +245,7 @@ def lp_ratio(
         e, f = R_E @ c, (c if R_full is None else R_full @ c)
         num, den = float(e @ e), float(f @ f)
     else:
-        if rule is None:
-            rule = Sampling().rule(E, spec.d, 2 * spec.L)
+        rule = _degree_rule(E, spec, rule)
         vp = np.abs(_node_basis(spec, rule).forward(c)) ** p
         a = rule.weights * weight_values(mu, rule.nodes)
         num, den = float((a * rule.inside(E)) @ vp), float(a @ vp)
@@ -274,23 +284,25 @@ def worst_case_lp(
 
     At p = 2 the ratio is the Rayleigh quotient of the pencil (G_E, G_full), so
     the value and witness are ``lambda_min``'s, with no search.  Otherwise the
-    result is the best ratio found on the masked degree-2L rule, not a bound on
-    the true minimum: projected descent (L-BFGS on the scale-invariant ratio)
-    from structured starts -- the projection kernel peaked at the thinnest spot
-    of E and a squared zonal peak -- plus seeded random coefficient vectors,
-    with the objective evaluations counted.  The basis is applied as
-    in every concentration function (``_node_basis``).
+    result is the best ratio found on the masked rule (``_degree_rule``: exact
+    to degree 2L), not a bound on the true minimum: projected descent (L-BFGS
+    on the scale-invariant ratio) from exactly ``restarts`` starts -- first
+    the projection kernel peaked at the thinnest spot of E, then a squared
+    zonal peak there, then seeded random coefficient vectors -- with the
+    objective evaluations counted.  The basis is applied as in every
+    concentration function (``_node_basis``).
     """
     if not (1.0 <= p < math.inf):
         raise ValueError("p must lie in [1, infinity)")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     if p == 2.0:
         rep = lambda_min(E, mu, L, rule=rule, d=d)
         return PnormReport(value=rep.lambda_min, witness=rep.witness, restarts=(rep.lambda_min,), seed=seed)
     d = rule_dim(d, rule)
     spec = BasisSpec(d, L)
     N = basis_dim(spec)
-    if rule is None:
-        rule = Sampling().rule(E, d, 2 * L)
+    rule = _degree_rule(E, spec, rule)
     basis = _node_basis(spec, rule)
     mask = rule.inside(E)
     a_full = rule.weights * weight_values(mu, rule.nodes)
@@ -298,10 +310,9 @@ def worst_case_lp(
 
     rng = np.random.default_rng(seed)
     anchor = _thin_density_center(spec, rule, mask)
-    # the projection kernel and the squared zonal peak, both centered at the anchor
+    # the projection kernel and the squared zonal peak, both centered at the anchor, then random vectors
     starts = [basis_matrix(spec, anchor[None, :])[0], _zonal_peak_start(spec, rule, anchor, basis.adjoint)]
-    while len(starts) < restarts:
-        starts.append(rng.standard_normal(N))
+    starts = starts[:restarts] + [rng.standard_normal(N) for _ in range(restarts - 2)]
 
     best_val, best_c, finals, evals = math.inf, None, [], 0
     for c0 in starts:
@@ -328,7 +339,7 @@ def _thin_density_center(spec: BasisSpec, rule: QuadratureRule, mask: np.ndarray
     candidate grid: the natural anchor for the peaked adversary starts."""
     if not mask.any() or mask.all():
         return rule.nodes[0]
-    centers = candidate_centers(spec.d, spec.L, 4 * max(spec.L, 3))
+    centers = candidate_centers(spec.d, 4 * max(spec.L, 3))
     r = 2.0 / max(spec.L, 1)
     ind = mask.astype(float) * rule.weights
     (mass,) = _local_masses(centers, rule, [(ind, r)])
@@ -336,13 +347,11 @@ def _thin_density_center(spec: BasisSpec, rule: QuadratureRule, mask: np.ndarray
 
 
 def _zonal_peak_start(spec: BasisSpec, rule: QuadratureRule, center: np.ndarray, adjoint) -> np.ndarray:
-    """Squared zonal peak at ``center``, projected onto the basis (degree <= L)
-    through ``adjoint(w) = B.T @ w`` on the rule's nodes."""
-    half = max(1, spec.L // 2)
-    lam = sphere_lambda(spec.d)
-    t = np.clip(rule.nodes @ center, -1.0, 1.0)
-    vals = jacobi_eval(half, 1.0 + lam, lam, t) ** 2
-    return adjoint(rule.weights * vals)
+    """Squared zonal peak at ``center`` (``peak_polynomial`` of base degree
+    max(1, L // 2)), projected onto the basis (degree <= L) through
+    ``adjoint(w) = B.T @ w`` on the rule's nodes."""
+    peak = peak_polynomial(spec.d, max(1, spec.L // 2), 2, center)
+    return adjoint(rule.weights * peak(rule.nodes))
 
 
 def uncertainty_check(
@@ -362,9 +371,7 @@ def uncertainty_check(
     """
     if tail_norm_sq < 0:
         raise ValueError("tail energy must be nonnegative")
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (basis_dim(spec),):
-        raise ValueError("coefficient vector has the wrong length")
+    c = _coefficients(coeffs, spec)
     head_sq = float(c @ c)
     if head_sq == 0.0 and tail_norm_sq == 0.0:
         raise ValueError("zero function")
@@ -377,9 +384,23 @@ def uncertainty_check(
     return (head_sq + tail_norm_sq) / denom
 
 
-def _sup_ratios(E: SetSpec, grid: np.ndarray, weight: MeasureSpec | None, values) -> np.ndarray:
-    """Per column of ``values(points)`` (one row per point): max over grid nodes
-    in E of |V| w over max over all grid nodes of |V| w, one grid chunk at a time."""
+def sup_norm_ratios(
+    Q,
+    E: SetSpec,
+    grid: np.ndarray,
+    weight: MeasureSpec | None = None,
+    spec: BasisSpec | None = None,
+) -> np.ndarray:
+    """Per polynomial, (max over grid nodes in E of |Q| w) / (max over all grid
+    nodes of |Q| w); raises if no grid node lands in E.
+
+    ``Q`` is a callable on point arrays or coefficient columns over ``spec``'s
+    basis (dim x k; a vector is one column).  The basis is evaluated once per
+    grid chunk, so scoring many random polynomials costs little more than
+    scoring one.
+    """
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    C = None if callable(Q) else _coefficients(Q, spec, columns=True)
     mask = membership(E, grid)
     if not mask.any():
         raise EmptyIntersectionError("no evaluation node lies inside the set")
@@ -391,7 +412,9 @@ def _sup_ratios(E: SetSpec, grid: np.ndarray, weight: MeasureSpec | None, values
     top = top_E = 0.0
     for i0 in range(0, grid.shape[0], _NODE_CHUNK):
         sl = slice(i0, min(i0 + _NODE_CHUNK, grid.shape[0]))
-        vals = np.abs(values(grid[sl]))
+        pts = grid[sl]
+        V = np.asarray(Q(pts), dtype=float).reshape(len(pts), 1) if C is None else basis_matrix(spec, pts) @ C
+        vals = np.abs(V)
         if w is not None:
             vals *= w[sl][:, None]
         top = np.maximum(top, vals.max(axis=0))
@@ -403,27 +426,6 @@ def _sup_ratios(E: SetSpec, grid: np.ndarray, weight: MeasureSpec | None, values
     return top_E / top
 
 
-def sup_norm_ratios(
-    coeffs: np.ndarray,
-    E: SetSpec,
-    grid: np.ndarray,
-    weight: MeasureSpec | None = None,
-    spec: BasisSpec | None = None,
-) -> np.ndarray:
-    """Batched sup-norm ratios: one column of ``coeffs`` (dim x k) per polynomial.
-
-    Evaluates the basis once per grid chunk, so scoring many random polynomials
-    costs little more than scoring one.
-    """
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    C = np.asarray(coeffs, dtype=float)
-    if C.ndim == 1:
-        C = C[:, None]
-    if spec is None or C.shape[0] != basis_dim(spec):
-        raise ValueError("coefficient columns must match the basis dimension")
-    return _sup_ratios(E, grid, weight, lambda pts: basis_matrix(spec, pts) @ C)
-
-
 def sup_norm_ratio(
     Q,
     E: SetSpec,
@@ -431,12 +433,6 @@ def sup_norm_ratio(
     weight: MeasureSpec | None = None,
     spec: BasisSpec | None = None,
 ) -> float:
-    """(max over grid nodes in E of |Q| w) / (max over all grid nodes of |Q| w).
-
-    ``Q`` is either a callable on point arrays or a coefficient vector (then
-    ``spec`` identifies the basis).  Raises if no grid node lands in E.
-    """
-    if not callable(Q):
-        return float(sup_norm_ratios(Q, E, grid, weight=weight, spec=spec)[0])
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    return float(_sup_ratios(E, grid, weight, lambda pts: np.asarray(Q(pts), dtype=float).reshape(len(pts), 1))[0])
+    """The first ratio of ``sup_norm_ratios``: one polynomial ``Q``, a
+    callable on point arrays or a coefficient vector over ``spec``'s basis."""
+    return float(sup_norm_ratios(Q, E, grid, weight=weight, spec=spec)[0])

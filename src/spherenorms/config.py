@@ -120,7 +120,7 @@ def _supnorm(cfg, E, L, params, rule):
     spec = BasisSpec(cfg.d, L)
     rng = np.random.default_rng([cfg.seed, L])
     # the center grid, refined until it resolves E's smallest feature
-    grid = candidate_centers(cfg.d, L, cfg.sampling.per_great_circle(L, window=min_feature_scale(E) / 2.0))
+    grid = candidate_centers(cfg.d, cfg.sampling.per_great_circle(L, window=min_feature_scale(E) / 2.0))
     C = rng.standard_normal((basis_dim(spec), int(params["samples"])))
     worst = float(sup_norm_ratios(C, E, grid, weight=params["weight"], spec=spec).min())
     return worst, f"samples={params['samples']};grid={grid.shape[0]}"

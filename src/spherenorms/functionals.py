@@ -221,7 +221,7 @@ def density_profile(
     resolution = sampling.per_great_circle(L, window=scale)
     if rule is None:
         rule = sampling.rule(E, d, window=scale)
-    centers = candidate_centers(d, L, resolution)
+    centers = candidate_centers(d, resolution)
     den_vals = rule.weights * weight_values(mu, rule.nodes)
     num, den = _local_masses(centers, rule, [(den_vals * rule.inside(E), num_radius), (den_vals, den_radius)])
     if np.any(den <= 0.0):
@@ -330,7 +330,7 @@ def harmonic_infimum(
     resolution = sampling.per_great_circle(L)
     if rule is None:
         rule = sampling.rule(E, d, window=1.0 / L)
-    centers = candidate_centers(d, L, resolution)
+    centers = candidate_centers(d, resolution)
     mask = rule.inside(E)
     grid = {"per_great_circle": resolution, "n_centers": centers.shape[0], "rule": dict(rule.descriptor)}
     if not mask.any():

@@ -1,9 +1,8 @@
-"""Points, geodesic distance, caps, rotations, and center grids on S^1 and S^2."""
+"""Points, geodesic distance, cap measures, rotations, and center grids on S^1 and S^2."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -17,7 +16,6 @@ __all__ = [
     "normalize",
     "assert_unit",
     "geodesic_distance",
-    "Cap",
     "cap_measure",
     "random_points",
     "check_orthogonal",
@@ -27,7 +25,6 @@ __all__ = [
     "frame_at",
     "fibonacci_lattice",
     "uniform_circle",
-    "centers_per_great_circle",
     "candidate_centers",
     "covering_net",
     "angle_of",
@@ -72,19 +69,6 @@ def geodesic_distance(u, v):
     v = np.asarray(v, dtype=float)
     t = np.clip(np.sum(u * v, axis=-1), -1.0, 1.0)
     return np.arccos(t)
-
-
-@dataclass(frozen=True, eq=False)
-class Cap:
-    """Closed geodesic cap of the given center and angular radius in (0, pi]."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        assert_unit(self.center)
-        if not (0.0 < self.radius <= math.pi):
-            raise ValueError(f"cap radius must lie in (0, pi], got {self.radius}")
 
 
 def cap_measure(d: int, radius: float) -> float:
@@ -178,25 +162,12 @@ def uniform_circle(n: int) -> np.ndarray:
     return np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
 
-def centers_per_great_circle(L: int, requested: int | None = None, window: float | None = None) -> int:
-    """Points per great circle of a center grid: ``requested`` (default 6L),
-    raised to ceil(2 pi / window) + 1 when a window is given, so that the grid
-    spacing stays below the window."""
-    n = 6 * max(L, 1) if requested is None else requested
-    if window is not None:
-        n = max(n, math.ceil(2.0 * math.pi / window) + 1)
-    return n
-
-
-def candidate_centers(d: int, L: int, per_great_circle: int | None = None) -> np.ndarray:
-    """Grid of candidate centers for infima over u in S^d.
-
-    Resolution is expressed as points per great circle (default
-    ``centers_per_great_circle(L)``); for d=2 a Fibonacci lattice with the
-    matching areal density is used.
+def candidate_centers(d: int, per_great_circle: int) -> np.ndarray:
+    """Grid of candidate centers for infima over u in S^d, with
+    ``per_great_circle`` points per great circle (``Sampling.per_great_circle``
+    sizes a sweep's grids); for d=2 a Fibonacci lattice with the matching
+    areal density is used.
     """
-    if per_great_circle is None:
-        per_great_circle = centers_per_great_circle(L)
     if per_great_circle < 3:
         raise ValueError("need at least 3 points per great circle")
     if d == 1:

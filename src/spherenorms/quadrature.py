@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ResourceLimitError
-from .geometry import centers_per_great_circle, frame_at, uniform_circle
+from .geometry import frame_at, uniform_circle
 from .sets import SetSpec, arc_list, membership, min_feature_scale
 
 __all__ = ["QuadratureRule", "Sampling", "build_quadrature", "cap_quadrature", "arc_quadrature", "ring_layout",
@@ -242,8 +242,11 @@ class Sampling:
                                 max_spacing=spacing, max_nodes=self.max_nodes)
 
     def per_great_circle(self, L: int, window: float | None = None) -> int:
-        """Points per great circle of the center grid at degree L."""
-        return centers_per_great_circle(L, self.per_great_circle_factor * L, window)
+        """Points per great circle of the center grid at degree L:
+        ``per_great_circle_factor`` L, raised to ceil(2 pi / window) + 1 when a
+        window is given, so that the grid spacing stays below the window."""
+        n = self.per_great_circle_factor * L
+        return n if window is None else max(n, math.ceil(2.0 * math.pi / window) + 1)
 
 
 def rule_dim(d: int | None, rule: QuadratureRule | None) -> int:

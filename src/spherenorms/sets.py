@@ -146,21 +146,27 @@ def random_cap_union(d: int, count: int, radius: float, seed: int) -> CapUnion:
 
 
 def _caps_member(spec: CapUnion, pts: np.ndarray, strict: bool) -> np.ndarray:
+    """Point u is in the cap (c, r) when c . u >= cos r in float64, the
+    products added in coordinate order: the window kernel's test
+    (``functionals._local_masses``).  From ``_TREE_MIN_CAPS`` caps on, a k-d
+    tree picks each point's nearest center per radius and that test decides,
+    so adding caps far from a point does not change its answer."""
+    def hit(c, u, cos_r):
+        dots = c[..., 0] * u[..., 0]
+        for j in range(1, u.shape[-1]):
+            dots += c[..., j] * u[..., j]
+        return dots > cos_r if strict else dots >= cos_r
+
     n, k = pts.shape[0], spec.centers.shape[0]
+    cos_r = np.array([math.cos(r) for r in spec.radii])
     out = np.zeros(n, dtype=bool)
     if k >= _TREE_MIN_CAPS:
-        for r in np.unique(spec.radii):
-            sel = spec.radii == r
-            tree = cKDTree(spec.centers[sel])
-            chord, _ = tree.query(pts, k=1)
-            lim = 2.0 * math.sin(min(r, math.pi) / 2.0)
-            out |= (chord < lim) if strict else (chord <= lim)
+        for lim in np.unique(cos_r):
+            centers = spec.centers[cos_r == lim]
+            out |= hit(centers[cKDTree(centers).query(pts, k=1)[1]], pts, lim)
         return out
-    cos_r = np.cos(spec.radii)
     for i0 in range(0, n, 8192):
-        t = pts[i0 : i0 + 8192] @ spec.centers.T
-        hit = (t > cos_r) if strict else (t >= cos_r)
-        out[i0 : i0 + 8192] = hit.any(axis=1)
+        out[i0 : i0 + 8192] = hit(spec.centers, pts[i0 : i0 + 8192, None, :], cos_r).any(axis=1)
     return out
 
 

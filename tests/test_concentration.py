@@ -273,6 +273,45 @@ def test_worst_case_p4_decreases_with_degree():
     assert vals[2] > 1e-4
 
 
+def test_every_p_needs_a_rule_exact_to_degree_2L():
+    # at p = 2 and at p = 3 alike, a 5-node rule cannot stand in for degree 16
+    E = sn.Arcs([[-1.2, 1.2], [2.0, 3.4]])
+    mu = sn.PowerDistanceWeight(2.0, np.array([1.0, 0.0]))
+    rule = sn.build_quadrature(1, 4)
+    spec = sn.BasisSpec(1, 8)
+    c = np.random.default_rng(26).standard_normal(sn.basis_dim(spec))
+    for p in (2.0, 3.0):
+        with pytest.raises(ValueError, match="degree 2L"):
+            sn.lp_ratio(c, E, mu, p, spec, rule)
+        with pytest.raises(ValueError, match="degree 2L"):
+            sn.worst_case_lp(E, mu, 8, p=p, restarts=3, rule=rule, d=1)
+    with pytest.raises(ValueError, match="degree 2L"):
+        sn.worst_case_lp(E, sn.Lebesgue(), 8, p=3.0, restarts=3, rule=rule, d=1)
+
+
+def test_restarts_count_every_start():
+    E = sn.Arcs([[-1.2, 1.2], [2.0, 3.4]])
+    one = sn.worst_case_lp(E, sn.Lebesgue(), 6, p=3.0, restarts=1, seed=5, d=1)
+    three = sn.worst_case_lp(E, sn.Lebesgue(), 6, p=3.0, restarts=3, seed=5, d=1)
+    assert len(one.restarts) == 1 and len(three.restarts) == 3
+    # the first start is the projection kernel in both runs
+    assert one.restarts == three.restarts[:1]
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="restarts"):
+            sn.worst_case_lp(E, sn.Lebesgue(), 6, p=3.0, restarts=bad, d=1)
+
+
+@pytest.mark.parametrize("d, L", [(1, 1), (1, 5), (2, 6)])
+def test_zonal_start_is_the_projected_squared_peak(d, L):
+    spec = sn.BasisSpec(d, L)
+    rule = sn.build_quadrature(d, 2 * L, oversample=2.0)
+    center = sn.random_points(d, 1, np.random.default_rng(27))[0]
+    B = sn.basis_matrix(spec, rule.nodes)
+    got = concentration._zonal_peak_start(spec, rule, center, lambda w: B.T @ w)
+    peak = sn.peak_polynomial(d, max(1, L // 2), 2, center)
+    np.testing.assert_array_equal(got, B.T @ (rule.weights * peak(rule.nodes)))
+
+
 def test_uncertainty_trivials():
     spec = sn.BasisSpec(2, 6)
     rule = sn.build_quadrature(2, 12)
@@ -314,7 +353,7 @@ def test_sup_norm_trivials():
     spec = sn.BasisSpec(2, 5)
     rng = np.random.default_rng(24)
     c = rng.standard_normal(36)
-    grid = sn.candidate_centers(2, 5, 64)
+    grid = sn.candidate_centers(2, 64)
     assert sn.sup_norm_ratio(c, sn.FullSphere(), grid, spec=spec) == 1.0
     with pytest.raises(EmptyIntersectionError):
         sn.sup_norm_ratio(c, sn.EmptySet(), grid, spec=spec)
@@ -323,10 +362,30 @@ def test_sup_norm_trivials():
 def test_sup_norm_peak_decay():
     N = sn.north_pole(2)
     E = sn.cap_set(N, math.pi / 3)
-    grid = sn.candidate_centers(2, 8, 96)
+    grid = sn.candidate_centers(2, 96)
     r1 = sn.sup_norm_ratio(sn.peak_polynomial(2, 8, 1, -N), E, grid)
     r3 = sn.sup_norm_ratio(sn.peak_polynomial(2, 8, 3, -N), E, grid)
     assert r1 / r3 >= 5.0
+
+
+def test_sup_norm_ratios_take_a_callable():
+    N = sn.north_pole(2)
+    E = sn.cap_set(N, math.pi / 3)
+    grid = sn.candidate_centers(2, 96)
+    Q = sn.peak_polynomial(2, 8, 1, -N)
+    got = sn.sup_norm_ratios(Q, E, grid)
+    assert got.shape == (1,)
+    assert got[0] == sn.sup_norm_ratio(Q, E, grid)
+    # a callable and the coefficient columns of the same polynomials agree
+    spec = sn.BasisSpec(2, 5)
+    C = np.random.default_rng(28).standard_normal((sn.basis_dim(spec), 3))
+    from_columns = sn.sup_norm_ratios(C, E, grid, spec=spec)
+    for j in range(3):
+        ratio = sn.sup_norm_ratios(lambda pts: sn.basis_matrix(spec, pts) @ C[:, j], E, grid)
+        assert ratio[0] == pytest.approx(from_columns[j], rel=1e-12)
+        assert sn.sup_norm_ratio(C[:, j], E, grid, spec=spec) == pytest.approx(from_columns[j], rel=1e-12)
+    with pytest.raises(ValueError, match="one row per basis function"):
+        sn.sup_norm_ratios(C[:-1], E, grid, spec=spec)
 
 
 def test_sup_norm_weighted():
@@ -334,6 +393,6 @@ def test_sup_norm_weighted():
     spec = sn.BasisSpec(2, 5)
     rng = np.random.default_rng(25)
     c = rng.standard_normal(36)
-    grid = sn.candidate_centers(2, 5, 64)
+    grid = sn.candidate_centers(2, 64)
     val = sn.sup_norm_ratio(c, sn.cap_set(sn.north_pole(2), 1.5), grid, weight=w, spec=spec)
     assert 0.0 <= val <= 1.0

@@ -150,7 +150,7 @@ def test_harmonic_infimum_matches_funk_hecke_series(L):
     rule = cap_quadrature(2, n, 1.0)
     assert sn.membership(E, rule.nodes).all()
     rep = sn.harmonic_infimum(E, L, rule=rule)
-    centers = candidate_centers(2, L, rep.resolution["per_great_circle"])
+    centers = candidate_centers(2, rep.resolution["per_great_circle"])
     want = float(funk_hecke_cap_harmonic(centers, n, 1.0, 1.0 - 1.0 / L).min())
     assert abs(rep.delta_hat - want) <= 1e-12 * want
 

@@ -11,7 +11,6 @@ from spherenorms import geometry
 from spherenorms.errors import NetConstructionError
 from spherenorms.geometry import (
     apply_rotation,
-    centers_per_great_circle,
     covering_net,
     frame_at,
     rotation_taking,
@@ -61,13 +60,6 @@ def test_cap_measure_additivity():
             lhs = sn.cap_measure(d, math.pi) - sn.cap_measure(d, delta)
             rhs = sn.cap_measure(d, math.pi - delta)
             assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_cap_validation():
-    with pytest.raises(ValueError):
-        sn.Cap(np.array([0.0, 0.0, 2.0]), 0.5)
-    with pytest.raises(ValueError):
-        sn.Cap(sn.north_pole(2), 0.0)
 
 
 def test_rotation_identity_and_orthogonality_guard():
@@ -123,16 +115,16 @@ def test_random_points_on_sphere():
 
 
 def test_candidate_centers_resolution():
-    pts = sn.candidate_centers(1, 8)
+    pts = sn.candidate_centers(1, 48)
     assert pts.shape == (48, 2)
-    pts2 = sn.candidate_centers(2, 8)
+    pts2 = sn.candidate_centers(2, 48)
     h = 2 * math.pi / 48
     assert pts2.shape[0] == math.ceil(4 * math.pi / h**2)
-    # a requested count is a floor that a window raises until the spacing is below it
-    assert centers_per_great_circle(8) == 48
-    assert centers_per_great_circle(8, 24) == 24
-    assert centers_per_great_circle(8, 24, window=0.125) == 52 > 2 * math.pi / 0.125
-    assert centers_per_great_circle(8, window=1.0) == 48
+    # factor * L points, a floor that a window raises until the spacing is below it
+    assert sn.Sampling().per_great_circle(8) == 48
+    assert sn.Sampling(per_great_circle_factor=3).per_great_circle(8) == 24
+    assert sn.Sampling(per_great_circle_factor=3).per_great_circle(8, window=0.125) == 52 > 2 * math.pi / 0.125
+    assert sn.Sampling().per_great_circle(8, window=1.0) == 48
 
 
 def test_covering_net_covers():

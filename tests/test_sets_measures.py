@@ -69,6 +69,37 @@ def test_membership_tree_path_matches_dense():
     assert (got == expected).all()
 
 
+def test_cap_union_validation():
+    N = sn.north_pole(2)
+    for radius in (0.0, -0.5, math.pi + 1e-9):
+        with pytest.raises(ValueError, match="radii"):
+            sn.CapUnion(N, radius)
+    with pytest.raises(ValueError, match="one radius per cap"):
+        sn.CapUnion(np.stack([N, -N]), np.array([0.5]))
+
+
+def test_cap_edges_do_not_depend_on_far_caps():
+    # points within 3e-16 rad of a cap's edge get the same answer from the cap
+    # alone (dense path) and with 63 far, disjoint caps added (k-d tree path)
+    rng = np.random.default_rng(17)
+    ring = 2.0 * math.pi * np.arange(63) / 63
+    for _ in range(200):
+        R = sn.random_rotation(2, rng)
+        c, e1, e2 = R[:, 2], R[:, 0], R[:, 1]
+        r = float(rng.uniform(0.01, 1.4))
+        phi = rng.uniform(0.0, 2.0 * math.pi, 2000)
+        ang = r + rng.uniform(-3e-16, 3e-16, 2000)
+        tangent = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
+        pts = np.cos(ang)[:, None] * c + np.sin(ang)[:, None] * tangent
+        # radius-0.01 caps 0.3 rad from the antipode, 0.03 apart: far from the cap and from each other
+        far = -math.cos(0.3) * c + math.sin(0.3) * (np.cos(ring)[:, None] * e1 + np.sin(ring)[:, None] * e2)
+        alone = sn.membership(sn.CapUnion(c[None, :], np.array([r])), pts)
+        crowded = sn.CapUnion(np.vstack([c, far]), np.concatenate([[r], np.full(63, 0.01)]))
+        np.testing.assert_array_equal(sn.membership(crowded, pts), alone)
+        # the window kernel's test, products added in coordinate order
+        np.testing.assert_array_equal(alone, pts[:, 0] * c[0] + pts[:, 1] * c[1] + pts[:, 2] * c[2] >= math.cos(r))
+
+
 def test_arc_reduction_merges():
     # two overlapping caps on the circle merge into one arc
     c1 = np.array([1.0, 0.0])

@@ -205,7 +205,7 @@ def test_peak_polynomial_values():
 def test_peak_polynomial_argmax_at_pole():
     N = sn.north_pole(2)
     Q = sn.peak_polynomial(2, 8, 2, N)
-    grid = sn.candidate_centers(2, 8, 96)
+    grid = sn.candidate_centers(2, 96)
     vals = np.abs(Q(grid))
     best = grid[int(np.argmax(vals))]
     assert sn.geodesic_distance(best, N) < 0.1

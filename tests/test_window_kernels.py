@@ -63,7 +63,7 @@ def window_case(d, L, seed, empty=False):
     rng = np.random.default_rng(seed)
     E = sn.EmptySet() if empty else sn.rotate(SETS[d], random_rotation(d, rng))
     rule = sn.build_quadrature(d, 0, max_spacing=0.4 / L)
-    centers = candidate_centers(d, L) @ random_rotation(d, rng).T
+    centers = candidate_centers(d, 6 * L) @ random_rotation(d, rng).T
     den = rule.weights * (1.0 + rng.random(rule.n_nodes))
     num = den * membership(E, rule.nodes)
     return centers, rule, num, den
@@ -151,7 +151,7 @@ def test_local_masses_near_and_past_the_antipode(num_radius, den_radius):
     # at radius pi or more every ring is whole; just short of pi only the
     # rings about the antipode lose a run of longitudes
     for d in (1, 2):
-        centers = candidate_centers(d, 3) @ random_rotation(d, np.random.default_rng(d)).T
+        centers = candidate_centers(d, 18) @ random_rotation(d, np.random.default_rng(d)).T
         num, den, num_values, den_values = edge_case_masses(d, centers, num_radius, den_radius)
         if den_radius >= math.pi:
             np.testing.assert_allclose(den, den_values.sum(), rtol=1e-12)
@@ -254,7 +254,7 @@ def test_density_blocks_stay_within_old_block(monkeypatch):
     rep = sn.density_profile(E, sn.Lebesgue(), 2, 2.5, 2.5, rule=rule)
     assert len(blocks) > 1 and sum(blocks) > F._PAIR_BLOCK
     assert max(blocks) <= F._PAIR_BLOCK <= OLD_BLOCK
-    centers = candidate_centers(2, 2, rep.resolution["per_great_circle"])
+    centers = candidate_centers(2, rep.resolution["per_great_circle"])
     ind = membership(E, rule.nodes).astype(float)
     num, den = all_pairs_masses(centers, rule, rule.weights * ind, rule.weights, 2.5, 2.5)
     assert rep.rho_hat == pytest.approx(float((num / den).min()), rel=1e-12)
@@ -319,7 +319,7 @@ def test_rhinfty_builds_each_local_rule_once(monkeypatch, d, mu, C):
 def full_scan_sums(E, L, rule):
     """The Poisson sum at every grid center as the full scan found it, 64
     centers x 2048 nodes at a time.  Returns (sums, n_masked)."""
-    centers = candidate_centers(rule.d, L, 6 * L)
+    centers = candidate_centers(rule.d, 6 * L)
     mask = membership(E, rule.nodes)
     rho = 1.0 - 1.0 / L
     lifted = np.hstack([-2.0 * rho * centers, np.full((centers.shape[0], 1), 1.0 + rho * rho)])
@@ -339,7 +339,7 @@ def assert_infimum_matches_full_scan(E, L, rule):
     that, else at a center whose full sum ties the minimum to 1e-14."""
     rep = sn.harmonic_infimum(E, L, rule=rule)
     sums, n_masked = full_scan_sums(E, L, rule)
-    centers = candidate_centers(rule.d, L, 6 * L)
+    centers = candidate_centers(rule.d, 6 * L)
     i = int(np.argmin(sums))
     value, runner_up = sums[i], np.partition(sums, 1)[1]
     if runner_up - value > 1e-14 * value:
@@ -383,7 +383,7 @@ def test_pruned_harmonic_infimum_skips_most_of_fixed_cap():
 def test_harmonic_infimum_of_empty_set_reports_its_grid(d):
     rep = sn.harmonic_infimum(sn.EmptySet(), 4, d=d)
     assert rep.delta_hat == 0.0
-    assert rep.resolution["n_centers"] == candidate_centers(d, 4).shape[0]
+    assert rep.resolution["n_centers"] == candidate_centers(d, sn.Sampling().per_great_circle(4)).shape[0]
     assert rep.resolution["pairs_summed"] == 0
     assert rep.resolution["rule"] == sn.Sampling().rule(sn.EmptySet(), d, window=1.0 / 4).descriptor
 
@@ -397,7 +397,7 @@ def all_pairs_anchor(spec, rule, mask):
     where their nodes sit and breaks the tie at random."""
     if not mask.any() or mask.all():
         return rule.nodes[0]
-    centers = candidate_centers(spec.d, spec.L, 4 * max(spec.L, 3))
+    centers = candidate_centers(spec.d, 4 * max(spec.L, 3))
     cos_r = math.cos(min(2.0 / max(spec.L, 1), math.pi))
     ind = mask.astype(float) * rule.weights
     num = np.zeros(centers.shape[0])
