@@ -13,11 +13,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 from .basis import BasisSpec, basis_dim, basis_matrix, normalized_assoc_legendre
-from .concentration import lambda_min, sup_norm_ratio, sup_norm_ratios, uncertainty_check
+from .concentration import lambda_min, sup_norm_ratio, uncertainty_check
 from .config import parse_config
-from .functionals import density_profile, regularize_set, relative_density, rhinfty_check
+from .functionals import rhinfty_check
 from .geometry import candidate_centers, north_pole, random_points, south_pole
 from .measures import Lebesgue, PowerDistanceWeight
 from .quadrature import Sampling, build_quadrature
@@ -57,6 +58,16 @@ functionals:
   - {name: density, r: 2.0}
   - {name: harmonic}
 """
+
+
+# criterion 11 scores the supnorm functional, plain and weighted, on the dense family
+CONFIG_SUP_NORM = yaml.safe_dump({**yaml.safe_load(CONFIG_DENSE_NET), "seed": 11, "functionals": [
+    {"name": "supnorm"},
+    {"name": "supnorm", "tag": "supnorm-weighted",
+     "weight": {"kind": "power_distance", "exponent": 2.0, "pole": [0.0, 0.0, 1.0]}}]})
+# criterion 12: E's density and the mixed-scale density of its regularization E*
+CONFIG_REGULARIZATION = yaml.safe_dump({**yaml.safe_load(CONFIG_DENSE_NET), "L_list": [16], "functionals": [
+    {"name": "density", "r": 2.0}, {"name": "regularize", "eps": 0.5}]})
 
 
 @dataclass
@@ -111,7 +122,7 @@ class AcceptanceSuite:
             cfg = parse_config(text)
             out = self.workdir / key
             results, timings, rows = run_experiment(cfg, out, verbose=False)
-            self._sweeps[key] = (results, {(r.L, r.functional): r.value for r in rows})
+            self._sweeps[key] = (results, {(r.L, r.functional): r for r in rows})
         return self._sweeps[key]
 
     def _rerun_bytes(self, key: str, text: str) -> tuple[bytes, bytes]:
@@ -205,9 +216,9 @@ class AcceptanceSuite:
         return ok, "; ".join(msgs)
 
     def c07_necessity_decay(self):
-        _, values = self._sweep("fixed-cap", CONFIG_FIXED_CAP)
-        lam = {L: values[(L, "eigen")] for L in (8, 16, 32)}
-        dl = {L: values[(L, "harmonic")] for L in (8, 16, 32)}
+        _, rows = self._sweep("fixed-cap", CONFIG_FIXED_CAP)
+        lam = {L: rows[(L, "eigen")].value for L in (8, 16, 32)}
+        dl = {L: rows[(L, "harmonic")].value for L in (8, 16, 32)}
         dec = lam[32] < lam[16] < lam[8]
         ratio = lam[32] / lam[8] if lam[8] > 0 else math.inf
         harm = dl[32] <= dl[8] / 2
@@ -218,10 +229,10 @@ class AcceptanceSuite:
         )
 
     def c08_sufficiency_stability(self):
-        _, values = self._sweep("dense-net", CONFIG_DENSE_NET)
-        lam = {L: values[(L, "eigen")] for L in (8, 16, 32)}
-        rho = {L: values[(L, "density")] for L in (8, 16, 32)}
-        dl = {L: values[(L, "harmonic")] for L in (8, 16, 32)}
+        _, rows = self._sweep("dense-net", CONFIG_DENSE_NET)
+        lam = {L: rows[(L, "eigen")].value for L in (8, 16, 32)}
+        rho = {L: rows[(L, "density")].value for L in (8, 16, 32)}
+        dl = {L: rows[(L, "harmonic")].value for L in (8, 16, 32)}
         rho0 = rho[8]
         dens_ok = rho0 > 0 and all(rho[L] >= rho0 / 2 for L in (16, 32))
         lam_ok = lam[32] >= 0.5 * min(lam[8], lam[16])
@@ -267,23 +278,12 @@ class AcceptanceSuite:
         return ok, f"normalized error means {means[64]:.3f}/{means[128]:.3f}/{means[256]:.3f}, ratios {r1:.3f}, {r2:.3f} (tol 1.5)"
 
     def c11_sup_norm(self):
-        w = PowerDistanceWeight(2.0, north_pole(2))
-        rh = rhinfty_check(w, 2, seed=11)
+        rh = rhinfty_check(PowerDistanceWeight(2.0, north_pole(2)), 2, seed=11)
         ok = rh.rhinfty[1] and math.isfinite(rh.rhinfty[0])
         msgs = [f"RH-inf C={rh.rhinfty[0]:.3f} pass={rh.rhinfty[1]}"]
-        fam = parse_config(CONFIG_DENSE_NET).family
-        mins_plain = {}
-        mins_weighted = {}
-        for L in (8, 16, 32):
-            E = realize_family(fam, 2, L)
-            spec = BasisSpec(2, L)
-            # grid spacing below half the cap radius 0.5/L
-            grid = candidate_centers(2, Sampling().per_great_circle(L, window=0.25 / L))
-            rng = np.random.default_rng([11, L])
-            C = rng.standard_normal((basis_dim(spec), 50))
-            mins_plain[L] = float(sup_norm_ratios(C, E, grid, spec=spec).min())
-            mins_weighted[L] = float(sup_norm_ratios(C, E, grid, weight=w, spec=spec).min())
-        for tag, mins in (("plain", mins_plain), ("weighted", mins_weighted)):
+        _, rows = self._sweep("sup-norm", CONFIG_SUP_NORM)
+        for tag, name in (("plain", "supnorm"), ("weighted", "supnorm-weighted")):
+            mins = {L: rows[(L, name)].value for L in (8, 16, 32)}
             good = all(mins[L] >= mins[8] / 2 for L in (16, 32))
             ok &= good
             msgs.append(f"{tag} mins {mins[8]:.4f}/{mins[16]:.4f}/{mins[32]:.4f} (floor {mins[8] / 2:.4f}: {good})")
@@ -299,18 +299,13 @@ class AcceptanceSuite:
         return ok, "; ".join(msgs)
 
     def c12_regularization(self):
-        L = 16
-        fam = parse_config(CONFIG_DENSE_NET).family
-        E = realize_family(fam, 2, L)
-        r = 2.0
-        rd = relative_density(E, Lebesgue(), L, r=r, d=2)
-        star = regularize_set(E, L, eps=0.5, delta=rd.rho_hat / 2, d=2)
-        prof = density_profile(star, Lebesgue(), L, num_radius=r / L, den_radius=r / (2 * L), d=2)
-        ok = prof.rho_hat >= rd.rho_hat / 2
-        n_caps = star.centers.shape[0] if isinstance(star, CapUnion) else 0
+        # the regularize row takes delta = rho_hat(E)/2 and reports E*'s density at r/L over r/2L
+        _, rows = self._sweep("regularization", CONFIG_REGULARIZATION)
+        rho, star = rows[(16, "density")], rows[(16, "regularize")]
+        ok = star.value >= rho.value / 2
         return ok, (
-            f"rho_hat(E)={rd.rho_hat:.4f}, mixed-scale density of E*={prof.rho_hat:.4f} "
-            f">= rho/2={rd.rho_hat / 2:.4f} ({ok}); E* has {n_caps} caps"
+            f"rho_hat(E)={rho.value:.4f}, mixed-scale density of E*={star.value:.4f} "
+            f">= rho/2={rho.value / 2:.4f} ({ok}); E*: {star.witness}"
         )
 
     def c13_determinism(self):

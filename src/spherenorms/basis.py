@@ -4,10 +4,11 @@ d=2 uses real spherical harmonics built from fully normalized associated
 Legendre functions (positive convention, no Condon-Shortley sign); d=1 uses
 the trigonometric system {1/sqrt(2 pi), cos(k t)/sqrt(pi), sin(k t)/sqrt(pi)}.
 Ordering is (degree, order) lexicographic: for each degree the m = 0 function
-comes first, then cos/sin pairs for m = 1..degree.  On a d=2 product rule,
-``ring_factors`` applies the node x basis matrix and its transpose, and
-builds its weighted half-factor, through per-ring Legendre values and
-per-longitude trig values, without forming it.
+comes first, then cos/sin pairs for m = 1..degree.  ``_radial_orders`` and
+``_order_columns`` define the basis; ``basis_matrix`` evaluates it, and on a
+d=2 product rule ``ring_factors`` applies the node x basis matrix and its
+transpose, and builds its weighted half-factor, through per-ring Legendre
+values and per-longitude trig values, without forming it.
 """
 
 from __future__ import annotations
@@ -76,36 +77,27 @@ def normalized_assoc_legendre(L: int, x) -> np.ndarray:
     return P
 
 
-def _basis_matrix_circle(L: int, points: np.ndarray) -> np.ndarray:
-    theta = np.arctan2(points[:, 1], points[:, 0])
-    n = points.shape[0]
-    B = np.empty((n, 2 * L + 1))
-    B[:, 0] = 1.0 / math.sqrt(2.0 * math.pi)
-    inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
-    for k in range(1, L + 1):
-        B[:, 2 * k - 1] = np.cos(k * theta) * inv_sqrt_pi
-        B[:, 2 * k] = np.sin(k * theta) * inv_sqrt_pi
-    return B
-
-
-def _basis_matrix_sphere(L: int, points: np.ndarray) -> np.ndarray:
-    """Real spherical harmonic values, one order m at a time (no (L+1)^2 * n
-    Legendre cube); per degree l the columns are m=0, then (cos, sin) for m = 1..l."""
-    x = points[:, 2]
-    phi = np.arctan2(points[:, 1], points[:, 0])
-    B = np.empty((points.shape[0], (L + 1) ** 2))
+def _radial_orders(d: int, L: int, z):
+    """Per order m = 0..L, yield (m, radial factor of each degree holding m): on
+    S^1 the degree m alone, 1/sqrt(2 pi) at m = 0 and 1/sqrt(pi) after; on S^2
+    the degrees l = m..L, N_lm P_l^m(z), times sqrt(2) for m > 0."""
+    if d == 1:
+        for m in range(L + 1):
+            yield m, [1.0 / math.sqrt(2.0 * math.pi) if m == 0 else 1.0 / math.sqrt(math.pi)]
+        return
     sqrt2 = math.sqrt(2.0)
-    for m, col in _legendre_orders(L, x):
-        if m == 0:
-            for l, p in enumerate(col):
-                B[:, l * l] = p
-            continue
-        cos_m = np.cos(m * phi)
-        sin_m = np.sin(m * phi)
-        for l, p in enumerate(col, start=m):
-            B[:, l * l + 2 * m - 1] = sqrt2 * p * cos_m
-            B[:, l * l + 2 * m] = sqrt2 * p * sin_m
-    return B
+    for m, col in _legendre_orders(L, z):
+        yield m, col if m == 0 else [sqrt2 * p for p in col]
+
+
+def _order_columns(d: int, L: int, m: int) -> list[int]:
+    """The basis column of order m, or its cos column with sin next, for each
+    degree ``_radial_orders`` gives that order.  Per degree the m = 0 column
+    comes first, then (cos, sin) pairs; on S^1 the degree is the order."""
+    offset = max(2 * m - 1, 0)
+    if d == 1:
+        return [offset]
+    return [l * l + offset for l in range(m, L + 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,16 +176,18 @@ def ring_factors(spec: BasisSpec, rule) -> RingFactors:
     n_phi = ring_layout(rule)[1]
     z = rule.nodes[::n_phi, 2]
     L = spec.L
-    scale = np.full(L + 1, math.sqrt(2.0))
-    scale[0] = 1.0
-    legendre = normalized_assoc_legendre(L, z).transpose(1, 2, 0) * scale[:, None, None]
+    legendre = np.zeros((L + 1, z.size, L + 1))
+    slot = np.empty(basis_dim(spec), dtype=np.intp)
+    for m, radial in _radial_orders(2, L, z):
+        legendre[m, :, m:] = np.transpose(radial)
+        for l, col in enumerate(_order_columns(2, L, m), start=m):
+            slot[col] = 2 * (l + (L + 1) * m)
+            if m:
+                slot[col + 1] = slot[col] + 1
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     m_phi = np.outer(np.arange(L + 1), phi)
     trig = np.stack([np.cos(m_phi), np.sin(m_phi)], axis=1).reshape(2 * (L + 1), n_phi)
-    # same column layout as _basis_matrix_sphere: per degree l, m = 0 then (cos, sin) for m = 1..l
-    slot = [2 * (l + (L + 1) * ((i + 1) // 2)) + (i > 0 and i % 2 == 0)
-            for l in range(L + 1) for i in range(2 * l + 1)]
-    return RingFactors(np.ascontiguousarray(legendre), trig, np.array(slot, dtype=np.intp))
+    return RingFactors(legendre, trig, slot)
 
 
 def basis_matrix(spec: BasisSpec, points) -> np.ndarray:
@@ -201,9 +195,15 @@ def basis_matrix(spec: BasisSpec, points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != spec.d + 1:
         raise ValueError(f"points must have {spec.d + 1} coordinates")
-    if spec.d == 1:
-        return _basis_matrix_circle(spec.L, pts)
-    return _basis_matrix_sphere(spec.L, pts)
+    angle = np.arctan2(pts[:, 1], pts[:, 0])
+    B = np.empty((pts.shape[0], basis_dim(spec)))
+    for m, radial in _radial_orders(spec.d, spec.L, pts[:, -1]):
+        cos_m, sin_m = np.cos(m * angle), np.sin(m * angle)  # cos 0 = 1 exactly
+        for col, r in zip(_order_columns(spec.d, spec.L, m), radial):
+            B[:, col] = r * cos_m
+            if m:
+                B[:, col + 1] = r * sin_m
+    return B
 
 
 def basis_eval(spec: BasisSpec, u) -> np.ndarray:

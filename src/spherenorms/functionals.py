@@ -24,7 +24,7 @@ from .geometry import (
 )
 from .measures import Lebesgue, MeasureSpec, PowerDistanceWeight, cap_mass, weight_values
 from .quadrature import QuadratureRule, Sampling, cap_quadrature, ring_layout, rule_dim
-from .sets import CapUnion, EmptySet, SetSpec
+from .sets import CapUnion, EmptySet, SetSpec, cap_dots
 from .special import sphere_measure
 
 __all__ = [
@@ -127,11 +127,7 @@ def _ring_runs(c, rings, coords, n_phi, cos_w):
     c = c.T.copy()
 
     def passes(live, k):
-        at = base[live] + k % n_phi
-        dots = c[0, live] * coords[0, at]
-        for j in range(1, d + 1):
-            dots += c[j, live] * coords[j, at]
-        return dots >= cos_w
+        return cap_dots(c[:, live], coords[:, base[live] + k % n_phi]) >= cos_w
 
     live = np.arange(rings.size)
     while live.size:
@@ -152,8 +148,8 @@ def _ring_runs(c, rings, coords, n_phi, cos_w):
 def _local_masses(centers, rule, windows):
     """Per-center masses, one array per (values, radius) window: values summed over B(c, radius).
 
-    Node u counts for center c when c . u >= cos(radius) in float64, the
-    products added in coordinate order; a radius of pi or more takes the
+    Node u counts for center c when ``sets.cap_dots(c, u) >= cos(radius)``,
+    the test membership decides caps by; a radius of pi or more takes the
     whole sphere.  ``rule`` must be a product rule (``ring_layout``; the
     uniform rule on S^1 is one ring), else ValueError.  The nodes a cap holds
     on one ring are a run of consecutive longitudes, found from its closed

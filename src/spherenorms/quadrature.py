@@ -250,9 +250,10 @@ class Sampling:
 
 
 def rule_dim(d: int | None, rule: QuadratureRule | None) -> int:
-    """The sphere dimension: ``d`` if given, else the rule's."""
-    if d is None:
-        if rule is None:
+    """The sphere dimension: ``d`` if given, else the rule's; both must agree."""
+    if rule is None:
+        if d is None:
             raise ValueError("give either a rule or the sphere dimension d")
-        d = rule.d
-    return d
+    elif d not in (None, rule.d):
+        raise ValueError(f"a rule on S^{rule.d} cannot serve a computation on S^{d}")
+    return rule.d if d is None else d

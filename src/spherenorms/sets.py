@@ -36,6 +36,7 @@ __all__ = [
     "cap_set",
     "random_cap_union",
     "membership",
+    "cap_dots",
     "indicator",
     "arc_list",
     "min_feature_scale",
@@ -145,28 +146,30 @@ def random_cap_union(d: int, count: int, radius: float, seed: int) -> CapUnion:
     return CapUnion(centers, np.full(count, float(radius)))
 
 
-def _caps_member(spec: CapUnion, pts: np.ndarray, strict: bool) -> np.ndarray:
-    """Point u is in the cap (c, r) when c . u >= cos r in float64, the
-    products added in coordinate order: the window kernel's test
-    (``functionals._local_masses``).  From ``_TREE_MIN_CAPS`` caps on, a k-d
-    tree picks each point's nearest center per radius and that test decides,
-    so adding caps far from a point does not change its answer."""
-    def hit(c, u, cos_r):
-        dots = c[..., 0] * u[..., 0]
-        for j in range(1, u.shape[-1]):
-            dots += c[..., j] * u[..., j]
-        return dots > cos_r if strict else dots >= cos_r
+def cap_dots(c, u):
+    """``c[0] * u[0] + c[1] * u[1] (+ c[2] * u[2])`` in that order, for coordinate-major
+    arrays: membership and the window kernel put u in the cap (c, r) when this is >= cos r."""
+    dots = c[0] * u[0]
+    for j in range(1, len(c)):
+        dots += c[j] * u[j]
+    return dots
 
+
+def _caps_member(spec: CapUnion, pts: np.ndarray, strict: bool) -> np.ndarray:
+    """Point u is in the cap (c, r) when ``cap_dots(c, u) >= cos r``.  From ``_TREE_MIN_CAPS``
+    caps on, a k-d tree picks each point's nearest center per radius and that test decides,
+    so adding caps far from a point does not change its answer."""
+    above = np.greater if strict else np.greater_equal
     n, k = pts.shape[0], spec.centers.shape[0]
     cos_r = np.array([math.cos(r) for r in spec.radii])
     out = np.zeros(n, dtype=bool)
     if k >= _TREE_MIN_CAPS:
         for lim in np.unique(cos_r):
             centers = spec.centers[cos_r == lim]
-            out |= hit(centers[cKDTree(centers).query(pts, k=1)[1]], pts, lim)
+            out |= above(cap_dots(centers[cKDTree(centers).query(pts, k=1)[1]].T, pts.T), lim)
         return out
     for i0 in range(0, n, 8192):
-        out[i0 : i0 + 8192] = hit(spec.centers, pts[i0 : i0 + 8192, None, :], cos_r).any(axis=1)
+        out[i0 : i0 + 8192] = above(cap_dots(spec.centers.T, pts[i0 : i0 + 8192].T[:, :, None]), cos_r).any(axis=1)
     return out
 
 
@@ -174,9 +177,13 @@ def membership(spec: SetSpec, points, strict: bool = False) -> np.ndarray:
     """Boolean membership of the given points (rows) in the set.
 
     ``strict`` selects the open interior; the complement of a closed set is
-    the negation of the strict interior, so Complement flips the flag.
+    the negation of the strict interior, so Complement flips the flag.  Cap
+    unions and arcs refuse points of another sphere (ValueError).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    coords = spec.centers.shape[1] if isinstance(spec, CapUnion) else 2 if isinstance(spec, Arcs) else pts.shape[1]
+    if pts.shape[1] != coords:
+        raise ValueError(f"the set's points have {coords} coordinates, these {pts.shape[1]}")
     if isinstance(spec, FullSphere):
         return np.ones(pts.shape[0], dtype=bool)
     if isinstance(spec, EmptySet):

@@ -33,6 +33,19 @@ def test_circle_basis_explicit():
     assert np.allclose(row, expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("L", [12, 32])
+def test_circle_basis_bit_for_bit(L):
+    # the weighted-arcs adversary rows depend on these exact bits
+    pts = sn.random_points(1, 500, np.random.default_rng(L))
+    theta = np.arctan2(pts[:, 1], pts[:, 0])
+    B = sn.basis_matrix(sn.BasisSpec(1, L), pts)
+    inv = 1.0 / math.sqrt(math.pi)
+    np.testing.assert_array_equal(B[:, 0], np.full(500, 1.0 / math.sqrt(2.0 * math.pi)))
+    for k in range(1, L + 1):
+        np.testing.assert_array_equal(B[:, 2 * k - 1], np.cos(k * theta) * inv)
+        np.testing.assert_array_equal(B[:, 2 * k], np.sin(k * theta) * inv)
+
+
 def test_orthonormal_both_dimensions():
     for d, L in ((1, 24), (2, 12)):
         spec = sn.BasisSpec(d, L)

@@ -116,6 +116,13 @@ def test_harmonic_infimum_full():
     assert rep.delta_hat == pytest.approx(1.0, abs=1e-6)
 
 
+def test_harmonic_infimum_refuses_a_rule_on_another_sphere():
+    # an S^1 rule under d=2 returned 0.0 before rule_dim compared the two
+    rule = sn.Sampling().rule(sn.Arcs([[-1.2, 1.2]]), 1, window=0.25)
+    with pytest.raises(ValueError, match="S\\^1"):
+        sn.harmonic_infimum(sn.cap_set(sn.north_pole(2), 1.0), 8, rule=rule, d=2)
+
+
 def test_harmonic_infimum_fixed_cap_decays():
     E = sn.cap_set(sn.north_pole(2), math.pi / 3)
     d8 = sn.harmonic_infimum(E, 8, d=2).delta_hat

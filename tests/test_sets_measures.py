@@ -100,6 +100,17 @@ def test_cap_edges_do_not_depend_on_far_caps():
         np.testing.assert_array_equal(alone, pts[:, 0] * c[0] + pts[:, 1] * c[1] + pts[:, 2] * c[2] >= math.cos(r))
 
 
+@pytest.mark.parametrize("spec, point", [
+    (sn.cap_set(sn.north_pole(2), 1.0), [1.0, 0.0]),  # answered [False]
+    (sn.cap_set(sn.north_pole(1), 1.0), [1.0, 0.0, 0.0]),  # raised IndexError
+    (sn.Arcs([[0.0, 1.0]]), [1.0, 0.0, 0.0]),  # answered [True]
+    (sn.Complement(sn.Arcs([[0.0, 1.0]])), [1.0, 0.0, 0.0]),
+], ids=["S2-cap-on-S1", "S1-cap-on-S2", "arcs-on-S2", "arc-complement-on-S2"])
+def test_membership_refuses_points_of_another_sphere(spec, point):
+    with pytest.raises(ValueError, match="coordinates"):
+        sn.membership(spec, [point])
+
+
 def test_arc_reduction_merges():
     # two overlapping caps on the circle merge into one arc
     c1 = np.array([1.0, 0.0])
