@@ -12,8 +12,8 @@ adding one entry.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -27,7 +27,7 @@ from .functionals import (ainfty_check, density_profile, doubling_constant, harm
 from .geometry import candidate_centers
 from .measures import Lebesgue, MeasureSpec, measure_from_dict, measure_to_dict, validate_measure
 from .quadrature import Sampling
-from .sets import CapUnion, SetFamily, family_from_dict, family_to_dict, min_feature_scale
+from .sets import CapUnion, SetFamily, checked, family_from_dict, family_to_dict, min_feature_scale
 
 __all__ = [
     "Functional",
@@ -72,8 +72,12 @@ def _require(cond: bool, field_name: str, msg: str):
         raise ConfigError(f"field {field_name!r}: {msg}")
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+def _checked(field_name: str, value, *rule):
+    """``checked(field_name, value, *rule)``, its ValueError raised as a ConfigError naming the field."""
+    try:
+        return checked(field_name, value, *rule)
+    except ValueError as exc:
+        raise ConfigError(f"field {field_name!r}: {exc}") from exc
 
 
 # -- the functional registry ----------------------------------------------------
@@ -97,7 +101,7 @@ def _eigen(cfg, E, L, params, rule):
 
 
 def _density(cfg, E, L, params, rule):
-    r = float(params["r"])
+    r = params["r"]
     rep = density_profile(E, cfg.measure, L, r / L, r / L, rule=rule(window=r / L), sampling=cfg.sampling)
     return rep.rho_hat, f"argmin={_fmt_point(rep.argmin_center)}"
 
@@ -109,7 +113,7 @@ def _harmonic(cfg, E, L, params, rule):
 
 def _pnorm(cfg, E, L, params, rule):
     rep = worst_case_lp(
-        E, cfg.measure, L, p=float(params["p"]), restarts=int(params["restarts"]), seed=cfg.seed,
+        E, cfg.measure, L, p=params["p"], restarts=params["restarts"], seed=cfg.seed,
         rule=rule(2 * L), d=cfg.d,
     )
     spread = max(rep.restarts) - min(rep.restarts)
@@ -121,13 +125,13 @@ def _supnorm(cfg, E, L, params, rule):
     rng = np.random.default_rng([cfg.seed, L])
     # the center grid, refined until it resolves E's smallest feature
     grid = candidate_centers(cfg.d, cfg.sampling.per_great_circle(L, window=min_feature_scale(E) / 2.0))
-    C = rng.standard_normal((basis_dim(spec), int(params["samples"])))
+    C = rng.standard_normal((basis_dim(spec), params["samples"]))
     worst = float(sup_norm_ratios(C, E, grid, weight=params["weight"], spec=spec).min())
     return worst, f"samples={params['samples']};grid={grid.shape[0]}"
 
 
 def _weights(cfg, E, L, params, rule):
-    seed, n_caps = int(params["seed"]), int(params["n_caps"])
+    seed, n_caps = params["seed"], params["n_caps"]
     drep = doubling_constant(cfg.measure, params["scales"], d=cfg.d, seed=seed)
     rrep = rhinfty_check(cfg.measure, cfg.d, seed=seed, n_caps=n_caps)
     arep = ainfty_check(cfg.measure, cfg.d, seed=seed, n_caps=n_caps)
@@ -139,8 +143,8 @@ def _weights(cfg, E, L, params, rule):
 
 
 def _regularize(cfg, E, L, params, rule):
-    eps, r, delta = float(params["eps"]), float(params["r"]), params["delta"]
-    star = regularize_set(E, L, eps=eps, delta=(None if delta is None else float(delta)), d=cfg.d,
+    eps, r = params["eps"], params["r"]
+    star = regularize_set(E, L, eps=eps, delta=params["delta"], d=cfg.d,
                           default_delta_r=r, sampling=cfg.sampling)
     rep = density_profile(star, Lebesgue(), L, num_radius=r / L, den_radius=r / (2 * L), d=cfg.d,
                           sampling=cfg.sampling)
@@ -148,23 +152,22 @@ def _regularize(cfg, E, L, params, rule):
     return rep.rho_hat, f"good_caps={n_caps};eps={eps}"
 
 
-def _positive(x) -> bool:
-    return x > 0
+def _radii(name, value, msg):
+    if not (isinstance(value, list) and value):
+        raise ValueError(f"{name} {msg}")
+    return [checked(f"{name}[{i}]", x, ok=lambda r: 0 < r <= np.pi / 2, msg=msg) for i, x in enumerate(value)]
 
 
-def _at_least_one(n) -> bool:
-    return int(n) >= 1
-
-
-def _weight_or_none(w) -> bool:
-    return w is None or measure_from_dict(w) is not None
+_POSITIVE = partial(checked, ok=lambda x: x > 0)
+_AT_LEAST_ONE = partial(checked, kind=int, ok=lambda n: n >= 1)
 
 
 @dataclass(frozen=True)
 class Functional:
-    """One registry entry: parameter defaults, checks as (parameter, predicate,
-    message) rows, ``compute(cfg, E, L, params, rule) -> (value, witness)``, the
-    ``spherenorms describe`` text, and whether compute reads neither E nor L."""
+    """One registry entry: parameter defaults, (parameter, check, message) rows whose
+    ``check(name, value, msg=message)`` returns the value to store or raises ValueError,
+    ``compute(cfg, E, L, params, rule) -> (value, witness)``, the ``spherenorms
+    describe`` text, and whether compute reads neither E nor L."""
 
     defaults: dict
     checks: tuple
@@ -179,7 +182,7 @@ lambda_min: smallest eigenvalue of the pencil (G_E, G_full) on Pi_L,
 G_X[i,j] = integral_X Y_i Y_j dmu.  The best constant C_2 in
 integral |Q|^2 dmu <= C_2 integral_{E_L} |Q|^2 dmu is 1/lambda_min.
 The witness ends in ';below_floor' when lambda_min is under its rounding floor."""),
-    "density": Functional({"r": 2.0}, (("r", _positive, "must be positive"),), _density, """\
+    "density": Functional({"r": 2.0}, (("r", _POSITIVE, "must be positive"),), _density, """\
 rho_hat: min over centers u of mu(E_L * B(u, r/L)) / mu(B(u, r/L)),
 the local relative density at the 1/L scale."""),
     "harmonic": Functional({}, (), _harmonic, """\
@@ -187,30 +190,31 @@ delta_hat: min over |x| = 1 - 1/L of the Poisson integral
 (1/sigma) integral_{E_L} (1-|x|^2)/|x-u|^(d+1) dsigma(u)."""),
     "pnorm": Functional(
         {"p": 2.0, "restarts": 6},
-        (("p", lambda p: 1 <= p < math.inf, "must be finite and >= 1"),
-         ("restarts", _at_least_one, "must be >= 1")),
+        (("p", partial(checked, ok=lambda p: p >= 1), "must be finite and >= 1"),
+         ("restarts", _AT_LEAST_ONE, "must be >= 1")),
         _pnorm, """\
 best ratio found on the masked degree-2L rule (not a bound) for min over Q in Pi_L of
 integral_{E_L} |Q|^p dmu / integral |Q|^p dmu (exact at p=2 via eigen)."""),
     "supnorm": Functional(
         {"samples": 50, "weight": None},
-        (("samples", _at_least_one, "must be >= 1"), ("weight", _weight_or_none, "must be a measure")),
+        (("samples", _AT_LEAST_ONE, "must be >= 1"),
+         ("weight", lambda name, w, msg: None if w is None else measure_from_dict(w), "must be a measure")),
         _supnorm, """\
 min over sampled Q of (sup_{grid * E_L} |Q| w) / (sup_grid |Q| w),
 optionally with a bounded weight w."""),
     "weights": Functional(
         {"scales": [0.1, 0.2, 0.4], "n_caps": 12, "seed": 0},
-        (("scales", lambda s: len(s) > 0 and all(0 < float(x) <= math.pi / 2 for x in s),
-          "must be a nonempty list of radii in (0, pi/2]"),
-         ("n_caps", _at_least_one, "must be >= 1")),
+        (("scales", _radii, "must be a nonempty list of radii in (0, pi/2]"),
+         ("n_caps", _AT_LEAST_ONE, "must be >= 1"), ("seed", partial(checked, kind=int), "must be an integer")),
         _weights, """\
 doubling constant sup mu(B(u,2t))/mu(B(u,t)) with fitted growth
 exponent; reverse-Holder constant C (w <= C * cap averages); smallest
 (B, beta) with w(B) <= B (sigma(B)/sigma(E))^beta w(E) over samples.""", degree_free=True),
     "regularize": Functional(
         {"eps": 0.5, "delta": None, "r": 2.0},
-        (("eps", _positive, "must be positive"), ("r", _positive, "must be positive"),
-         ("delta", lambda x: x is None or 0 < x <= 1, "must be unset or a fraction in (0, 1]")),
+        (("eps", _POSITIVE, "must be positive"), ("r", _POSITIVE, "must be positive"),
+         ("delta", lambda name, x, msg: None if x is None else checked(name, x, ok=lambda v: 0 < v <= 1, msg=msg),
+          "must be unset or a fraction in (0, 1]")),
         _regularize, """\
 good-cap regularization: union of net caps B(v, eps/L) holding at
 least a delta fraction of E_L's surface measure; reports the
@@ -231,14 +235,11 @@ def _parse_functional(entry, index: int) -> FunctionalSpec:
             continue
         _require(key in params, f"{where}.{key}", f"unknown parameter for {name}")
         params[key] = val
-    for key, ok, msg in FUNCTIONALS[name].checks:
+    for key, check, msg in FUNCTIONALS[name].checks:
         try:
-            good = ok(params[key])
-        except (KeyError, TypeError, ValueError) as exc:
-            good, msg = False, f"{msg} ({exc})"
-        _require(good, f"{where}.{key}", msg)
-    if params.get("weight") is not None:  # held as the measure it names
-        params["weight"] = measure_from_dict(params["weight"])
+            params[key] = check(key, params[key], msg=msg)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"field '{where}.{key}': {exc}") from exc
     tag = entry.get("tag", name)
     return FunctionalSpec(name=name, tag=str(tag), params=params)
 
@@ -254,14 +255,10 @@ def parse_config(text: str) -> ExperimentConfig:
     for key in data:
         _require(key in _TOP_KEYS, str(key), "unknown key")
 
-    d = data.get("d")
-    _require(_is_int(d) and d in (1, 2), "d", "must be 1 or 2")
+    d = _checked("d", data.get("d"), int, lambda d: d in (1, 2), "must be 1 or 2")
     L_list = data.get("L_list")
-    _require(
-        isinstance(L_list, list) and L_list and all(_is_int(x) and x >= 1 for x in L_list),
-        "L_list",
-        "must be a nonempty list of integers >= 1",
-    )
+    _require(isinstance(L_list, list) and L_list, "L_list", "must be a nonempty list of integers >= 1")
+    L_list = tuple(_checked("L_list", L, int, lambda L: L >= 1, "entries must be >= 1") for L in L_list)
     _require("family" in data, "family", "missing")
     try:
         family = family_from_dict(data["family"])
@@ -286,19 +283,18 @@ def parse_config(text: str) -> ExperimentConfig:
         for key, value in raw.items():
             _require(key in names, f"{section}.{key}", "unknown key")
             try:
-                settings[key] = Sampling.checked(key, value)
+                settings[key] = getattr(Sampling(**{key: value}), key)
             except ValueError as exc:
                 raise ConfigError(f"field '{section}.{key}': {exc}") from exc
 
-    seed = data.get("seed", 0)
-    _require(_is_int(seed), "seed", "must be an integer")
+    seed = _checked("seed", data.get("seed", 0), int)
     label = str(data.get("label") or data["family"].get("label", "") or family.label)
-    schema = data.get("schema", SCHEMA_VERSION)
-    _require(_is_int(schema) and schema == SCHEMA_VERSION, "schema", f"supported schema version is {SCHEMA_VERSION}")
+    schema = _checked("schema", data.get("schema", SCHEMA_VERSION), int, lambda s: s == SCHEMA_VERSION,
+                      f"must be {SCHEMA_VERSION}, the supported version")
 
     return ExperimentConfig(
         d=d,
-        L_list=tuple(L_list),
+        L_list=L_list,
         family=family,
         measure=measure,
         functionals=functionals,

@@ -56,10 +56,11 @@ def normalize(v) -> np.ndarray:
     return v / n
 
 
-def assert_unit(v, tol: float = 1e-12) -> np.ndarray:
+def assert_unit(v, tol: float = 1e-12, name: str = "point") -> np.ndarray:
+    """``v`` as a float array whose rows all have norm within ``tol`` of 1 (NaN fails)."""
     v = np.asarray(v, dtype=float)
-    if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > tol):
-        raise ValueError("point is not on the unit sphere")
+    if not np.all(np.abs(np.linalg.norm(v, axis=-1) - 1.0) <= tol):
+        raise ValueError(f"{name} must lie on the unit sphere")
     return v
 
 

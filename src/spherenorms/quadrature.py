@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .geometry import frame_at, uniform_circle
-from .sets import SetSpec, arc_list, membership, min_feature_scale
+from .sets import SetSpec, arc_list, check_fields, membership, min_feature_scale
 
 __all__ = ["QuadratureRule", "Sampling", "build_quadrature", "cap_quadrature", "arc_quadrature", "ring_layout",
            "rule_dim", "DEFAULT_MAX_NODES", "SPACING_FACTOR"]
@@ -199,15 +198,6 @@ def arc_quadrature(E: SetSpec, exact_degree: int) -> QuadratureRule:
     return QuadratureRule(1, nodes, weights, exact_degree, {"arcs": len(arcs), "n": weights.size})
 
 
-# Sampling's field checks: (type, predicate, message) per field
-_SAMPLING_CHECKS = {
-    "oversample": (float, lambda x: x >= 1.0, "must be >= 1"),
-    "spacing_factor": (float, lambda x: x > 0.0, "must be positive"),
-    "max_nodes": (int, lambda n: n >= 1, "must be >= 1"),
-    "per_great_circle_factor": (int, lambda n: n >= 1, "must be >= 1"),
-}
-
-
 @dataclass(frozen=True)
 class Sampling:
     """How densely a sweep samples a set: the masked rule over it and the
@@ -220,18 +210,9 @@ class Sampling:
     per_great_circle_factor: int = 6
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, self.checked(f.name, getattr(self, f.name)))
-
-    @staticmethod
-    def checked(name: str, value):
-        """``value`` as the type of field ``name``, or ValueError saying what it must be."""
-        kind, ok, msg = _SAMPLING_CHECKS[name]
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral if kind is int else numbers.Real):
-            raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-        if not (math.isfinite(value) and ok(value)):
-            raise ValueError(f"{name} {msg}")
-        return kind(value)
+        at_least_one = (lambda x: x >= 1, "must be >= 1")
+        check_fields(self, oversample=at_least_one, spacing_factor=(lambda x: x > 0, "must be positive"),
+                     max_nodes=at_least_one, per_great_circle_factor=at_least_one)
 
     def rule(self, E: SetSpec, d: int, exact_degree: int = 0, window: float = math.inf) -> QuadratureRule:
         """Product rule on S^d exact to ``exact_degree``, node spacing at most

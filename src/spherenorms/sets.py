@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import ClassVar, Union, get_args
 
@@ -19,6 +20,7 @@ from scipy.spatial import cKDTree
 from .geometry import (
     angle_of,
     apply_rotation,
+    assert_unit,
     check_orthogonal,
     fibonacci_lattice,
     random_points,
@@ -66,11 +68,11 @@ class CapUnion:
     radii: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "centers", np.atleast_2d(np.asarray(self.centers, dtype=float)))
+        object.__setattr__(self, "centers", assert_unit(np.atleast_2d(self.centers), name="centers"))
         object.__setattr__(self, "radii", np.atleast_1d(np.asarray(self.radii, dtype=float)))
         if self.radii.shape[0] != self.centers.shape[0]:
             raise ValueError("one radius per cap center required")
-        if np.any(self.radii <= 0) or np.any(self.radii > math.pi):
+        if not np.all((self.radii > 0) & (self.radii <= math.pi)):
             raise ValueError("cap radii must lie in (0, pi]")
 
 
@@ -84,8 +86,8 @@ class Band:
     hi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "axis", np.asarray(self.axis, dtype=float))
-        coerce_fields(self, float, "lo", "hi")
+        object.__setattr__(self, "axis", assert_unit(self.axis, name="axis"))
+        check_fields(self)
         if not (0.0 <= self.lo < self.hi <= math.pi):
             raise ValueError("band bounds must satisfy 0 <= lo < hi <= pi")
 
@@ -101,11 +103,13 @@ class Arcs:
         iv = np.atleast_2d(np.asarray(self.intervals, dtype=float))
         if iv.size == 0:
             raise ValueError("empty arc list; use EmptySet")
+        if not np.isfinite(iv).all():
+            raise ValueError("intervals must have finite ends")
         starts = np.mod(iv[:, 0], _TWO_PI)
         lengths = iv[:, 1] - iv[:, 0]
         lengths = np.where(lengths <= 0, lengths + _TWO_PI, lengths)
-        if np.any(lengths <= 0):
-            raise ValueError("arcs must have positive length")
+        if not np.all(lengths > 0):
+            raise ValueError("intervals must have positive length")
         lengths = np.minimum(lengths, _TWO_PI)
         object.__setattr__(self, "intervals", np.stack([starts, lengths], axis=1))
 
@@ -133,17 +137,15 @@ SetSpec = Union[CapUnion, Band, Arcs, FullSphere, EmptySet, Complement]
 
 def cap_set(center, radius: float) -> CapUnion:
     """A single closed cap."""
-    return CapUnion(np.atleast_2d(np.asarray(center, dtype=float)), np.array([radius]))
+    return CapUnion(center, np.array([checked("radius", radius)]))
 
 
 def random_cap_union(d: int, count: int, radius: float, seed: int) -> CapUnion:
     """Seeded family of caps with area-uniform centers (deterministic per seed)."""
-    d, count, seed = int(d), int(count), int(seed)
-    if count < 1:
-        raise ValueError("need at least one cap")
-    rng = np.random.default_rng(seed)
-    centers = random_points(d, count, rng)
-    return CapUnion(centers, np.full(count, float(radius)))
+    count = checked("count", count, int, lambda n: n >= 1, "must be >= 1")
+    rng = np.random.default_rng(checked("seed", seed, int))
+    centers = random_points(checked("d", d, int), count, rng)
+    return CapUnion(centers, np.full(count, checked("radius", radius)))
 
 
 def cap_dots(c, u):
@@ -333,11 +335,29 @@ def rotate(obj, R):
 # None, named as the field unless its metadata gives ``key``; metadata ``dump``
 # and ``load`` convert the value.  Nested specs and tuples of them recurse.
 
-def coerce_fields(spec, cast, *names) -> None:
-    """Cast the named fields of a frozen spec in place (YAML's 1 where 1.0 is meant); None stays."""
-    for name in names:
-        if getattr(spec, name) is not None:
-            object.__setattr__(spec, name, cast(getattr(spec, name)))
+def checked(name: str, value, kind: type = float, ok=None, msg: str = "must be finite"):
+    """``value`` as ``kind`` (int or float), or ValueError naming ``name``: booleans, non-numbers,
+    non-finite values and non-integers where an integer is meant are refused (an int is read as
+    a float where a float is meant); then ``ok``, if given, must hold, or the error says ``msg``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if kind is int else numbers.Real):
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    if not (math.isfinite(value) and (ok is None or ok(value))):
+        raise ValueError(f"{name} {msg}")
+    return kind(value)
+
+
+# annotations of the spec fields ``check_fields`` reads, and the type each is read as
+_SCALARS = {"int": int, "float": float, "float | None": float}
+
+
+def check_fields(spec, **rules) -> None:
+    """Put every ``int`` or ``float`` field of a frozen spec through ``checked`` in place,
+    with ``rules[name] = (ok, msg)`` where given; a ``float | None`` field may stay None."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.type in _SCALARS and not (value is None and f.type.endswith("None")):
+            object.__setattr__(spec, f.name, checked(f.name, value, _SCALARS[f.type], *rules.get(f.name, ())))
+
 
 
 def _dump(value):
@@ -408,9 +428,8 @@ class CapNetFamily:
     label: str = "cap_net"
 
     def __post_init__(self):
-        coerce_fields(self, float, "cap_radius_over_L", "net_spacing_over_L")
-        if self.cap_radius_over_L <= 0 or self.net_spacing_over_L <= 0:
-            raise ValueError("cap radius and net spacing factors must be positive")
+        positive = (lambda x: x > 0, "must be positive")
+        check_fields(self, cap_radius_over_L=positive, net_spacing_over_L=positive)
 
 
 @dataclass(frozen=True)
@@ -425,8 +444,8 @@ class RandomCapsFamily:
     label: str = "random_caps"
 
     def __post_init__(self):
-        coerce_fields(self, int, "count", "seed")
-        coerce_fields(self, float, "radius_over_L", "radius")
+        check_fields(self, count=(lambda n: n >= 1, "must be >= 1"), radius_over_L=(lambda r: r > 0, "must be > 0"),
+                     radius=(lambda r: 0 < r <= math.pi, "must lie in (0, pi]"))
         if (self.radius is None) == (self.radius_over_L is None):
             raise ValueError("give exactly one of radius / radius_over_L")
 

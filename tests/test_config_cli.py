@@ -2,8 +2,11 @@
 and the command-line interface."""
 
 import functools
+import inspect
+import json
 import math
 import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +14,13 @@ import pytest
 
 import spherenorms as sn
 import spherenorms.config as config_module
+import spherenorms.measures as measures_module
+import spherenorms.sets as sets_module
 from spherenorms.acceptance import CONFIG_DENSE_NET, CONFIG_FIXED_CAP
 from spherenorms.cli import main
 from spherenorms.config import FUNCTIONALS, config_hash, load_config, parse_config, serialize_config
 from spherenorms.errors import ConfigError
+from spherenorms.quadrature import Sampling
 from spherenorms.runner import _job, plotdata, read_results, run_experiment, write_results
 from spherenorms.sets import realize_family
 
@@ -69,35 +75,60 @@ def test_validation_errors_name_the_field(mutation, field):
 
 
 def _mutated(mutation: str) -> str:
-    """SMALL_CONFIG with the top-level entry ``mutation`` sets replaced by it."""
+    """SMALL_CONFIG with the top-level entry ``mutation`` sets (and its indented lines) replaced by it."""
     key = mutation.split(":")[0]
-    lines = [ln for ln in SMALL_CONFIG.splitlines() if not ln.startswith(key)]
-    if key == "functionals":
-        # also drop the original functional list items
-        lines = [ln for ln in lines if not ln.lstrip().startswith("- {name")]
+    lines, dropped = [], False
+    for ln in SMALL_CONFIG.splitlines():
+        if not ln.startswith(" "):
+            dropped = ln.startswith(key)
+        if not dropped:
+            lines.append(ln)
     return "\n".join(lines) + "\n" + mutation
 
 
-@pytest.mark.parametrize(
-    "mutation, field",
-    [
-        ("sed: 5", "sed"),
-        ("quadrature: {spacing_factr: 5.0}", "quadrature.spacing_factr"),
-        ("resolution: {per_great_circle: 12}", "resolution.per_great_circle"),
-        ("quadrature: {oversample: four}", "quadrature.oversample"),
-        ("quadrature: {oversample: .inf}", "quadrature.oversample"),
-        ("quadrature: {max_nodes: true}", "quadrature.max_nodes"),
-        ("resolution: {per_great_circle_factor: 2.5}", "resolution.per_great_circle_factor"),
-        ("d: true", "d"),
-        ("L_list: [true]", "L_list"),
-        ("seed: true", "seed"),
-        ("seed: seven", "seed"),
-    ],
-)
-def test_config_input_is_checked_not_guessed(mutation, field):
-    # unknown keys, non-numbers and booleans are refused under their own key
-    with pytest.raises(ConfigError, match=re.escape(f"field '{field}'")):
+# (mutation, field the error names, key it names if the field does not)
+_UNGUESSED = [
+    ("sed: 5", "sed", None),
+    ("quadrature: {spacing_factr: 5.0}", "quadrature.spacing_factr", None),
+    ("resolution: {per_great_circle: 12}", "resolution.per_great_circle", None),
+    ("quadrature: {oversample: four}", "quadrature.oversample", None),
+    ("quadrature: {oversample: .inf}", "quadrature.oversample", None),
+    ("quadrature: {max_nodes: true}", "quadrature.max_nodes", None),
+    ("resolution: {per_great_circle_factor: 2.5}", "resolution.per_great_circle_factor", None),
+    ("d: true", "d", None),
+    ("L_list: [true]", "L_list", None),
+    ("seed: true", "seed", None),
+    ("seed: seven", "seed", None),
+    # a fraction where a count is meant, a boolean or a word where a number is meant
+    ("functionals: [{name: pnorm, restarts: 2.5}]", "functionals[0].restarts", None),
+    ("functionals: [{name: pnorm, restarts: true}]", "functionals[0].restarts", None),
+    ("functionals: [{name: supnorm, samples: true}]", "functionals[0].samples", None),
+    ("functionals: [{name: weights, seed: abc}]", "functionals[0].seed", None),
+    ("functionals: [{name: weights, n_caps: 3.7}]", "functionals[0].n_caps", None),
+    ("functionals: [{name: weights, scales: [true, 0.2]}]", "functionals[0].scales", None),
+    ("functionals: [{name: density, r: true}]", "functionals[0].r", None),
+    ("functionals: [{name: regularize, delta: true}]", "functionals[0].delta", None),
+    ("family: {kind: random_caps, count: 2.7, seed: 1, radius: 0.3}", "family", "count"),
+    ("family: {kind: fixed, set: {kind: random_caps, d: 1, count: 2.7, radius: 0.3, seed: 1}}", "family", "count"),
+    ("family: {kind: fixed, set: {kind: band, axis: [1, 0], lo: false, hi: 1.0}}", "family", "lo"),
+    ("family: {kind: cap_net, cap_radius_over_L: .nan, net_spacing_over_L: 2.0}", "family", "cap_radius_over_L"),
+    ("family: {kind: fixed, set: {kind: cap, center: [1, 0], radius: .nan}}", "family", "radius"),
+    # directions off the unit sphere, NaN in an array's range check
+    ("family: {kind: fixed, set: {kind: cap, center: [0, 2], radius: 0.5}}", "family", "center"),
+    ("family: {kind: fixed, set: {kind: band, axis: [0, 3], lo: 0.0, hi: 1.0}}", "family", "axis"),
+    ("measure: {kind: band_weight, axis: [0, 3], lo: 0.0, hi: 1.0, inside: 1.0, outside: 2.0}", "measure", "axis"),
+    ("measure: {kind: power_distance, exponent: 2.0, pole: [.nan, 0]}", "measure", "pole"),
+    ("family: {kind: fixed, set: {kind: cap_union, centers: [[1, 0]], radii: [.nan]}}", "family", "radii"),
+    ("family: {kind: fixed, set: {kind: arcs, intervals: [[0.0, .nan]]}}", "family", "intervals"),
+]
+
+
+@pytest.mark.parametrize("mutation, field, key", _UNGUESSED, ids=[f"{m}-{f}" for m, f, _ in _UNGUESSED])
+def test_config_input_is_checked_not_guessed(mutation, field, key):
+    # unknown keys, non-numbers, booleans and non-finite values are refused under their own key
+    with pytest.raises(ConfigError, match=re.escape(f"field '{field}'")) as err:
         parse_config(_mutated(mutation))
+    assert (key or field) in str(err.value)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -156,6 +187,15 @@ def test_supnorm_weight_spellings_share_one_hash():
     assert config_hash(parse_config(serialize_config(ints))) == config_hash(ints)
 
 
+def test_functional_number_spellings_share_one_hash():
+    # a float parameter written as an int is stored, written and hashed as the float
+    text = SUPNORM_WEIGHT_CONFIG.replace("[{name: supnorm, weight: %s}]",
+                                         "[{name: density, r: %s}, {name: pnorm, p: %s}, {name: regularize, eps: %s}]")
+    ints, floats = parse_config(text % ("2", "4", "1")), parse_config(text % ("2.0", "4.0", "1.0"))
+    assert serialize_config(ints) == serialize_config(floats)
+    assert config_hash(ints) == config_hash(floats)
+
+
 _BAND = "{kind: band, axis: [0, 0, 1], lo: 0.0, hi: 1.0}"
 _SPEC_TEXT = """
 d: 2
@@ -197,6 +237,70 @@ def test_unknown_spec_keys_are_refused(family, measure, functional, section, key
         parse_config(_SPEC_TEXT % (family, measure, functional))
     assert repr(key) in str(err.value)
     assert "unexpected keyword" not in str(err.value)
+
+
+# one valid spec per kind with scalar fields; the guard below sets each of those fields to true
+_SCALAR_SPECS = {
+    "family": [{"kind": "cap_net", "cap_radius_over_L": 0.5, "net_spacing_over_L": 2.0},
+               {"kind": "random_caps", "count": 4, "seed": 1, "radius": 0.3},
+               {"kind": "random_caps", "count": 4, "seed": 1, "radius_over_L": 1.0}],
+    "set": [{"kind": "band", "axis": [1, 0], "lo": 0.0, "hi": 1.0}, {"kind": "cap", "center": [1, 0], "radius": 0.5},
+            {"kind": "random_caps", "d": 1, "count": 4, "radius": 0.3, "seed": 1}],
+    "measure": [{"kind": "power_distance", "exponent": 2.0, "pole": [1, 0]},
+                {"kind": "band_weight", "axis": [1, 0], "lo": 0.0, "hi": 1.0, "inside": 1.0, "outside": 2.0}],
+}
+_SPEC_KINDS = {"family": sets_module._FAMILY_KINDS, "set": sets_module._SET_KINDS,
+               "measure": measures_module._MEASURE_KINDS}
+# where a spec of each section goes in a config
+_SPEC_AT = {"family": lambda spec: {"family": spec}, "set": lambda spec: {"family": {"kind": "fixed", "set": spec}},
+            "measure": lambda spec: {"measure": spec}}
+_SCALAR_BASE = {"d": 1, "L_list": [4], "family": {"kind": "fixed", "set": {"kind": "arcs", "intervals": [[-1.2, 1.2]]}},
+                "functionals": ["eigen"]}
+
+
+def _scalar_params(make) -> set:
+    """Names of the int and float fields of a spec class, or parameters of a spec constructor."""
+    if is_dataclass(make):
+        return {f.name for f in fields(make) if f.type in ("int", "float", "float | None")}
+    return {p.name for p in inspect.signature(make).parameters.values() if p.annotation in ("int", "float")}
+
+
+def _scalar_cases() -> list:
+    """(config with one scalar set to true, field the error names, key it names) for every
+    scalar a config can set; the config is JSON, which YAML reads."""
+    cases = {key: (key, {key: [True] if key == "L_list" else True}, key) for key in ("d", "L_list", "seed", "schema")}
+    cases.update({f"{section}.{key}": (f"{section}.{key}", {section: {key: True}}, key)
+                  for section, keys in config_module._SAMPLING_KEYS.items() for key in keys})
+    cases.update({f"{name}.{key}": (f"functionals[0].{key}", {"functionals": [{"name": name, key: True}]}, key)
+                  for name, entry in FUNCTIONALS.items() for key in entry.defaults})
+    for section, specs in _SCALAR_SPECS.items():
+        for spec in specs:
+            for key in _scalar_params(_SPEC_KINDS[section][spec["kind"]]) & set(spec):
+                cases.setdefault(f"{section}.{spec['kind']}.{key}", (
+                    "measure" if section == "measure" else "family", _SPEC_AT[section]({**spec, key: True}), key))
+    return [pytest.param(json.dumps({**_SCALAR_BASE, **entries}), field, key, id=case_id)
+            for case_id, (field, entries, key) in sorted(cases.items())]
+
+
+def test_scalar_guard_lists_every_scalar():
+    # a scalar field or parameter added without a case here (and so without the check) fails the suite
+    covered = {(section, spec["kind"], key) for section, specs in _SCALAR_SPECS.items() for spec in specs
+               for key in spec if key != "kind"}
+    every = {(section, kind, key) for section, kinds in _SPEC_KINDS.items() for kind, make in kinds.items()
+             for key in _scalar_params(make)}
+    assert every <= covered
+    for section, specs in _SCALAR_SPECS.items():  # so that only the true is refused
+        for spec in specs:
+            parse_config(json.dumps({**_SCALAR_BASE, **_SPEC_AT[section](spec)}))
+    assert {f.name for f in fields(Sampling)} == {k for keys in config_module._SAMPLING_KEYS.values() for k in keys}
+    assert all({key for key, _, _ in entry.checks} == set(entry.defaults) for entry in FUNCTIONALS.values())
+
+
+@pytest.mark.parametrize("text, field, key", _scalar_cases())
+def test_every_scalar_refuses_a_boolean(text, field, key):
+    with pytest.raises(ConfigError, match=re.escape(f"field '{field}'")) as err:
+        parse_config(text)
+    assert key in str(err.value)
 
 
 REGISTRY_CONFIG = """

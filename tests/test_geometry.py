@@ -11,6 +11,7 @@ from spherenorms import geometry
 from spherenorms.errors import NetConstructionError
 from spherenorms.geometry import (
     apply_rotation,
+    assert_unit,
     covering_net,
     frame_at,
     rotation_taking,
@@ -30,6 +31,15 @@ def test_distance_clamps_rounding():
     v = np.array([1.0, 1e-9, 0.0])
     v = v / np.linalg.norm(v)
     assert np.isfinite(sn.geodesic_distance(v, v))
+
+
+@pytest.mark.parametrize("v", [[0.0, 0.0, 2.0], [np.nan, 0.0, 0.0], [[1.0, 0.0], [np.nan, 1.0]], [np.inf, 0.0]],
+                         ids=["long", "nan", "nan-row", "inf"])
+def test_assert_unit_refuses_points_off_the_sphere(v):
+    # |nan - 1| > tol is False, so the check is written as "every norm is within tol of 1"
+    with pytest.raises(ValueError, match="unit sphere"):
+        assert_unit(v)
+    assert_unit(np.array([[0.6, 0.8], [1.0, 0.0]]))
 
 
 @settings(max_examples=50, deadline=None)
