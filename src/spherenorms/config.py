@@ -143,13 +143,15 @@ def _weights(cfg, E, L, params, rule):
 
 
 def _regularize(cfg, E, L, params, rule):
-    eps, r = params["eps"], params["r"]
-    star = regularize_set(E, L, eps=eps, delta=params["delta"], d=cfg.d,
-                          default_delta_r=r, sampling=cfg.sampling)
+    eps, r, delta = params["eps"], params["r"], params["delta"]
+    if delta is None:  # half of E's density at r/L, small beside it as the construction asks
+        delta = 0.5 * density_profile(E, Lebesgue(), L, r / L, r / L, rule=rule(window=r / L),
+                                      sampling=cfg.sampling).rho_hat
+    star = regularize_set(E, L, eps, delta, rule(window=eps / L))
     rep = density_profile(star, Lebesgue(), L, num_radius=r / L, den_radius=r / (2 * L), d=cfg.d,
                           sampling=cfg.sampling)
     n_caps = star.centers.shape[0] if isinstance(star, CapUnion) else 0
-    return rep.rho_hat, f"good_caps={n_caps};eps={eps}"
+    return rep.rho_hat, f"good_caps={n_caps};eps={eps};delta={delta:.6g}"
 
 
 def _radii(name, value, msg):
@@ -216,13 +218,13 @@ exponent; reverse-Holder constant C (w <= C * cap averages); smallest
          ("delta", lambda name, x, msg: None if x is None else checked(name, x, ok=lambda v: 0 < v <= 1, msg=msg),
           "must be unset or a fraction in (0, 1]")),
         _regularize, """\
-good-cap regularization: union of net caps B(v, eps/L) holding at
-least a delta fraction of E_L's surface measure; reports the
-mixed-scale density min_u sigma(E* * B(u, r/L)) / sigma(B(u, r/2L))."""),
+good-cap regularization E*: union of net caps B(v, eps/L) holding at least a
+delta fraction (unset: half of E_L's density at r/L) of E_L's surface measure;
+reports the mixed-scale density min_u sigma(E* * B(u, r/L)) / sigma(B(u, r/2L))."""),
 }
 
 
-def _parse_functional(entry, index: int) -> FunctionalSpec:
+def _parse_functional(entry, index: int, d: int) -> FunctionalSpec:
     where = f"functionals[{index}]"
     if isinstance(entry, str):
         entry = {"name": entry}
@@ -238,6 +240,8 @@ def _parse_functional(entry, index: int) -> FunctionalSpec:
     for key, check, msg in FUNCTIONALS[name].checks:
         try:
             params[key] = check(key, params[key], msg=msg)
+            if key == "weight" and params[key] is not None:
+                validate_measure(params[key], d)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"field '{where}.{key}': {exc}") from exc
     tag = entry.get("tag", name)
@@ -272,7 +276,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     raw_fn = data.get("functionals")
     _require(isinstance(raw_fn, list) and raw_fn, "functionals", "must be a nonempty list")
-    functionals = tuple(_parse_functional(f, i) for i, f in enumerate(raw_fn))
+    functionals = tuple(_parse_functional(f, i, d) for i, f in enumerate(raw_fn))
     tags = [f.tag for f in functionals]
     _require(len(set(tags)) == len(tags), "functionals", "tags must be unique (set 'tag')")
 

@@ -498,12 +498,13 @@ def rhinfty_check(
     for u in centers:
         for delta in _CHECK_RADII:
             local = cap_quadrature(d, u, float(delta))
+            values = weight_values(mu, np.vstack([local.nodes, u[None, :]]))
             # cap_mass's value over the cap's measure, from the rule built for the sup
             if isinstance(mu, Lebesgue):
                 avg = 1.0
             else:
-                avg = float(local.weights @ weight_values(mu, local.nodes)) / cap_measure(d, float(delta))
-            sup = float(weight_values(mu, np.vstack([local.nodes, u[None, :]])).max())
+                avg = float(local.weights @ values[:-1]) / cap_measure(d, float(delta))
+            sup = float(values.max())
             if avg <= 0.0:
                 if sup > 0.0:
                     passed = False
@@ -524,33 +525,15 @@ def rhinfty_check(
     )
 
 
-def regularize_set(
-    E: SetSpec,
-    L: int,
-    eps: float,
-    delta: float | None = None,
-    d: int | None = None,
-    default_delta_r: float = 2.0,
-    sampling: Sampling = Sampling(),
-) -> SetSpec:
+def regularize_set(E: SetSpec, L: int, eps: float, delta: float, rule: QuadratureRule) -> SetSpec:
     """Good-cap regularization: cover the sphere by caps B(v, eps/L) on a
-    bounded-overlap net, keep those holding at least a delta fraction of
-    surface measure of E, and return their union.
-
-    With delta unset, half the measured relative density of E at scale
-    ``default_delta_r``/L is used, matching the construction's smallness
-    requirement on delta relative to the density.  ``sampling`` sizes that
-    density scan and the rule the caps are weighed on.
-    """
-    if d is None:
-        raise ValueError("give the sphere dimension d")
+    bounded-overlap net, keep those holding at least a ``delta`` fraction of
+    surface measure of E, weighed on ``rule`` (a product rule, ``ring_layout``),
+    and return their union."""
     if L < 1 or eps <= 0:
         raise ValueError("need L >= 1 and eps > 0")
     radius = eps / L
-    net = covering_net(d, radius)
-    if delta is None:
-        delta = 0.5 * relative_density(E, Lebesgue(), L, default_delta_r, d=d, sampling=sampling).rho_hat
-    rule = sampling.rule(E, d, window=radius)
+    net = covering_net(rule.d, radius)
     num, den = _local_masses(net, rule, [(rule.weights * rule.inside(E), radius), (rule.weights, radius)])
     if np.any(den <= 0.0):
         raise NetConstructionError("net caps too small for the rule resolution")

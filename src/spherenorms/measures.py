@@ -46,8 +46,8 @@ class PowerDistanceWeight:
     pole: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pole", assert_unit(self.pole, name="pole"))
         check_fields(self)
+        object.__setattr__(self, "pole", assert_unit(self.pole, name="pole"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,9 +62,9 @@ class BandWeight:
     outside: float
 
     def __post_init__(self):
-        object.__setattr__(self, "axis", assert_unit(self.axis, name="axis"))
         nonnegative = (lambda w: w >= 0, "must be nonnegative")
         check_fields(self, inside=nonnegative, outside=nonnegative)
+        object.__setattr__(self, "axis", assert_unit(self.axis, name="axis"))
         if not (0.0 <= self.lo < self.hi <= math.pi):
             raise ValueError("band bounds must satisfy 0 <= lo < hi <= pi")
 
@@ -87,6 +87,8 @@ def validate_measure(mu: MeasureSpec, d: int) -> None:
             raise ValueError(f"power-distance exponent must exceed -{d} for integrability")
         if mu.pole.shape != (d + 1,):
             raise ValueError(f"pole must be a point of S^{d}")
+    elif isinstance(mu, BandWeight) and mu.axis.shape != (d + 1,):
+        raise ValueError(f"axis must be a point of S^{d}")
     elif isinstance(mu, ProductWeight):
         for f in mu.factors:
             validate_measure(f, d)

@@ -68,8 +68,9 @@ class CapUnion:
     radii: np.ndarray
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "centers", assert_unit(np.atleast_2d(self.centers), name="centers"))
-        object.__setattr__(self, "radii", np.atleast_1d(np.asarray(self.radii, dtype=float)))
+        object.__setattr__(self, "radii", np.atleast_1d(self.radii))
         if self.radii.shape[0] != self.centers.shape[0]:
             raise ValueError("one radius per cap center required")
         if not np.all((self.radii > 0) & (self.radii <= math.pi)):
@@ -86,8 +87,8 @@ class Band:
     hi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "axis", assert_unit(self.axis, name="axis"))
         check_fields(self)
+        object.__setattr__(self, "axis", assert_unit(self.axis, name="axis"))
         if not (0.0 <= self.lo < self.hi <= math.pi):
             raise ValueError("band bounds must satisfy 0 <= lo < hi <= pi")
 
@@ -100,11 +101,10 @@ class Arcs:
     intervals: np.ndarray = field(metadata={"dump": lambda iv: np.stack([iv[:, 0], iv[:, 0] + iv[:, 1]], 1).tolist()})
 
     def __post_init__(self):
-        iv = np.atleast_2d(np.asarray(self.intervals, dtype=float))
+        check_fields(self)
+        iv = np.atleast_2d(self.intervals)
         if iv.size == 0:
             raise ValueError("empty arc list; use EmptySet")
-        if not np.isfinite(iv).all():
-            raise ValueError("intervals must have finite ends")
         starts = np.mod(iv[:, 0], _TWO_PI)
         lengths = iv[:, 1] - iv[:, 0]
         lengths = np.where(lengths <= 0, lengths + _TWO_PI, lengths)
@@ -352,10 +352,19 @@ _SCALARS = {"int": int, "float": float, "float | None": float}
 
 def check_fields(spec, **rules) -> None:
     """Put every ``int`` or ``float`` field of a frozen spec through ``checked`` in place,
-    with ``rules[name] = (ok, msg)`` where given; a ``float | None`` field may stay None."""
+    with ``rules[name] = (ok, msg)`` where given (a ``float | None`` field may stay None);
+    an ``np.ndarray`` field is stored as a float array, each entry put through ``checked``
+    (named ``name[i, j]``) unless it is an integer or float array, which must be finite."""
     for f in fields(spec):
         value = getattr(spec, f.name)
-        if f.type in _SCALARS and not (value is None and f.type.endswith("None")):
+        if f.type == "np.ndarray":
+            if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
+                for index, x in np.ndenumerate(np.asarray(value, dtype=object)):
+                    checked(f"{f.name}{list(index)}", x)
+            elif not np.isfinite(value).all():
+                raise ValueError(f"{f.name} must be finite")
+            object.__setattr__(spec, f.name, np.asarray(value, dtype=float))
+        elif f.type in _SCALARS and not (value is None and f.type.endswith("None")):
             object.__setattr__(spec, f.name, checked(f.name, value, _SCALARS[f.type], *rules.get(f.name, ())))
 
 

@@ -64,6 +64,12 @@ def test_parse_and_defaults():
         ("functionals: [{name: regularize, delta: 5.0}]", "functionals[0].delta"),
         ("functionals: [{name: weights, scales: [0.0, 3.0]}]", "functionals[0].scales"),
         ("functionals: [{name: weights, n_caps: 0}]", "functionals[0].n_caps"),
+        # a weight on another sphere than the config's
+        ("functionals: [{name: supnorm, weight: {kind: power_distance, exponent: 2.0, pole: [0, 0, 1]}}]",
+         "functionals[0].weight"),
+        ("functionals: [{name: supnorm, weight: {kind: band_weight, axis: [0, 0, 1], lo: 0.0, hi: 1.0, inside: 1.0,"
+         " outside: 2.0}}]", "functionals[0].weight"),
+        ("measure: {kind: band_weight, axis: [0, 0, 1], lo: 0.0, hi: 1.0, inside: 1.0, outside: 2.0}", "measure"),
         ("quadrature: {max_nodes: 0}", "quadrature.max_nodes"),
         ("schema: 99", "schema"),
     ],
@@ -120,6 +126,18 @@ _UNGUESSED = [
     ("measure: {kind: power_distance, exponent: 2.0, pole: [.nan, 0]}", "measure", "pole"),
     ("family: {kind: fixed, set: {kind: cap_union, centers: [[1, 0]], radii: [.nan]}}", "family", "radii"),
     ("family: {kind: fixed, set: {kind: arcs, intervals: [[0.0, .nan]]}}", "family", "intervals"),
+    # array entries: booleans and non-numbers, alone or in a list with numbers
+    ("family: {kind: fixed, set: {kind: cap_union, centers: [[1, 0]], radii: [true]}}", "family", "radii"),
+    ("family: {kind: fixed, set: {kind: cap_union, centers: [[1, 0], [0, 1]], radii: [true, 0.5]}}", "family", "radii"),
+    ("family: {kind: fixed, set: {kind: cap_union, centers: [[1, 0]], radii: ['0.5']}}", "family", "radii"),
+    ("family: {kind: fixed, set: {kind: cap_union, centers: [[false, 1]], radii: [0.5]}}", "family", "centers"),
+    ("family: {kind: fixed, set: {kind: cap, center: [true, 0], radius: 0.5}}", "family", "center"),
+    ("family: {kind: fixed, set: {kind: arcs, intervals: [['0', 1.0]]}}", "family", "intervals"),
+    ("family: {kind: fixed, set: {kind: band, axis: [0, 0, true], lo: 0.0, hi: 1.0}}", "family", "axis"),
+    ("measure: {kind: power_distance, exponent: 2.0, pole: [true, 0]}", "measure", "pole"),
+    ("measure: {kind: band_weight, axis: [0, true], lo: 0.0, hi: 1.0, inside: 1.0, outside: 2.0}", "measure", "axis"),
+    ("functionals: [{name: supnorm, weight: {kind: power_distance, exponent: 2.0, pole: [true, 0]}}]",
+     "functionals[0].weight", "pole"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Relative density, harmonic measure, doubling / weight-class diagnostics,
 and the good-cap regularization."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from scipy.integrate import quad
 
 import spherenorms as sn
+from spherenorms.acceptance import CONFIG_DENSE_NET
+from spherenorms.config import FUNCTIONALS, parse_config
 from spherenorms.errors import DegenerateMeasureError, ResolutionError
 from spherenorms.geometry import candidate_centers
 from spherenorms.quadrature import cap_quadrature
@@ -286,10 +289,11 @@ def test_rhinfty_unbounded_weight_fails():
 
 
 def test_regularize_full_and_empty():
-    full_star = sn.regularize_set(sn.FullSphere(), 8, eps=0.5, delta=1.0, d=2)
+    rule = sn.Sampling().rule(sn.FullSphere(), 2, window=0.5 / 8)
+    full_star = sn.regularize_set(sn.FullSphere(), 8, 0.5, 1.0, rule)
     rep = sn.relative_density(full_star, sn.Lebesgue(), 8, r=2.0, d=2)
     assert rep.rho_hat >= 0.999
-    empty_star = sn.regularize_set(sn.EmptySet(), 8, eps=0.5, delta=0.25, d=2)
+    empty_star = sn.regularize_set(sn.EmptySet(), 8, 0.5, 0.25, sn.Sampling().rule(sn.EmptySet(), 2, window=0.5 / 8))
     assert isinstance(empty_star, EmptySet)
 
 
@@ -297,17 +301,25 @@ def test_regularize_dense_family_keeps_density():
     L = 8
     E = sn.realize_family(sn.CapNetFamily(0.5, 2.0), 2, L)
     rho = sn.relative_density(E, sn.Lebesgue(), L, r=2.0, d=2).rho_hat
-    star = sn.regularize_set(E, L, eps=0.5, delta=rho / 2, d=2)
+    star = sn.regularize_set(E, L, 0.5, rho / 2, sn.Sampling().rule(E, 2, window=0.5 / L))
     prof = sn.density_profile(star, sn.Lebesgue(), L, num_radius=2.0 / L, den_radius=1.0 / L, d=2)
     assert prof.rho_hat >= rho / 2
 
 
 def test_regularize_default_delta():
+    # the regularize functional with delta unset keeps the net caps holding
+    # half of E's density at r/L
     L = 8
-    E = sn.realize_family(sn.CapNetFamily(0.5, 2.0), 2, L)
-    star = sn.regularize_set(E, L, eps=0.5, d=2)
+    cfg = parse_config(CONFIG_DENSE_NET)
+    E = sn.realize_family(cfg.family, 2, L)
+    rule = functools.partial(cfg.sampling.rule, E, 2)
+    _, witness = FUNCTIONALS["regularize"].compute(cfg, E, L, dict(FUNCTIONALS["regularize"].defaults), rule)
+    delta = 0.5 * sn.relative_density(E, sn.Lebesgue(), L, r=2.0, d=2).rho_hat
+    assert delta > 0.0
+    star = sn.regularize_set(E, L, 0.5, delta, rule(window=0.5 / L))
     assert isinstance(star, sn.CapUnion)
     assert star.radii[0] == pytest.approx(0.5 / L)
+    assert witness == f"good_caps={star.centers.shape[0]};eps=0.5;delta={delta:.6g}"
 
 
 def test_functional_rotation_covariance():

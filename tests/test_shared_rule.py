@@ -4,15 +4,17 @@ functional of its degree one rule per layout."""
 
 import math
 import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spherenorms as sn
-from spherenorms import sets
-from spherenorms.acceptance import CONFIG_DENSE_NET, CONFIG_FIXED_CAP
-from spherenorms.config import parse_config
-from spherenorms.runner import run_experiment
+from spherenorms import quadrature, sets
+from spherenorms.acceptance import CONFIG_DENSE_NET, CONFIG_FIXED_CAP, CONFIG_REGULARIZATION
+from spherenorms.config import config_hash, load_config, parse_config
+from spherenorms.runner import _job, run_experiment
 
 
 @pytest.fixture
@@ -35,6 +37,43 @@ def classified(monkeypatch):
         if name.split(".")[0] == "spherenorms" and getattr(module, "membership", None) is real:
             monkeypatch.setattr(module, "membership", counted)
     return calls
+
+
+@pytest.fixture
+def classified_layouts(monkeypatch):
+    """(set, rule descriptor) of every ``membership`` call ``QuadratureRule.inside`` makes;
+    the list holds each set, so its id is not reused while the list lives."""
+    real_inside, real_membership, calls, layout = quadrature.QuadratureRule.inside, quadrature.membership, [], []
+
+    def inside(rule, E):
+        layout.append(tuple(rule.descriptor.items()))
+        try:
+            return real_inside(rule, E)
+        finally:
+            layout.pop()
+
+    def counted(spec, points, *args, **kwargs):
+        calls.append((spec, layout[-1]))
+        return real_membership(spec, points, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature.QuadratureRule, "inside", inside)
+    monkeypatch.setattr(quadrature, "membership", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cfg, job_calls", [
+    (load_config(Path(__file__).resolve().parents[1] / "configs" / "weighted_arcs.yaml"), None),
+    # criterion 12's one job: E once on its one layout, then E*
+    (parse_config(CONFIG_REGULARIZATION), 2),
+], ids=["weighted-arcs", "regularization"])
+def test_each_job_classifies_a_set_once_per_layout(classified_layouts, cfg, job_calls):
+    # the regularize functional weighs E, and takes its default delta, on the job's rules
+    for L in cfg.L_list:
+        classified_layouts.clear()
+        _job(cfg, config_hash(cfg), L, range(len(cfg.functionals)))
+        counts = Counter((id(E), layout) for E, layout in classified_layouts)
+        assert max(counts.values()) == 1, counts
+    assert job_calls in (None, len(classified_layouts))
 
 
 def _sweep(config, L, functionals, path):
