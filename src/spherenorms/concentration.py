@@ -33,8 +33,6 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .basis import _MERGE_ROWS, BasisSpec, _triangular_factor, basis_dim, basis_matrix, ring_factors
 from .errors import DegenerateMeasureError, EmptyIntersectionError, ResourceLimitError
@@ -186,6 +184,7 @@ def lambda_min(
             raise DegenerateMeasureError("full-sphere Gram is numerically singular for this measure")
         s_full = np.linalg.svd(R_full, compute_uv=False)
         cond_full = float((s_full[0] / s_full[-1]) ** 2)
+        import scipy.linalg
         T = scipy.linalg.solve_triangular(R_full, R_E.T, trans="T", lower=False).T
     n_masked = int(rule.inside(E).sum())
     try:
@@ -299,6 +298,7 @@ def worst_case_lp(
     if p == 2.0:
         rep = lambda_min(E, mu, L, rule=rule, d=d)
         return PnormReport(value=rep.lambda_min, witness=rep.witness, restarts=(rep.lambda_min,), seed=seed)
+    import scipy.optimize
     d = rule_dim(d, rule)
     spec = BasisSpec(d, L)
     N = basis_dim(spec)

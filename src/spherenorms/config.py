@@ -27,7 +27,8 @@ from .functionals import (ainfty_check, density_profile, doubling_constant, harm
 from .geometry import candidate_centers
 from .measures import Lebesgue, MeasureSpec, measure_from_dict, measure_to_dict, validate_measure
 from .quadrature import Sampling
-from .sets import CapUnion, SetFamily, checked, family_from_dict, family_to_dict, min_feature_scale
+from .sets import (CapUnion, FixedFamily, SetFamily, checked, family_from_dict, family_to_dict, min_feature_scale,
+                   validate_set)
 
 __all__ = [
     "Functional",
@@ -266,6 +267,8 @@ def parse_config(text: str) -> ExperimentConfig:
     _require("family" in data, "family", "missing")
     try:
         family = family_from_dict(data["family"])
+        if isinstance(family, FixedFamily):
+            validate_set(family.spec, d)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"field 'family': {exc}") from exc
     try:

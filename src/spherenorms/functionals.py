@@ -24,7 +24,7 @@ from .geometry import (
 )
 from .measures import Lebesgue, MeasureSpec, PowerDistanceWeight, cap_mass, weight_values
 from .quadrature import QuadratureRule, Sampling, cap_quadrature, ring_layout, rule_dim
-from .sets import CapUnion, EmptySet, SetSpec, cap_dots
+from .sets import CapUnion, EmptySet, SetSpec, _center_blocks, _ring_pairs, _ring_runs
 from .special import sphere_measure
 
 __all__ = [
@@ -48,11 +48,6 @@ _NODE_CHUNK = 2048
 # every _SEED_STRIDE-th center of the harmonic grid is summed in full; the
 # smallest of those sums bounds the partial sums the other centers may keep
 _SEED_STRIDE = 16
-# (center, ring) pairs, or counted (center, node) pairs, per density block; bounds the scan's temporaries
-_PAIR_BLOCK = 1 << 20
-# polar-angle slack of a window's ring band: a node the float64 test counts lies
-# within radius + sqrt(2 * 1e-15) of the center, far inside radius + 1e-6
-_BAND_SLACK = 1e-6
 # cap radii probed by both ainfty_check and rhinfty_check, and the A_infinity beta grid
 _CHECK_RADII = (0.2, 0.5, 1.0)
 _AINFTY_BETAS = (0.5, 1.0, 2.0)
@@ -94,90 +89,27 @@ class WeightReport:
     witness: dict | None = None
 
 
-def _center_blocks(counts: np.ndarray) -> list[tuple[int, int]]:
-    """Consecutive center ranges whose counts sum to at most ``_PAIR_BLOCK``,
-    or single centers whose count alone is larger."""
-    csum = np.cumsum(counts)
-    bounds = [0]
-    while bounds[-1] < counts.shape[0]:
-        done = csum[bounds[-1] - 1] if bounds[-1] else 0
-        bounds.append(max(bounds[-1] + 1, int(np.searchsorted(csum, done + _PAIR_BLOCK, side="right"))))
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _ring_runs(c, rings, coords, n_phi, cos_w):
-    """``(first, count)`` of the run of longitudes each (center, ring) pair's
-    window holds: ``c`` holds the pairs' centers, ``rings`` their ring
-    indices and ``coords`` the rule's nodes, one row per coordinate.  The
-    run within arccos((cos_w - c_z t) / (rho_c s)) of the center's longitude
-    is a first guess; then each end takes in its outer neighbour while the
-    float64 test passes it and gives up its own node while the test fails
-    it, until neither end moves."""
-    d = coords.shape[0] - 1
-    base = rings * n_phi
-    num = cos_w - c[:, 2] * coords[2, base] if d == 2 else np.full(rings.size, cos_w)
-    den = np.hypot(c[:, 0], c[:, 1]) * coords[0, base]
-    # a center on the axis sees its whole ring at one dot product
-    q = np.divide(num, den, out=np.where(num > 0.0, np.inf, -np.inf), where=den > 0.0)
-    step = 2.0 * math.pi / n_phi
-    mid = np.arctan2(c[:, 1], c[:, 0]) / step
-    half = np.arccos(np.clip(q, -1.0, 1.0)) / step
-    first = np.ceil(mid - half).astype(np.int64)
-    count = np.minimum(np.floor(mid + half).astype(np.int64) - first + 1, n_phi)
-    c = c.T.copy()
-
-    def passes(live, k):
-        return cap_dots(c[:, live], coords[:, base[live] + k % n_phi]) >= cos_w
-
-    live = np.arange(rings.size)
-    while live.size:
-        grow = (count[live] < n_phi) & passes(live, first[live] - 1)
-        first[live] -= grow
-        count[live] += grow
-        shrink = (count[live] > 0) & ~passes(live, first[live])
-        first[live] += shrink
-        count[live] -= shrink
-        grow_end = (count[live] < n_phi) & passes(live, first[live] + count[live])
-        count[live] += grow_end
-        shrink_end = (count[live] > 0) & ~passes(live, first[live] + count[live] - 1)
-        count[live] -= shrink_end
-        live = live[grow | shrink | grow_end | shrink_end]
-    return first, count
-
-
 def _local_masses(centers, rule, windows):
     """Per-center masses, one array per (values, radius) window: values summed over B(c, radius).
 
     Node u counts for center c when ``sets.cap_dots(c, u) >= cos(radius)``,
     the test membership decides caps by; a radius of pi or more takes the
     whole sphere.  ``rule`` must be a product rule (``ring_layout``; the
-    uniform rule on S^1 is one ring), else ValueError.  The nodes a cap holds
-    on one ring are a run of consecutive longitudes, found from its closed
-    form and settled by that same test at both ends (``_ring_runs``), so the
-    counted nodes are those an all-pairs scan counts whenever the nodes the
-    test passes on a ring are consecutive.  Only rings within the widest
-    radius of a center are visited.  A center's nodes are summed one after
-    another, ring by ring, so windows holding equally many equal-weight nodes
-    tie exactly.
+    uniform rule on S^1 is one ring), else ValueError.  A window holds one
+    run of longitudes per ring in its polar band (``sets._ring_runs``), so
+    the counted nodes are those an all-pairs scan counts.  A center's nodes
+    are summed one after another, ring by ring, so windows holding equally
+    many equal-weight nodes tie exactly.
     """
     n_phi = ring_layout(rule)[1]
     coords = np.ascontiguousarray(rule.nodes.T)
     cos_r = [math.cos(min(radius, math.pi)) for _, radius in windows]
-    reach = min(max(radius for _, radius in windows), math.pi) + _BAND_SLACK
-    # polar angles, negated so that they ascend with the ring index
-    polar = -np.arctan2(coords[0, ::n_phi], coords[2, ::n_phi] if rule.d == 2 else 0.0)
-    c_polar = -np.arctan2(np.hypot(centers[:, 0], centers[:, 1]), centers[:, 2] if rule.d == 2 else 0.0)
-    lowest = np.searchsorted(polar, c_polar - reach)
-    band = np.searchsorted(polar, c_polar + reach, side="right") - lowest
     masses = [np.zeros(centers.shape[0]) for _ in windows]
-    for c0, c1 in _center_blocks(band):
-        owner = np.repeat(np.arange(c1 - c0), band[c0:c1])
-        pair_end = np.cumsum(band[c0:c1])
-        rings = lowest[c0:c1][owner] + np.arange(owner.size) - (pair_end - band[c0:c1])[owner]
+    for c0, c1, owner, rings in _ring_pairs(centers, coords, n_phi, max(radius for _, radius in windows)):
         pair_centers = centers[c0:c1][owner]
         runs = {cos_w: _ring_runs(pair_centers, rings, coords, n_phi, cos_w) for cos_w in dict.fromkeys(cos_r)}
         held = np.max([np.bincount(owner, weights=count, minlength=c1 - c0) for _, count in runs.values()], axis=0)
-        pair_end = np.concatenate([[0], pair_end])
+        pair_end = np.searchsorted(owner, np.arange(c1 - c0 + 1))
         for b0, b1 in _center_blocks(held):
             p0, p1 = pair_end[b0], pair_end[b1]
             for cos_w, (first, count) in runs.items():

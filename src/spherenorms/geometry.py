@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import NetConstructionError
 from .special import sphere_measure
@@ -196,6 +195,7 @@ def covering_net(d: int, spacing: float) -> np.ndarray:
         return uniform_circle(n)
     if d != 2:
         raise ValueError(f"unsupported sphere dimension d={d}")
+    from scipy.spatial import cKDTree
     n = max(16, int(math.ceil(4.0 * math.pi / (0.7 * spacing) ** 2)))
     for _ in range(_NET_TRIES):
         net = fibonacci_lattice(n)

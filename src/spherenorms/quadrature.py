@@ -51,10 +51,14 @@ class QuadratureRule:
         return self.nodes.shape[0]
 
     def inside(self, E: SetSpec) -> np.ndarray:
-        """E's read-only mask on the nodes, classified once per (rule, set); the
-        memo holds E, so its id is not reused while the entry lives."""
+        """E's read-only mask on the nodes, classified once per (rule, set), by ring runs on a
+        product rule (``ring_layout``); the memo holds E, so its id is not reused while it lives."""
         if id(E) not in self._masks:
-            mask = membership(E, self.nodes)
+            try:
+                layout = ring_layout(self)
+            except ValueError:  # no rings: the nodes are arbitrary points
+                layout = None
+            mask = membership(E, self.nodes, layout=layout)
             mask.flags.writeable = False
             self._masks[id(E)] = (E, mask)
         return self._masks[id(E)][1]

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from typing import ClassVar, Union, get_args
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import (
     angle_of,
@@ -39,6 +38,7 @@ __all__ = [
     "random_cap_union",
     "membership",
     "cap_dots",
+    "validate_set",
     "indicator",
     "arc_list",
     "min_feature_scale",
@@ -55,8 +55,13 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# dense membership below these sizes, KD-tree above
+# arbitrary points: dense membership below these sizes, KD-tree above
 _TREE_MIN_CAPS = 64
+# (center, ring) pairs, or counted (center, node) pairs, per block of a ring scan; bounds its temporaries
+_PAIR_BLOCK = 1 << 20
+# polar-angle slack of a cap's ring band: a node the float64 test passes lies
+# within radius + sqrt(2 * 1e-15) of the center, far inside radius + 1e-6
+_BAND_SLACK = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,15 +162,98 @@ def cap_dots(c, u):
     return dots
 
 
-def _caps_member(spec: CapUnion, pts: np.ndarray, strict: bool) -> np.ndarray:
-    """Point u is in the cap (c, r) when ``cap_dots(c, u) >= cos r``.  From ``_TREE_MIN_CAPS``
-    caps on, a k-d tree picks each point's nearest center per radius and that test decides,
-    so adding caps far from a point does not change its answer."""
+def _center_blocks(counts: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive center ranges whose counts sum to at most ``_PAIR_BLOCK``, or one center whose count is larger."""
+    csum = np.cumsum(counts)
+    bounds = [0]
+    while bounds[-1] < counts.shape[0]:
+        done = csum[bounds[-1] - 1] if bounds[-1] else 0
+        bounds.append(max(bounds[-1] + 1, int(np.searchsorted(csum, done + _PAIR_BLOCK, side="right"))))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _ring_pairs(centers, coords, n_phi, radius):
+    """The (center, ring) pairs whose ring lies within polar angle ``radius`` (at most pi, plus
+    ``_BAND_SLACK``) of the center, a block of centers at a time (``_center_blocks``): yields
+    ``(c0, c1, owner, rings)``, each pair's center index from c0 and its ring index, grouped by
+    center.  ``coords`` holds a product rule's nodes, one row per coordinate."""
+    reach = min(radius, math.pi) + _BAND_SLACK
+    # polar angles, negated so that they ascend with the ring index
+    polar = -np.arctan2(coords[0, ::n_phi], coords[2, ::n_phi] if coords.shape[0] == 3 else 0.0)
+    c_polar = -np.arctan2(np.hypot(centers[:, 0], centers[:, 1]), centers[:, 2] if centers.shape[1] == 3 else 0.0)
+    lowest = np.searchsorted(polar, c_polar - reach)
+    band = np.searchsorted(polar, c_polar + reach, side="right") - lowest
+    for c0, c1 in _center_blocks(band):
+        owner = np.repeat(np.arange(c1 - c0), band[c0:c1])
+        pair_end = np.cumsum(band[c0:c1])
+        yield c0, c1, owner, lowest[c0:c1][owner] + np.arange(owner.size) - (pair_end - band[c0:c1])[owner]
+
+
+def _ring_runs(c, rings, coords, n_phi, cos_w, strict=False):
+    """``(first, count)`` of the run of longitudes each (center, ring) pair's
+    cap holds: ``c`` holds the pairs' centers, ``rings`` their ring indices
+    and ``coords`` the rule's nodes, one row per coordinate.  The run within
+    arccos((cos_w - c_z t) / (rho_c s)) of the center's longitude is a first
+    guess; then each end takes in its outer neighbour while the float64 test
+    ``cap_dots(c, u) >= cos_w`` (``>`` if ``strict``) passes it and gives up
+    its own node while the test fails it, until neither end moves."""
+    d = coords.shape[0] - 1
+    base = rings * n_phi
+    num = cos_w - c[:, 2] * coords[2, base] if d == 2 else np.full(rings.size, cos_w)
+    den = np.hypot(c[:, 0], c[:, 1]) * coords[0, base]
+    # a center on the axis sees its whole ring at one dot product, and one a subnormal off it overflows to that
+    with np.errstate(over="ignore"):
+        q = np.divide(num, den, out=np.where(num > 0.0, np.inf, -np.inf), where=den > 0.0)
+    step = 2.0 * math.pi / n_phi
+    mid = np.arctan2(c[:, 1], c[:, 0]) / step
+    half = np.arccos(np.clip(q, -1.0, 1.0)) / step
+    first = np.ceil(mid - half).astype(np.int64)
+    count = np.minimum(np.floor(mid + half).astype(np.int64) - first + 1, n_phi)
+    c = c.T.copy()
     above = np.greater if strict else np.greater_equal
-    n, k = pts.shape[0], spec.centers.shape[0]
+
+    def passes(live, k):
+        return above(cap_dots(c[:, live], coords[:, base[live] + k % n_phi]), cos_w)
+
+    live = np.arange(rings.size)
+    while live.size:
+        grow = (count[live] < n_phi) & passes(live, first[live] - 1)
+        first[live] -= grow
+        count[live] += grow
+        shrink = (count[live] > 0) & ~passes(live, first[live])
+        first[live] += shrink
+        count[live] -= shrink
+        grow_end = (count[live] < n_phi) & passes(live, first[live] + count[live])
+        count[live] += grow_end
+        shrink_end = (count[live] > 0) & ~passes(live, first[live] + count[live] - 1)
+        count[live] -= shrink_end
+        live = live[grow | shrink | grow_end | shrink_end]
+    return first, count
+
+
+def _caps_member(spec: CapUnion, pts: np.ndarray, strict: bool, layout) -> np.ndarray:
+    """Point u is in the cap (c, r) when ``cap_dots(c, u) >= cos r``.  On a product rule's nodes
+    (``layout``) each cap holds one run of longitudes per ring of its polar band (``_ring_runs``),
+    marked in one difference array.  Elsewhere, from ``_TREE_MIN_CAPS`` caps on, a k-d tree picks
+    each point's nearest center per radius and that test decides, so far caps change no answer."""
+    n = pts.shape[0]
+    if layout is not None:
+        coords, n_phi = np.ascontiguousarray(pts.T), layout[1]
+        marks = np.zeros(n + 1, dtype=np.int64)
+        for radius in np.unique(spec.radii):
+            centers = spec.centers[spec.radii == radius]
+            for c0, c1, owner, rings in _ring_pairs(centers, coords, n_phi, radius):
+                first, count = _ring_runs(centers[c0:c1][owner], rings, coords, n_phi, math.cos(radius), strict)
+                start, base = rings * n_phi + first % n_phi, rings * n_phi
+                wrap = np.maximum(start + count - base - n_phi, 0)  # the run's part past phi = 2 pi
+                marks += np.bincount(np.concatenate([start, base]), minlength=n + 1)
+                marks -= np.bincount(np.concatenate([start + count - wrap, base + wrap]), minlength=n + 1)
+        return np.cumsum(marks[:-1]) > 0
+    above = np.greater if strict else np.greater_equal
     cos_r = np.array([math.cos(r) for r in spec.radii])
     out = np.zeros(n, dtype=bool)
-    if k >= _TREE_MIN_CAPS:
+    if spec.centers.shape[0] >= _TREE_MIN_CAPS:
+        from scipy.spatial import cKDTree
         for lim in np.unique(cos_r):
             centers = spec.centers[cos_r == lim]
             out |= above(cap_dots(centers[cKDTree(centers).query(pts, k=1)[1]].T, pts.T), lim)
@@ -175,12 +263,14 @@ def _caps_member(spec: CapUnion, pts: np.ndarray, strict: bool) -> np.ndarray:
     return out
 
 
-def membership(spec: SetSpec, points, strict: bool = False) -> np.ndarray:
+def membership(spec: SetSpec, points, strict: bool = False, layout: tuple[int, int] | None = None) -> np.ndarray:
     """Boolean membership of the given points (rows) in the set.
 
     ``strict`` selects the open interior; the complement of a closed set is
     the negation of the strict interior, so Complement flips the flag.  Cap
-    unions and arcs refuse points of another sphere (ValueError).
+    unions and arcs refuse points of another sphere (ValueError).  Given the
+    ``layout`` (``quadrature.ring_layout``) of the product rule whose nodes
+    the points are, cap unions are classified by ring runs.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     coords = spec.centers.shape[1] if isinstance(spec, CapUnion) else 2 if isinstance(spec, Arcs) else pts.shape[1]
@@ -191,9 +281,9 @@ def membership(spec: SetSpec, points, strict: bool = False) -> np.ndarray:
     if isinstance(spec, EmptySet):
         return np.zeros(pts.shape[0], dtype=bool)
     if isinstance(spec, Complement):
-        return ~membership(spec.inner, pts, strict=not strict)
+        return ~membership(spec.inner, pts, not strict, layout)
     if isinstance(spec, CapUnion):
-        return _caps_member(spec, pts, strict)
+        return _caps_member(spec, pts, strict, layout)
     if isinstance(spec, Band):
         t = pts @ spec.axis
         c_hi, c_lo = math.cos(spec.hi), math.cos(spec.lo)
@@ -210,6 +300,16 @@ def membership(spec: SetSpec, points, strict: bool = False) -> np.ndarray:
                 out |= rel >= _TWO_PI - 1e-15  # closed start point, mod rounding
         return out
     raise TypeError(f"unknown set spec {type(spec).__name__}")
+
+
+def validate_set(spec: SetSpec, d: int) -> None:
+    """ValueError unless the set's points, through complements, are points of S^d."""
+    if isinstance(spec, Complement):
+        return validate_set(spec.inner, d)
+    coords = spec.centers.shape[1] if isinstance(spec, CapUnion) else spec.axis.shape[0] if isinstance(spec, Band) \
+        else 2 if isinstance(spec, Arcs) else d + 1
+    if coords != d + 1:
+        raise ValueError(f"a {spec.kind} set whose points have {coords} coordinates is not on S^{d}")
 
 
 def indicator(spec: SetSpec, u) -> int:

@@ -92,6 +92,25 @@ def _mutated(mutation: str) -> str:
     return "\n".join(lines) + "\n" + mutation
 
 
+# a fixed family's set on another sphere than the config's, alone and through a complement
+_OFF_SPHERE = [
+    ("d: 1", "{kind: band, axis: [0, 0, 1], lo: 0.0, hi: 1.0}"),
+    ("d: 1", "{kind: cap_union, centers: [[0, 0, 1]], radii: [0.5]}"),
+    ("d: 2", "{kind: arcs, intervals: [[-1.0, 1.0]]}"),
+]
+
+
+@pytest.mark.parametrize("complement", [False, True], ids=["set", "complement"])
+@pytest.mark.parametrize("d, spec", _OFF_SPHERE, ids=["band", "cap_union", "arcs"])
+def test_family_set_is_checked_against_the_sphere(d, spec, complement):
+    # refused at parse time, not mid-sweep
+    spec = f"{{kind: complement, of: {spec}}}" if complement else spec
+    text = _mutated(f"family: {{kind: fixed, set: {spec}}}").replace("d: 1\n", d + "\n")
+    with pytest.raises(ConfigError, match=re.escape("field 'family'")) as err:
+        parse_config(text)
+    assert f"not on S^{d[-1]}" in str(err.value)
+
+
 # (mutation, field the error names, key it names if the field does not)
 _UNGUESSED = [
     ("sed: 5", "sed", None),

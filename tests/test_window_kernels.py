@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import spherenorms as sn
 from spherenorms import concentration as C
 from spherenorms import functionals as F
+from spherenorms import sets
 from spherenorms.geometry import candidate_centers, random_rotation
 from spherenorms.quadrature import QuadratureRule, arc_quadrature
 from spherenorms.sets import membership
@@ -249,11 +250,13 @@ def test_density_blocks_stay_within_old_block(monkeypatch):
         assert [a for a, _ in out] == [0] + [b for _, b in out[:-1]] and out[-1][1] == counts.shape[0]
         return out
 
+    # the (center, ring) pair blocks of sets._ring_pairs and the (center, node) blocks of the density scan
+    monkeypatch.setattr(sets, "_center_blocks", recorded)
     monkeypatch.setattr(F, "_center_blocks", recorded)
     E = sn.cap_set(sn.north_pole(2), 1.0)
     rep = sn.density_profile(E, sn.Lebesgue(), 2, 2.5, 2.5, rule=rule)
-    assert len(blocks) > 1 and sum(blocks) > F._PAIR_BLOCK
-    assert max(blocks) <= F._PAIR_BLOCK <= OLD_BLOCK
+    assert len(blocks) > 1 and sum(blocks) > sets._PAIR_BLOCK
+    assert max(blocks) <= sets._PAIR_BLOCK <= OLD_BLOCK
     centers = candidate_centers(2, rep.resolution["per_great_circle"])
     ind = membership(E, rule.nodes).astype(float)
     num, den = all_pairs_masses(centers, rule, rule.weights * ind, rule.weights, 2.5, 2.5)
