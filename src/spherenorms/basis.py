@@ -8,7 +8,11 @@ comes first, then cos/sin pairs for m = 1..degree.  ``_radial_orders`` and
 ``_order_columns`` define the basis; ``basis_matrix`` evaluates it, and on a
 d=2 product rule ``ring_factors`` applies the node x basis matrix and its
 transpose, and builds its weighted half-factor, through per-ring Legendre
-values and per-longitude trig values, without forming it.
+values and per-longitude trig values, without forming it.  ``RingFactors.groups``
+gives each column its (order m, cos|sin) group ``2m + cs``: rings kept whole
+(every node, one weight, n_phi >= 2L+1) add to one group at a time, so they
+are factored by one QR per group of at most L+1-m columns, and a set keeping
+only whole rings gets a block-diagonal factor with no dense QR.
 """
 
 from __future__ import annotations
@@ -132,32 +136,58 @@ class RingFactors:
         grid = np.matmul(self.legendre.transpose(0, 2, 1), ring)  # (m, l, cos|sin)
         return grid.ravel()[self.slot]
 
+    @property
+    def groups(self) -> np.ndarray:
+        """The (order, cos|sin) group ``2m + cs`` of each basis column, which is
+        also the row of ``trig`` the column takes along a ring."""
+        n_m = self.legendre.shape[0]
+        return 2 * (self.slot // (2 * n_m)) + self.slot % 2
+
     def half_factor(self, a: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
         """Upper-triangular R with ``R.T @ R = B[keep].T @ diag(a[keep]) @ B[keep]``
         (every node when ``keep`` is None), for node weights ``a >= 0``.
 
         Ring j's rows of B are ``trig.T @ lift_j``, where ``lift_j`` puts the
         ring's Legendre value of each basis column in that column's trig row.
-        A QR of the ring's kept rows of ``sqrt(a) * trig.T`` leaves at most
-        2(L+1) rows, lifted through ``lift_j``.  Whenever the buffered lifted
-        rows reach ``_MERGE_ROWS`` x dim Pi_L they are folded into a running
-        triangular factor by one QR, so about (_MERGE_ROWS + 1) dim Pi_L rows
-        are held at a time.  This is the node sum regrouped ring by ring.
+        A ring is whole when it keeps every node at one weight and
+        ``n_phi >= 2L+1``: its trig rows are then orthogonal, so its QR is the
+        diagonal ``sqrt(a_j) |trig row|`` and it adds to one (order, cos|sin)
+        group's block alone.  The whole rings are factored by one QR per group
+        of their scaled Legendre values, at most L+1-m columns wide; with no
+        partial ring that block-diagonal R is the answer.  Otherwise its
+        nonzero rows open the stack of partial rings: a QR of a ring's kept
+        rows of ``sqrt(a) * trig.T`` leaves at most 2(L+1) rows, lifted
+        through ``lift_j``, and whenever the buffered rows reach
+        ``_MERGE_ROWS`` x dim Pi_L they are folded into a running triangular
+        factor by one QR, so about (_MERGE_ROWS + 1) dim Pi_L rows are held
+        at a time.  This is the node sum regrouped ring by ring.
         """
         n_m, n_t, _ = self.legendre.shape
         N = self.slot.size
-        m, l, s = np.unravel_index(self.slot, (n_m, n_m, 2))
+        m, l, _ = np.unravel_index(self.slot, (n_m, n_m, 2))
+        group = self.groups
         lift = self.legendre[m, :, l]  # (dim Pi_L, n_t)
-        root = np.sqrt(a).reshape(n_t, -1)
-        kept = np.ones(root.shape, dtype=bool) if keep is None else np.reshape(keep, root.shape)
-        blocks, rows = [np.empty((0, N))], 0
-        for j in range(n_t):
+        a = np.reshape(a, (n_t, -1))
+        root = np.sqrt(a)
+        kept = np.ones(a.shape, dtype=bool) if keep is None else np.reshape(keep, a.shape)
+        whole = kept.all(axis=1) & (a == a[:, :1]).all(axis=1) & (a.shape[1] > 2 * (n_m - 1))
+        R = np.zeros((N, N))
+        if whole.any():
+            V = lift[:, whole].T * root[whole, :1] * np.linalg.norm(self.trig, axis=1)[group]
+            for g in np.unique(group):
+                cols = np.flatnonzero(group == g)
+                r = np.linalg.qr(V[:, cols], mode="r")
+                R[cols[: r.shape[0], None], cols] = r
+        partial = np.flatnonzero(kept.any(axis=1) & ~whole)
+        if not partial.size:
+            return R
+        blocks, rows = [R[R.any(axis=1)]], 0
+        for j in partial:
             W = root[j, kept[j], None] * self.trig.T[kept[j]]
-            if W.shape[0]:
-                blocks.append(np.linalg.qr(W, mode="r")[:, 2 * m + s] * lift[:, j])
-                rows += blocks[-1].shape[0]
-                if rows >= _MERGE_ROWS * N:
-                    blocks, rows = [np.linalg.qr(np.vstack(blocks), mode="r")], 0
+            blocks.append(np.linalg.qr(W, mode="r")[:, group] * lift[:, j])
+            rows += blocks[-1].shape[0]
+            if rows >= _MERGE_ROWS * N:
+                blocks, rows = [np.linalg.qr(np.vstack(blocks), mode="r")], 0
         return _triangular_factor(np.vstack(blocks), N)
 
 

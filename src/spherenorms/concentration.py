@@ -21,7 +21,11 @@ The rule's node x basis matrix B is applied one way per dimension.  On S^2
 the ring factors of a ``build_quadrature`` product rule apply B and B^T and
 build half-factors ring by ring (per-ring QR of the trig rows, lifted through
 the ring's Legendre values and folded into a running triangular factor every
-3 dim Pi_L rows); other d=2 rules raise ValueError.  On S^1, B is formed.  No
+3 dim Pi_L rows; rings kept whole go group by group, see ``basis``); other
+d=2 rules raise ValueError.  When the pencil factor has exact zeros wherever
+it couples two (order, cos|sin) groups, as on sets centred on the rule's
+axis, its SVD runs one group at a time: 2L+1 SVDs of at most L+1 columns in
+place of one of dim Pi_L (``diagnostics['svd_blocks']``).  On S^1, B is formed.  No
 degree is capped: one guard in ``_node_basis`` raises ResourceLimitError before
 any array sized by dim Pi_L is allocated, if they would pass 4e8 float64 entries.
 """
@@ -109,7 +113,7 @@ def _node_basis(spec: BasisSpec, rule: QuadratureRule):
         keep = slice(None) if keep is None else keep
         return _triangular_factor(B[keep] * np.sqrt(a[keep])[:, None], B.shape[1])
 
-    return SimpleNamespace(forward=lambda c: B @ c, adjoint=lambda w: B.T @ w, half_factor=half_factor)
+    return SimpleNamespace(forward=lambda c: B @ c, adjoint=lambda w: B.T @ w, half_factor=half_factor, groups=None)
 
 
 def _degree_rule(E: SetSpec, spec: BasisSpec, rule: QuadratureRule | None) -> QuadratureRule:
@@ -132,8 +136,8 @@ def _coefficients(coeffs, spec: BasisSpec | None, columns: bool = False) -> np.n
 
 
 def _half_factors(E: SetSpec, mu: MeasureSpec, spec: BasisSpec, rule: QuadratureRule | None, full: bool = True):
-    """``(rule, R_E, R_full)``: the rule a Gram over E is built from and the
-    half-factors with G_X = R_X^T R_X.
+    """``(rule, basis, R_E, R_full)``: the rule a Gram over E is built from,
+    its ``_node_basis`` and the half-factors with G_X = R_X^T R_X.
 
     On S^1 under the plain measure the rule is Gauss-Legendre on E's arcs
     (exact, so it replaces any given rule); else it is ``_degree_rule``'s.
@@ -144,7 +148,7 @@ def _half_factors(E: SetSpec, mu: MeasureSpec, spec: BasisSpec, rule: Quadrature
     basis = _node_basis(spec, rule)
     a = rule.weights * weight_values(mu, rule.nodes)
     R_full = basis.half_factor(a) if full and not isinstance(mu, Lebesgue) else None
-    return rule, basis.half_factor(a, rule.inside(E)), R_full
+    return rule, basis, basis.half_factor(a, rule.inside(E)), R_full
 
 
 def gram_matrix(
@@ -155,7 +159,7 @@ def gram_matrix(
 ) -> np.ndarray:
     """Symmetric PSD matrix of integrals of Y_i Y_j over E against mu, from
     the rule ``_half_factors`` picks (indicator-masked unless it lies in E)."""
-    R = _half_factors(E, mu, spec, rule, full=False)[1]
+    R = _half_factors(E, mu, spec, rule, full=False)[2]
     G = R.T @ R
     return 0.5 * (G + G.T)
 
@@ -175,27 +179,26 @@ def lambda_min(
     """
     d = rule_dim(d, rule)
     spec = BasisSpec(d, L)
-    rule, R_E, R_full = _half_factors(E, mu, spec, rule)
+    rule, basis, R_E, R_full = _half_factors(E, mu, spec, rule)
     if R_full is None:
         cond_full, T = 1.0, R_E
     else:
         diag_full = np.abs(np.diag(R_full))
         if diag_full.min() <= 1e-14 * max(diag_full.max(), 1.0):
             raise DegenerateMeasureError("full-sphere Gram is numerically singular for this measure")
-        s_full = np.linalg.svd(R_full, compute_uv=False)
+        s_full = _split_svd(R_full, basis.groups, vectors=False)[0]
         cond_full = float((s_full[0] / s_full[-1]) ** 2)
         import scipy.linalg
         T = scipy.linalg.solve_triangular(R_full, R_E.T, trans="T", lower=False).T
     n_masked = int(rule.inside(E).sum())
     try:
-        _, svals, Vt = np.linalg.svd(T)
+        svals, v, n_svd = _split_svd(T, basis.groups)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"eigensolve did not converge (dim {basis_dim(spec)}, {n_masked} masked nodes): {exc}"
         ) from exc
     sigma = float(svals[-1])
     lam = sigma * sigma
-    v = Vt[-1]
     witness = v if R_full is None else scipy.linalg.solve_triangular(R_full, v, lower=False)
     nrm = np.linalg.norm(witness)
     if nrm > 0:
@@ -213,8 +216,29 @@ def lambda_min(
         "n_masked": n_masked,
         "rule": dict(rule.descriptor),
         "lambda_floor": float((_EPS * svals[0]) ** 2),
+        "svd_blocks": n_svd,
     }
     return ConcentrationReport(lam, _reciprocal(lam), witness, diag)
+
+
+def _split_svd(T: np.ndarray, groups: np.ndarray | None, vectors: bool = True):
+    """``(svals, v, n)``: the singular values of T, largest first, the right
+    singular vector of the smallest (None without ``vectors``) and the number
+    n of SVDs run.  When every entry of T coupling two of ``groups`` (the
+    basis columns' (order, cos|sin) groups; None on S^1) is exactly zero, one
+    SVD per group answers and v is embedded in the full coefficient vector;
+    otherwise one dense SVD does."""
+    if groups is None or T[groups[:, None] != groups].any():
+        blocks = [np.arange(T.shape[1])]
+    else:
+        blocks = [np.flatnonzero(groups == g) for g in np.unique(groups)]
+    svds = [np.linalg.svd(T[np.ix_(cols, cols)], compute_uv=vectors) for cols in blocks]
+    if not vectors:
+        return np.sort(np.concatenate(svds))[::-1], None, len(blocks)
+    k = min(range(len(blocks)), key=lambda i: svds[i][1][-1])
+    v = np.zeros(T.shape[1])
+    v[blocks[k]] = svds[k][2][-1]
+    return np.sort(np.concatenate([svd[1] for svd in svds]))[::-1], v, len(blocks)
 
 
 def _reciprocal(lam: float) -> float:
@@ -240,7 +264,7 @@ def lp_ratio(
     if not np.all(np.isfinite(c)) or np.linalg.norm(c) == 0.0:
         raise ValueError("zero or non-finite polynomial")
     if p == 2.0:
-        _, R_E, R_full = _half_factors(E, mu, spec, rule)
+        _, _, R_E, R_full = _half_factors(E, mu, spec, rule)
         e, f = R_E @ c, (c if R_full is None else R_full @ c)
         num, den = float(e @ e), float(f @ f)
     else:
@@ -377,7 +401,7 @@ def uncertainty_check(
         raise ValueError("zero function")
     if head_sq == 0.0:
         return 1.0
-    e = _half_factors(E, Lebesgue(), spec, rule)[1] @ c
+    e = _half_factors(E, Lebesgue(), spec, rule)[2] @ c
     denom = float(e @ e) + tail_norm_sq
     if denom == 0.0:
         raise ValueError("function vanishes on the set and has no spectral tail")

@@ -1,9 +1,11 @@
 """The ring factors of the d=2 basis on a product rule against the dense
 evaluation matrix they replace: the forward and adjoint maps, the adjoint
-identity, the weighted half-factor and its memory peak, the L^p adversary's
-objective against its dense two-adjoint form (also on S^1) and its one basis
-pass each way per evaluation, lambda_min against the streamed node-block
-QR it replaced, and the rules the factors refuse."""
+identity, the weighted half-factor (whole rings, split by (order, cos|sin)
+group, partial rings, and both merged) and its memory peak, the L^p
+adversary's objective against its dense two-adjoint form (also on S^1) and
+its one basis pass each way per evaluation, lambda_min against the streamed
+node-block QR it replaced (one SVD per group on a polar cap, one dense SVD
+otherwise), and the rules the factors refuse."""
 
 import math
 import tracemalloc
@@ -121,10 +123,14 @@ def test_maps_match_dense_matrix(L, oversample, max_spacing, seed):
     assert abs(fc @ w - c @ aw) <= 1e-13 * scale
 
 
+POLE = np.array([0.0, 0.0, 1.0])
+
+
 @settings(max_examples=40, deadline=None)
 @rule_cases
 @example(3, 1.0, 0.05, 4)  # 63 rings of <= 8 rows against dim Pi_3 = 16: a merge every 6 rings
 @example(6, 1.0, 0.05, 5)  # 63 rings of <= 14 rows against dim Pi_6 = 49: a merge every 11 rings
+@example(8, 4.0, None, 6)  # the polar cap of radius 2.0 at L=8: whole rings only
 def test_half_factor_matches_dense_gram(L, oversample, max_spacing, seed):
     rule = sn.build_quadrature(2, 2 * L, oversample=oversample, max_spacing=max_spacing)
     spec = sn.BasisSpec(2, L)
@@ -132,11 +138,18 @@ def test_half_factor_matches_dense_gram(L, oversample, max_spacing, seed):
     rings = ring_factors(spec, rule)
     rng = np.random.default_rng(seed)
     E = sn.rotate(E2, random_rotation(2, rng))
+    # MU2's pole is the rule's axis, so every ring has one weight
     a = rule.weights * weight_values(MU2, rule.nodes)
     n_t, n_phi = rule.descriptor["n_t"], rule.descriptor["n_phi"]
     emptied = membership(E, rule.nodes).reshape(n_t, n_phi)
     emptied[rng.integers(n_t)] = False  # a ring with no kept node
-    for keep in (None, membership(E, rule.nodes), emptied.ravel(), np.zeros(rule.n_nodes, dtype=bool)):
+    # sets centred on the axis keep whole rings only; a small cap off the axis makes some rings partial
+    polar = [sn.cap_set(POLE, 2.0), sn.Band(POLE, 0.8, 2.0), sn.Complement(sn.cap_set(POLE, 1.0))]
+    merged = sn.CapUnion(np.stack([POLE, [0.8, 0.0, 0.6]]), np.array([1.0, 0.4]))
+    coupling = rings.groups[:, None] != rings.groups
+    for keep, whole in [(None, True), (membership(E, rule.nodes), False), (emptied.ravel(), False),
+                        (np.zeros(rule.n_nodes, dtype=bool), True), (membership(merged, rule.nodes), False)] + [
+                        (membership(P, rule.nodes), True) for P in polar]:
         R = rings.half_factor(a, keep)
         kept = np.ones(rule.n_nodes) if keep is None else keep
         G = B.T @ ((a * kept)[:, None] * B)
@@ -146,6 +159,9 @@ def test_half_factor_matches_dense_gram(L, oversample, max_spacing, seed):
             assert not R.any()
             continue
         assert_close(R.T @ R, G, 1e-13)
+        if whole:
+            # whole rings add to one (order, cos|sin) group each: no entry couples two
+            assert not (R.T @ R)[coupling].any()
 
 
 def test_half_factor_memory_stays_near_its_output():
@@ -166,17 +182,25 @@ def test_half_factor_memory_stays_near_its_output():
         assert peak <= 8 * (concentration._SQUARES * N * N + N * n_t + 2 * rule.n_nodes)
 
 
-@pytest.mark.parametrize("config, L", [
-    (CONFIG_DENSE_NET, 8),
+@pytest.mark.parametrize("config, L, svd_blocks", [
+    (CONFIG_DENSE_NET, 8, 1),
     ("""
 d: 2
 L_list: [12]
 family: {kind: random_caps, count: 24, radius: 0.35, seed: 0}
 measure: {kind: power_distance, exponent: 2.0, pole: [0.0, 0.0, 1.0]}
 functionals: [{name: eigen}]
-""", 12),
-], ids=["dense-net", "weighted-sphere"])
-def test_lambda_matches_streamed_factor(config, L):
+""", 12, 1),
+    # centred on the rule's axis: whole rings only, one SVD per (order, cos|sin) group
+    ("""
+d: 2
+L_list: [8]
+family: {kind: fixed, set: {kind: cap, center: [0.0, 0.0, 1.0], radius: 2.5}}
+measure: {kind: lebesgue}
+functionals: [{name: eigen}]
+""", 8, 17),
+], ids=["dense-net", "weighted-sphere", "polar-cap"])
+def test_lambda_matches_streamed_factor(config, L, svd_blocks):
     cfg = parse_config(config)
     E = realize_family(cfg.family, 2, L)
     rule = cfg.sampling.rule(E, 2, 2 * L)
@@ -185,8 +209,9 @@ def test_lambda_matches_streamed_factor(config, L):
     R_full = np.eye(len(R_E)) if isinstance(cfg.measure, sn.Lebesgue) else streamed_factor(spec, rule, cfg.measure)
     want = pencil_lambda(R_E, R_full)
     assert want >= 1e-6
-    got = sn.lambda_min(E, cfg.measure, L, rule=rule).lambda_min
-    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    rep = sn.lambda_min(E, cfg.measure, L, rule=rule)
+    assert rep.lambda_min == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert rep.diagnostics["svd_blocks"] == svd_blocks
 
 
 def sin_columns(d, N):

@@ -1,6 +1,7 @@
 """Cap-union membership on product rules by ring runs: against the all-caps
 float64 test on random cap unions, against the k-d tree path on the rules a
-dense-net job builds, and the SciPy modules a plain sweep leaves unloaded."""
+dense-net job builds, and the SciPy modules a plain sweep or a plain S^2
+lambda_min leaves unloaded."""
 
 import math
 import os
@@ -152,6 +153,22 @@ for name in ("dense_net_sweep", "fixed_cap_decay"):
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """)
     assert out[-1] == "[]"
+
+
+def test_plain_sphere_lambda_min_never_imports_scipy():
+    # both SVD paths: one per (order, cos|sin) group on a polar cap, one dense SVD
+    # on a dense net, and the whole and partial rings merged in one factor
+    out = run_fresh("""
+import sys
+import numpy as np
+import spherenorms as sn
+pole = np.array([0.0, 0.0, 1.0])
+for E in (sn.cap_set(pole, 2.5), sn.CapUnion(np.stack([pole, [0.8, 0.0, 0.6]]), np.array([1.0, 0.3])),
+          sn.realize_family(sn.CapNetFamily(0.5, 2.0), 2, 8)):
+    print(sn.lambda_min(E, sn.Lebesgue(), 8, d=2).diagnostics["svd_blocks"])
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+""")
+    assert out == ["17", "1", "1", "[]"]
 
 
 def test_weighted_arcs_pnorm_loads_scipy_where_it_runs(tmp_path):
