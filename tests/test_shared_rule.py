@@ -102,6 +102,25 @@ def test_fixed_cap_job_classifies_each_layout(classified, tmp_path):
     assert classified == sizes
 
 
+def test_plain_arc_eigen_job_builds_no_uniform_rule(monkeypatch):
+    # on S^1 under the plain measure the Gram comes from Gauss-Legendre on the arcs,
+    # so the job's masked 2L rule would never be read
+    real, built = quadrature.Sampling.rule, []
+
+    def counted(sampling, *args, **kwargs):
+        built.append(args[2:] + tuple(kwargs.values()))
+        return real(sampling, *args, **kwargs)
+
+    cfg = parse_config("schema: 1\nd: 1\nL_list: [8]\nfamily: {kind: fixed, set: {kind: arcs, intervals: "
+                       "[[-1.2, 1.2], [2.0, 3.4]]}}\nfunctionals: [{name: eigen}, {name: pnorm, p: 4.0, restarts: 2}]\n")
+    monkeypatch.setattr(quadrature.Sampling, "rule", counted)
+    eigen, pnorm = _job(cfg, config_hash(cfg), 8, [0])[0], _job(cfg, config_hash(cfg), 8, [1])[0]
+    # only the adversary asks for the masked rule
+    assert built == [(16,)]
+    assert eigen.value == sn.lambda_min(cfg.family.spec, sn.Lebesgue(), 8, d=1).lambda_min
+    assert math.isfinite(pnorm.value)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("exact_degree, oversample, max_spacing", [
     (0, 1.0, None), (5, 1.0, None), (6, 1.0, None), (7, 2.5, None), (4, 4.0, 0.6), (0, 1.0, 0.35), (9, 1.3, 0.5),
