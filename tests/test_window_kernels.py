@@ -2,8 +2,9 @@
 density masses against an all-pairs block scan (on random rotations of the
 set and centers, and on the edge cases of the ring runs), the
 adversary's anchor against its own all-pairs scan, the Poisson scan against
-the closed-form kernel summed node by node, the pruned harmonic minimum
-against the full scan it replaced, the memory bound of the density blocks,
+the closed-form kernel summed node by node, the harmonic scan's patch lower
+bound against that closed-form sum, the pruned harmonic minimum against the
+full scan it replaced, the memory bound of the density blocks,
 the cap masses ainfty_check asks for, and the local rules rhinfty_check
 builds."""
 
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import spherenorms as sn
 from spherenorms import concentration as C
@@ -375,11 +376,57 @@ def test_pruned_harmonic_infimum_matches_full_scan(d, L, kind, seed):
 
 
 def test_pruned_harmonic_infimum_skips_most_of_fixed_cap():
-    # the fixed-cap sweep's set and rule at L=16: exact, from about a third of the terms
+    # the fixed-cap sweep's set and rule at L=16: exact, from a fraction of the terms
     E = sn.cap_set(sn.north_pole(2), math.pi / 3)
     rule = sn.Sampling().rule(E, 2, window=1.0 / 16)
     rep, all_pairs = assert_infimum_matches_full_scan(E, 16, rule)
     assert rep.resolution["pairs_summed"] <= 0.5 * all_pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(2, 64), st.sampled_from(["caps", "arcs", "band", "complement"]),
+       st.integers(0, 2**31 - 1), st.booleans())
+# five caps covering the circle: every Poisson sum is 1 to rounding, a tie
+@example(1, 2, "caps", 59, True)
+@example(1, 2, "caps", 2**31 - 1, True)
+# node spacing about 2/L: every arc patch holds one node on S^1, and the equatorial patches on S^2
+@example(1, 64, "arcs", 7, False)
+@example(2, 64, "band", 3, False)
+def test_patch_bound_is_below_every_full_sum(d, L, kind, seed, fine):
+    if d == 2 and kind == "arcs":
+        kind = "caps"
+    E = anchor_set(d, kind, seed)
+    rule = sn.build_quadrature(d, 0, max_spacing=PRUNE_SPACING[d] if fine else 2.0 / L)
+    mask = membership(E, rule.nodes)
+    assume(mask.any())
+    nodes, values, rho = rule.nodes[mask], rule.weights[mask] / sphere_measure(d), 1.0 - 1.0 / L
+    # grid centers, and masked nodes, where t = |rho c - u|^2 falls to 1/L^2
+    grid = candidate_centers(d, 6 * L)
+    centers = np.vstack([grid[:: grid.shape[0] // 256 + 1], nodes[:: nodes.shape[0] // 64 + 1]])
+    means, masses = F._patches(nodes, values, L)
+    assert masses.sum() == pytest.approx(values.sum(), rel=1e-12)
+    bound, pairs = F._poisson_sums(centers, means, masses, rho, d)
+    assert pairs == centers.shape[0] * masses.size
+    want = np.array([values @ ((1.0 - rho**2) / np.linalg.norm(rho * c - nodes, axis=1) ** (d + 1)) for c in centers])
+    assert np.all(bound <= want * (1.0 + F._BOUND_MARGIN))
+    if masses.size == nodes.shape[0]:  # one node per patch: Jensen's inequality is an equality
+        np.testing.assert_allclose(bound, want, rtol=F._BOUND_MARGIN, atol=0.0)
+    if d == 1 and fine:
+        rep, _ = assert_infimum_matches_full_scan(E, L, rule)
+        assert rep.resolution["patches"] == masses.size
+
+
+@pytest.mark.parametrize("E, L, fraction", [
+    (sn.cap_set(sn.north_pole(2), math.pi / 3), 16, 0.05),  # fixed-cap, about 36% before the patch bound
+    (sn.realize_family(sn.CapNetFamily(0.5, 2.0), 2, 12), 12, 0.10),  # dense-net, about 70% before
+], ids=["fixed-cap", "dense-net"])
+def test_patch_bound_sums_few_pairs_of_the_sweeps(E, L, fraction):
+    # the sweeps' sets and rules: the patch bound screens out all but a few
+    # centers, and the minimum is still the full scan's
+    rule = sn.Sampling().rule(E, 2, window=1.0 / L)
+    rep, all_pairs = assert_infimum_matches_full_scan(E, L, rule)
+    assert rep.resolution["pairs_summed"] <= fraction * all_pairs
+    assert rep.resolution["patch_pairs"] == rep.resolution["n_centers"] * rep.resolution["patches"]
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -387,7 +434,7 @@ def test_harmonic_infimum_of_empty_set_reports_its_grid(d):
     rep = sn.harmonic_infimum(sn.EmptySet(), 4, d=d)
     assert rep.delta_hat == 0.0
     assert rep.resolution["n_centers"] == candidate_centers(d, sn.Sampling().per_great_circle(4)).shape[0]
-    assert rep.resolution["pairs_summed"] == 0
+    assert rep.resolution["pairs_summed"] == rep.resolution["patches"] == rep.resolution["patch_pairs"] == 0
     assert rep.resolution["rule"] == sn.Sampling().rule(sn.EmptySet(), d, window=1.0 / 4).descriptor
 
 
