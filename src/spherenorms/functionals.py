@@ -46,8 +46,9 @@ __all__ = [
 # and sums the centers 64 at a time
 _CENTER_CHUNK = 64
 _NODE_CHUNK = 2048
-# relative rounding allowance of the patch lower bound (harmonic_infimum)
+# relative rounding allowance of the patch lower bounds, and the coarse patches' side in fine ones
 _BOUND_MARGIN = 1e-8
+_COARSE_SIDE = 4
 # cap radii probed by both ainfty_check and rhinfty_check, and the A_infinity beta grid
 _CHECK_RADII = (0.2, 0.5, 1.0)
 _AINFTY_BETAS = (0.5, 1.0, 2.0)
@@ -92,7 +93,7 @@ class WeightReport:
 def _local_masses(centers, rule, windows):
     """Per-center masses, one array per (values, radius) window: values summed over B(c, radius).
 
-    Node u counts for center c when ``sets.cap_dots(c, u) >= cos(radius)``,
+    Node u counts for center c when ``geometry.cap_dots(c, u) >= cos(radius)``,
     the test membership decides caps by; a radius of pi or more takes the
     whole sphere.  ``rule`` must be a product rule (``ring_layout``; the
     uniform rule on S^1 is one ring), else ValueError.  A window holds one
@@ -243,7 +244,7 @@ def harmonic_measure(E: SetSpec, x, rule: QuadratureRule) -> float:
     return float(sums[0])
 
 
-def _patches(nodes: np.ndarray, values: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+def _patches(nodes: np.ndarray, values: np.ndarray, L: float) -> tuple[np.ndarray, np.ndarray]:
     """The nodes grouped into patches of side about 1/L: arcs of length 1/L on
     S^1; on S^2, polar bands of width 1/L, each cut into
     ceil(2 pi sin(theta_mid) L) longitude cells.  Returns each nonempty
@@ -280,19 +281,27 @@ def harmonic_infimum(
     1 + rho^2 - 2 rho c . u_bar, with u_bar the patch's weighted mean point.
     By Jensen's inequality the Poisson sum over the patch means (``_patches``),
     each carrying its patch's mass, is then a lower bound on every center's
-    full sum; it is the same scan on fewer points.  Centers are taken in
-    blocks in increasing order of that bound.  A block's centers whose bound
-    exceeds the best complete sum so far by more than ``_BOUND_MARGIN``
-    (relative) are skipped, the rest are summed with partial sums above that
-    best dropped, and the scan stops at the first block left empty.
+    full sum; it is the same scan on fewer points.  Fine patches have side
+    1/L; coarse ones, of side ``_COARSE_SIDE``/L, group the fine means by
+    mass, so they group the same nodes more coarsely and bound lower still.
+    Every center gets a coarse bound, and the ``_CENTER_CHUNK`` lowest get
+    fine ones; the lowest of these is summed alone, a first best sum.  Fine
+    bounds then go to the centers whose coarse bound is within
+    ``_BOUND_MARGIN`` (relative) of that best, which are taken in increasing
+    order of fine bound, one center and then blocks of ``_CENTER_CHUNK``.  A
+    block's centers whose bound exceeds the best complete sum so far by more
+    than the margin are skipped, the rest are summed with partial sums above
+    that best dropped, and the scan stops at the first block left empty.
 
     The margin covers rounding, the only way a computed bound can exceed a
     computed full sum.  Both sides form t >= (1 - rho)^2 = 1/L^2 by the same
-    lifted dot, to an absolute error of a few hundred eps at worst (the patch
-    means included), so a term is off by at most about 300 eps L^2 relative
-    (4e-9 at L = 256); summing n positive terms adds at most n eps (1.3e-9 at
-    the default six million nodes).  So the margin holds to L = 256 at any
-    rule size allowed by default.  Where each patch holds one node, and
+    lifted dot, to an absolute error of a few hundred eps at worst, so a term
+    is off by at most about 300 eps L^2 relative (4e-9 at L = 256); summing n
+    positive terms adds at most n eps (1.3e-9 at the default six million
+    nodes).  A mean point's rounding adds a few eps to t's error through
+    c . u_bar, and a coarse mean, formed from fine means and masses, adds a
+    few more: still within that allowance.  So the margin holds to L = 256 at
+    any rule size allowed by default.  Where each patch holds one node, and
     Jensen's inequality is an equality, the bound exceeds the sum by at most
     about 1.5 eps L^2 in practice (1.1e-12 at L = 64); Jensen's gap, by
     contrast, is a few percent wherever a patch holds more than one node.
@@ -307,27 +316,40 @@ def harmonic_infimum(
     mask = rule.inside(E)
     grid = {"per_great_circle": resolution, "n_centers": centers.shape[0], "rule": dict(rule.descriptor)}
     if not mask.any():
-        return HarmonicReport(0.0, centers[0].copy(), L, {**grid, "pairs_summed": 0, "patches": 0, "patch_pairs": 0})
+        empty = dict.fromkeys(["pairs_summed", "patches", "patch_pairs", "coarse_patches", "coarse_pairs"], 0)
+        return HarmonicReport(0.0, centers[0].copy(), L, {**grid, **empty})
     nodes, values, rho = rule.nodes[mask], rule.weights[mask] / sphere_measure(d), 1.0 - 1.0 / L
     means, masses = _patches(nodes, values, L)
-    lower, patch_pairs = _poisson_sums(centers, means, masses, rho, d)
-    order = np.argsort(lower, kind="stable")
+    coarse_means, coarse_masses = _patches(means, masses, L / _COARSE_SIDE)
+    coarse, coarse_pairs = _poisson_sums(centers, coarse_means, coarse_masses, rho, d)
+    fine = np.full(centers.shape[0], math.inf)
+    seed = np.argsort(coarse, kind="stable")[:_CENTER_CHUNK]
+    fine[seed], seed_pairs = _poisson_sums(centers[seed], means, masses, rho, d)
+    first = seed[np.argmin(fine[seed])]
     sums = np.full(centers.shape[0], math.inf)
-    best, pairs = math.inf, 0
-    for b0 in range(0, order.size, _CENTER_CHUNK):
-        block = order[b0 : b0 + _CENTER_CHUNK]
-        block = block[~(lower[block] > best * (1.0 + _BOUND_MARGIN))]
+    sums[first : first + 1], pairs = _poisson_sums(centers[first : first + 1], nodes, values, rho, d)
+    best = float(sums[first])
+    near = np.flatnonzero(~(coarse > best * (1.0 + _BOUND_MARGIN)) & np.isinf(fine))
+    fine[near], near_pairs = _poisson_sums(centers[near], means, masses, rho, d)
+    order = np.argsort(fine, kind="stable")
+    order = order[order != first]
+    b0, b1 = 0, 1
+    while b0 < order.size:
+        block = order[b0:b1]
+        block = block[~(fine[block] > best * (1.0 + _BOUND_MARGIN))]
         if block.size == 0:
             break
         sums[block], block_pairs = _poisson_sums(centers[block], nodes, values, rho, d, bound=best)
         pairs += block_pairs
         best = min(best, float(sums[block].min()))
+        b0, b1 = b1, b1 + _CENTER_CHUNK
     best_i = int(np.argmin(sums))
     return HarmonicReport(
         delta_hat=float(sums[best_i]),
         argmin_center=centers[best_i].copy(),
         L=L,
-        resolution={**grid, "pairs_summed": pairs, "patches": masses.size, "patch_pairs": patch_pairs},
+        resolution={**grid, "pairs_summed": pairs, "patches": masses.size, "coarse_patches": coarse_masses.size,
+                    "patch_pairs": coarse_pairs + seed_pairs + near_pairs, "coarse_pairs": coarse_pairs},
     )
 
 

@@ -14,6 +14,7 @@ __all__ = [
     "south_pole",
     "normalize",
     "assert_unit",
+    "cap_dots",
     "geodesic_distance",
     "cap_measure",
     "random_points",
@@ -63,12 +64,20 @@ def assert_unit(v, tol: float = 1e-12, name: str = "point") -> np.ndarray:
     return v
 
 
+def cap_dots(c, u):
+    """``c[0] * u[0] + c[1] * u[1] (+ c[2] * u[2])`` in that order, for coordinate-major
+    arrays: membership and the window kernel put u in the cap (c, r) when this is >= cos r."""
+    dots = c[0] * u[0]
+    for j in range(1, len(c)):
+        dots += c[j] * u[j]
+    return dots
+
+
 def geodesic_distance(u, v):
-    """Geodesic distance arccos(<u,v>), with the inner product clamped to [-1, 1]."""
+    """Geodesic distance arccos(<u,v>): ``cap_dots`` over the last axis, clamped to [-1, 1]."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    t = np.clip(np.sum(u * v, axis=-1), -1.0, 1.0)
-    return np.arccos(t)
+    return np.arccos(np.clip(cap_dots(np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0)), -1.0, 1.0))
 
 
 def cap_measure(d: int, radius: float) -> float:

@@ -20,6 +20,7 @@ from .geometry import (
     angle_of,
     apply_rotation,
     assert_unit,
+    cap_dots,
     check_orthogonal,
     fibonacci_lattice,
     random_points,
@@ -37,7 +38,6 @@ __all__ = [
     "cap_set",
     "random_cap_union",
     "membership",
-    "cap_dots",
     "validate_set",
     "indicator",
     "arc_list",
@@ -151,15 +151,6 @@ def random_cap_union(d: int, count: int, radius: float, seed: int) -> CapUnion:
     rng = np.random.default_rng(checked("seed", seed, int))
     centers = random_points(checked("d", d, int), count, rng)
     return CapUnion(centers, np.full(count, checked("radius", radius)))
-
-
-def cap_dots(c, u):
-    """``c[0] * u[0] + c[1] * u[1] (+ c[2] * u[2])`` in that order, for coordinate-major
-    arrays: membership and the window kernel put u in the cap (c, r) when this is >= cos r."""
-    dots = c[0] * u[0]
-    for j in range(1, len(c)):
-        dots += c[j] * u[j]
-    return dots
 
 
 def _center_blocks(counts: np.ndarray) -> list[tuple[int, int]]:

@@ -27,6 +27,21 @@ def test_distance_trivials():
     assert sn.geodesic_distance(N, equator) == pytest.approx(math.pi / 2)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_distance_matches_the_summed_product_bitwise(d):
+    # the inner product is summed coordinate by coordinate in order, as np.sum over the last axis does
+    rng = np.random.default_rng(d)
+    rules = [sn.build_quadrature(d, 0, max_spacing=0.02), sn.Sampling().rule(sn.FullSphere(), d, window=1.0 / 16)]
+    pts = [sn.random_points(d, 20000, rng), *(rule.nodes for rule in rules)]
+    for u in pts:
+        for v in [sn.random_points(d, u.shape[0], rng), sn.random_points(d, 1, rng)[0], sn.north_pole(d), u[::-1]]:
+            old = np.arccos(np.clip(np.sum(u * v, axis=-1), -1.0, 1.0))
+            np.testing.assert_array_equal(sn.geodesic_distance(u, v), old)
+            np.testing.assert_array_equal(geometry.cap_dots(u.T, np.transpose(v)), np.sum(u * v, axis=-1))
+    u, v = pts[0][0], pts[0][1]
+    assert sn.geodesic_distance(u, v) == np.arccos(np.clip(np.sum(u * v), -1.0, 1.0))
+
+
 def test_distance_clamps_rounding():
     v = np.array([1.0, 1e-9, 0.0])
     v = v / np.linalg.norm(v)

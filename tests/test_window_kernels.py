@@ -2,8 +2,9 @@
 density masses against an all-pairs block scan (on random rotations of the
 set and centers, and on the edge cases of the ring runs), the
 adversary's anchor against its own all-pairs scan, the Poisson scan against
-the closed-form kernel summed node by node, the harmonic scan's patch lower
-bound against that closed-form sum, the pruned harmonic minimum against the
+the closed-form kernel summed node by node, the harmonic scan's fine and
+coarse patch lower bounds against that closed-form sum (and the coarse
+against the fine), the pruned harmonic minimum against the
 full scan it replaced, the memory bound of the density blocks,
 the cap masses ainfty_check asks for, and the local rules rhinfty_check
 builds."""
@@ -381,6 +382,29 @@ def test_pruned_harmonic_infimum_skips_most_of_fixed_cap():
     rule = sn.Sampling().rule(E, 2, window=1.0 / 16)
     rep, all_pairs = assert_infimum_matches_full_scan(E, 16, rule)
     assert rep.resolution["pairs_summed"] <= 0.5 * all_pairs
+    # the lowest-bound center is summed alone first, so no block of 64 is summed in full against a
+    # best of +inf (the single-level scan summed 64 x the masked nodes)
+    n_masked = all_pairs // rep.resolution["n_centers"]
+    assert rep.resolution["pairs_summed"] <= 2 * n_masked
+
+
+def patch_case(d, L, kind, seed, fine):
+    """The masked nodes, their values and rho of a seeded set at degree L, some
+    grid centers and masked nodes (where t = |rho c - u|^2 falls to 1/L^2),
+    and each of those centers' closed-form Poisson sum node by node; None when
+    the mask is empty."""
+    if d == 2 and kind == "arcs":
+        kind = "caps"
+    E = anchor_set(d, kind, seed)
+    rule = sn.build_quadrature(d, 0, max_spacing=PRUNE_SPACING[d] if fine else 2.0 / L)
+    mask = membership(E, rule.nodes)
+    if not mask.any():
+        return None
+    nodes, values, rho = rule.nodes[mask], rule.weights[mask] / sphere_measure(d), 1.0 - 1.0 / L
+    grid = candidate_centers(d, 6 * L)
+    centers = np.vstack([grid[:: grid.shape[0] // 256 + 1], nodes[:: nodes.shape[0] // 64 + 1]])
+    want = np.array([values @ ((1.0 - rho**2) / np.linalg.norm(rho * c - nodes, axis=1) ** (d + 1)) for c in centers])
+    return E, rule, nodes, values, rho, centers, want
 
 
 @settings(max_examples=40, deadline=None)
@@ -393,21 +417,13 @@ def test_pruned_harmonic_infimum_skips_most_of_fixed_cap():
 @example(1, 64, "arcs", 7, False)
 @example(2, 64, "band", 3, False)
 def test_patch_bound_is_below_every_full_sum(d, L, kind, seed, fine):
-    if d == 2 and kind == "arcs":
-        kind = "caps"
-    E = anchor_set(d, kind, seed)
-    rule = sn.build_quadrature(d, 0, max_spacing=PRUNE_SPACING[d] if fine else 2.0 / L)
-    mask = membership(E, rule.nodes)
-    assume(mask.any())
-    nodes, values, rho = rule.nodes[mask], rule.weights[mask] / sphere_measure(d), 1.0 - 1.0 / L
-    # grid centers, and masked nodes, where t = |rho c - u|^2 falls to 1/L^2
-    grid = candidate_centers(d, 6 * L)
-    centers = np.vstack([grid[:: grid.shape[0] // 256 + 1], nodes[:: nodes.shape[0] // 64 + 1]])
+    case = patch_case(d, L, kind, seed, fine)
+    assume(case is not None)
+    E, rule, nodes, values, rho, centers, want = case
     means, masses = F._patches(nodes, values, L)
     assert masses.sum() == pytest.approx(values.sum(), rel=1e-12)
     bound, pairs = F._poisson_sums(centers, means, masses, rho, d)
     assert pairs == centers.shape[0] * masses.size
-    want = np.array([values @ ((1.0 - rho**2) / np.linalg.norm(rho * c - nodes, axis=1) ** (d + 1)) for c in centers])
     assert np.all(bound <= want * (1.0 + F._BOUND_MARGIN))
     if masses.size == nodes.shape[0]:  # one node per patch: Jensen's inequality is an equality
         np.testing.assert_allclose(bound, want, rtol=F._BOUND_MARGIN, atol=0.0)
@@ -416,17 +432,66 @@ def test_patch_bound_is_below_every_full_sum(d, L, kind, seed, fine):
         assert rep.resolution["patches"] == masses.size
 
 
-@pytest.mark.parametrize("E, L, fraction", [
-    (sn.cap_set(sn.north_pole(2), math.pi / 3), 16, 0.05),  # fixed-cap, about 36% before the patch bound
-    (sn.realize_family(sn.CapNetFamily(0.5, 2.0), 2, 12), 12, 0.10),  # dense-net, about 70% before
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(2, 64), st.sampled_from(["caps", "arcs", "band", "complement"]),
+       st.integers(0, 2**31 - 1), st.booleans())
+# L < 4: a coarse patch is wider than 1 rad
+@example(2, 2, "complement", 5, True)
+@example(2, 3, "band", 11, True)
+@example(1, 3, "arcs", 2, True)
+@example(1, 2, "caps", 59, True)  # five caps covering the circle
+@example(2, 64, "band", 3, False)  # the equatorial fine patches hold one node each
+def test_coarse_patch_bound_is_below_the_fine_one(d, L, kind, seed, fine):
+    # the coarse patches group the fine ones by mass: the same nodes, so Jensen's inequality keeps
+    # their bound below the fine bound and below every full sum, to the rounding margin
+    case = patch_case(d, L, kind, seed, fine)
+    assume(case is not None)
+    _, _, nodes, values, rho, centers, want = case
+    means, masses = F._patches(nodes, values, L)
+    coarse_means, coarse_masses = F._patches(means, masses, L / F._COARSE_SIDE)
+    assert coarse_masses.size <= masses.size
+    assert coarse_masses.sum() == pytest.approx(masses.sum(), rel=1e-12)
+    fine_bound, _ = F._poisson_sums(centers, means, masses, rho, d)
+    coarse_bound, pairs = F._poisson_sums(centers, coarse_means, coarse_masses, rho, d)
+    assert pairs == centers.shape[0] * coarse_masses.size
+    assert np.all(coarse_bound <= fine_bound * (1.0 + F._BOUND_MARGIN))
+    assert np.all(coarse_bound <= want * (1.0 + F._BOUND_MARGIN))
+
+
+@pytest.mark.parametrize("E, L, fraction, patch_fraction", [
+    # fixed-cap: about 36% before the patch bound; the single-level scan bounds every center finely (1.0)
+    (sn.cap_set(sn.north_pole(2), math.pi / 3), 16, 0.05, 0.15),
+    (sn.realize_family(sn.CapNetFamily(0.5, 2.0), 2, 12), 12, 0.10, None),  # dense-net, about 70% before
 ], ids=["fixed-cap", "dense-net"])
-def test_patch_bound_sums_few_pairs_of_the_sweeps(E, L, fraction):
-    # the sweeps' sets and rules: the patch bound screens out all but a few
+def test_patch_bound_sums_few_pairs_of_the_sweeps(E, L, fraction, patch_fraction, monkeypatch):
+    # the sweeps' sets and rules: the patch bounds screen out all but a few
     # centers, and the minimum is still the full scan's
+    calls, poisson_sums = [], F._poisson_sums
+
+    def recorded(centers, points, values, rho, d, bound=math.inf):
+        sums, pairs = poisson_sums(centers, points, values, rho, d, bound)
+        calls.append((centers.shape[0], points.shape[0], pairs))
+        return sums, pairs
+
+    monkeypatch.setattr(F, "_poisson_sums", recorded)
     rule = sn.Sampling().rule(E, 2, window=1.0 / L)
     rep, all_pairs = assert_infimum_matches_full_scan(E, L, rule)
-    assert rep.resolution["pairs_summed"] <= fraction * all_pairs
-    assert rep.resolution["patch_pairs"] == rep.resolution["n_centers"] * rep.resolution["patches"]
+    res = rep.resolution
+    assert res["pairs_summed"] <= fraction * all_pairs
+    # exact accounting: the coarse pass bounds every center, the fine pass each center at most once,
+    # and every other call sums the masked nodes
+    n_masked = int(rule.inside(E).sum())
+    assert len({res["coarse_patches"], res["patches"], n_masked}) == 3
+    assert res["coarse_pairs"] == res["n_centers"] * res["coarse_patches"]
+    coarse = [c for c in calls if c[1] == res["coarse_patches"]]
+    assert coarse == [(res["n_centers"], res["coarse_patches"], res["coarse_pairs"])]
+    fine = [(n, pairs) for n, points, pairs in calls if points == res["patches"]]
+    assert all(pairs == n * res["patches"] for n, pairs in fine)
+    assert sum(n for n, _ in fine) <= res["n_centers"]
+    assert res["patch_pairs"] == res["coarse_pairs"] + sum(pairs for _, pairs in fine)
+    assert res["pairs_summed"] == sum(pairs for _, points, pairs in calls if points == n_masked)
+    if patch_fraction is not None:
+        assert res["patch_pairs"] <= patch_fraction * res["n_centers"] * res["patches"]
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -434,7 +499,8 @@ def test_harmonic_infimum_of_empty_set_reports_its_grid(d):
     rep = sn.harmonic_infimum(sn.EmptySet(), 4, d=d)
     assert rep.delta_hat == 0.0
     assert rep.resolution["n_centers"] == candidate_centers(d, sn.Sampling().per_great_circle(4)).shape[0]
-    assert rep.resolution["pairs_summed"] == rep.resolution["patches"] == rep.resolution["patch_pairs"] == 0
+    keys = ["pairs_summed", "patches", "patch_pairs", "coarse_patches", "coarse_pairs"]
+    assert [rep.resolution[k] for k in keys] == [0] * len(keys)
     assert rep.resolution["rule"] == sn.Sampling().rule(sn.EmptySet(), d, window=1.0 / 4).descriptor
 
 
