@@ -33,6 +33,7 @@ from .functionals import (
     HarmonicReport,
     WeightReport,
     ainfty_check,
+    covering_net,
     density_profile,
     doubling_constant,
     harmonic_infimum,
@@ -44,7 +45,6 @@ from .functionals import (
 from .geometry import (
     candidate_centers,
     cap_measure,
-    covering_net,
     fibonacci_lattice,
     geodesic_distance,
     north_pole,

@@ -14,17 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateMeasureError, NetConstructionError, ResolutionError
-from .geometry import (
-    candidate_centers,
-    cap_measure,
-    covering_net,
-    frame_at,
-    north_pole,
-    random_points,
-)
+from .geometry import (candidate_centers, cap_measure, fibonacci_lattice, frame_at, north_pole, random_points,
+                       uniform_circle)
 from .measures import Lebesgue, MeasureSpec, PowerDistanceWeight, cap_mass, weight_values
-from .quadrature import QuadratureRule, Sampling, cap_quadrature, ring_layout, rule_dim
-from .sets import CapUnion, EmptySet, SetSpec, _center_blocks, _ring_pairs, _ring_runs
+from .quadrature import QuadratureRule, Sampling, build_quadrature, cap_quadrature, ring_layout, rule_dim
+from .sets import CapUnion, EmptySet, SetSpec, _cap_counts, _center_blocks, _cos_bound, _ring_pairs, _ring_runs
 from .special import sphere_measure
 
 __all__ = [
@@ -38,6 +32,7 @@ __all__ = [
     "doubling_constant",
     "ainfty_check",
     "rhinfty_check",
+    "covering_net",
     "regularize_set",
 ]
 
@@ -54,6 +49,11 @@ _CHECK_RADII = (0.2, 0.5, 1.0)
 _AINFTY_BETAS = (0.5, 1.0, 2.0)
 # centers sampled by doubling_constant
 _DOUBLING_CENTERS = 24
+# densifications covering_net tries before giving up, the most net caps allowed
+# over one probe node, and the probe rule's node spacing over the net spacing
+_NET_TRIES = 4
+_OVERLAP_CAP = 24
+_PROBE_SPACING = 0.35
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,8 +95,8 @@ def _local_masses(centers, rule, windows):
 
     Node u counts for center c when ``geometry.cap_dots(c, u) >= cos(radius)``,
     the test membership decides caps by; a radius of pi or more takes the
-    whole sphere.  ``rule`` must be a product rule (``ring_layout``; the
-    uniform rule on S^1 is one ring), else ValueError.  A window holds one
+    whole sphere (``sets._cos_bound``).  ``rule`` must be a product rule
+    (``ring_layout``; the uniform rule on S^1 is one ring), else ValueError.  A window holds one
     run of longitudes per ring in its polar band (``sets._ring_runs``), so
     the counted nodes are those an all-pairs scan counts.  A center's nodes
     are summed one after another, ring by ring, so windows holding equally
@@ -104,7 +104,7 @@ def _local_masses(centers, rule, windows):
     """
     n_phi = ring_layout(rule)[1]
     coords = np.ascontiguousarray(rule.nodes.T)
-    cos_r = [math.cos(min(radius, math.pi)) for _, radius in windows]
+    cos_r = [_cos_bound(radius) for _, radius in windows]
     masses = [np.zeros(centers.shape[0]) for _ in windows]
     for c0, c1, owner, rings in _ring_pairs(centers, coords, n_phi, max(radius for _, radius in windows)):
         pair_centers = centers[c0:c1][owner]
@@ -528,6 +528,36 @@ def rhinfty_check(
         config={"seed": seed, "n_caps": n_caps, "radii": list(_CHECK_RADII)},
         witness=witness,
     )
+
+
+def covering_net(d: int, spacing: float) -> np.ndarray:
+    """Discrete net whose caps of radius ``spacing`` cover S^d with bounded overlap.
+
+    d=1 uses a uniform grid (covering radius exactly half the grid step; the
+    step is below ``spacing``, so no point lies in more than 5 caps).  d=2
+    uses a Fibonacci lattice sized for the target covering radius, densified
+    up to ``_NET_TRIES`` times until its caps hold every node of a product
+    probe rule of node spacing ``_PROBE_SPACING`` times ``spacing``; no probe
+    node may lie in more than ``_OVERLAP_CAP`` caps.  Both are read from the
+    caps' counts on the probe (``sets._cap_counts``).
+    """
+    if spacing <= 0 or spacing > math.pi:
+        raise NetConstructionError(f"net spacing {spacing} out of range")
+    if d == 1:
+        return uniform_circle(int(math.ceil(2.0 * math.pi / spacing)) + 1)
+    if d != 2:
+        raise ValueError(f"unsupported sphere dimension d={d}")
+    probe = build_quadrature(2, 0, max_spacing=_PROBE_SPACING * spacing)
+    n = max(16, int(math.ceil(4.0 * math.pi / (0.7 * spacing) ** 2)))
+    for _ in range(_NET_TRIES):
+        net = fibonacci_lattice(n)
+        counts = _cap_counts(CapUnion(net, np.full(n, spacing)), probe.nodes, layout=ring_layout(probe))
+        if counts.all():
+            if counts.max() > _OVERLAP_CAP:
+                raise NetConstructionError(f"cover overlap {counts.max()} exceeds the bound {_OVERLAP_CAP}")
+            return net
+        n = int(math.ceil(1.5 * n))
+    raise NetConstructionError(f"could not reach covering radius {spacing} within {_NET_TRIES} densifications")
 
 
 def regularize_set(E: SetSpec, L: int, eps: float, delta: float, rule: QuadratureRule) -> SetSpec:

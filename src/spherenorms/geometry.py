@@ -6,9 +6,6 @@ import math
 
 import numpy as np
 
-from .errors import NetConstructionError
-from .special import sphere_measure
-
 __all__ = [
     "north_pole",
     "south_pole",
@@ -26,15 +23,10 @@ __all__ = [
     "fibonacci_lattice",
     "uniform_circle",
     "candidate_centers",
-    "covering_net",
     "angle_of",
 ]
 
 _GOLDEN = math.pi * (1.0 + math.sqrt(5.0))
-# densifications covering_net tries before giving up
-_NET_TRIES = 4
-# largest number of net caps allowed to cover one probe point
-_OVERLAP_CAP = 24
 
 
 def north_pole(d: int) -> np.ndarray:
@@ -186,42 +178,6 @@ def candidate_centers(d: int, per_great_circle: int) -> np.ndarray:
         n = int(math.ceil(4.0 * math.pi / (h * h)))
         return fibonacci_lattice(n)
     raise ValueError(f"unsupported sphere dimension d={d}")
-
-
-def covering_net(d: int, spacing: float) -> np.ndarray:
-    """Discrete net whose caps of radius ``spacing`` cover S^d with bounded overlap.
-
-    d=1 uses a uniform grid (covering radius exactly half the grid step; the
-    step is below ``spacing``, so no point lies in more than 5 caps).  d=2
-    uses a Fibonacci lattice sized for the target covering radius, verified
-    against a finer probe lattice, densified up to ``_NET_TRIES`` times; no
-    probe point may lie in more than ``_OVERLAP_CAP`` caps.
-    """
-    if spacing <= 0 or spacing > math.pi:
-        raise NetConstructionError(f"net spacing {spacing} out of range")
-    if d == 1:
-        n = int(math.ceil(2.0 * math.pi / spacing)) + 1
-        return uniform_circle(n)
-    if d != 2:
-        raise ValueError(f"unsupported sphere dimension d={d}")
-    from scipy.spatial import cKDTree
-    n = max(16, int(math.ceil(4.0 * math.pi / (0.7 * spacing) ** 2)))
-    for _ in range(_NET_TRIES):
-        net = fibonacci_lattice(n)
-        probe = fibonacci_lattice(4 * n + 1)
-        tree = cKDTree(net)
-        chord, _ = tree.query(probe, k=1)
-        # covering radius in geodesic terms
-        cover = 2.0 * np.arcsin(np.clip(chord.max() / 2.0, 0.0, 1.0))
-        if cover <= spacing:
-            overlap = int(tree.query_ball_point(probe, r=2.0 * math.sin(spacing / 2.0), return_length=True).max())
-            if overlap > _OVERLAP_CAP:
-                raise NetConstructionError(f"cover overlap {overlap} exceeds the bound {_OVERLAP_CAP}")
-            return net
-        n = int(math.ceil(1.5 * n))
-    raise NetConstructionError(
-        f"could not reach covering radius {spacing} within {_NET_TRIES} densifications"
-    )
 
 
 def angle_of(points) -> np.ndarray:

@@ -3,7 +3,11 @@ seeded random families, and L-indexed set families.
 
 All sets are closed (indicator = 1 on boundaries); complements are closures of
 set differences, so boundaries of measure zero are double-counted, which no
-integral sees.  Random kinds are fully determined by their seed.
+integral sees.  A cap union holds u when the float64 test
+``geometry.cap_dots(c, u) >= cos r`` passes it for some cap (c, r); each cap
+is tested only on the points of its polar band, by ring runs on a product
+rule's nodes and point by point elsewhere (``_cap_counts``).  Random kinds are
+fully determined by their seed.
 """
 
 from __future__ import annotations
@@ -55,8 +59,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# arbitrary points: dense membership below these sizes, KD-tree above
-_TREE_MIN_CAPS = 64
 # (center, ring) pairs, or counted (center, node) pairs, per block of a ring scan; bounds its temporaries
 _PAIR_BLOCK = 1 << 20
 # polar-angle slack of a cap's ring band: a node the float64 test passes lies
@@ -163,15 +165,25 @@ def _center_blocks(counts: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def _polar(coords):
+    """Polar angles about e_z (pi/2 on S^1) of coordinate-major points, negated so that they ascend with z."""
+    return -np.arctan2(np.hypot(coords[0], coords[1]), coords[2] if coords.shape[0] == 3 else 0.0)
+
+
+def _cos_bound(radius):
+    """cos r, the bound of the test ``cap_dots(c, u) >= cos r`` for the cap (c, r), or -inf from
+    r = pi on: such a cap holds every point, though ``cap_dots(c, -c)`` may round below -1."""
+    return -math.inf if radius >= math.pi else math.cos(radius)
+
+
 def _ring_pairs(centers, coords, n_phi, radius):
     """The (center, ring) pairs whose ring lies within polar angle ``radius`` (at most pi, plus
     ``_BAND_SLACK``) of the center, a block of centers at a time (``_center_blocks``): yields
     ``(c0, c1, owner, rings)``, each pair's center index from c0 and its ring index, grouped by
-    center.  ``coords`` holds a product rule's nodes, one row per coordinate."""
+    center.  ``coords`` holds the nodes, one row per coordinate, in rings of ``n_phi`` whose
+    polar angles do not decrease: a product rule's, or points in polar order, one per ring."""
     reach = min(radius, math.pi) + _BAND_SLACK
-    # polar angles, negated so that they ascend with the ring index
-    polar = -np.arctan2(coords[0, ::n_phi], coords[2, ::n_phi] if coords.shape[0] == 3 else 0.0)
-    c_polar = -np.arctan2(np.hypot(centers[:, 0], centers[:, 1]), centers[:, 2] if centers.shape[1] == 3 else 0.0)
+    polar, c_polar = _polar(coords[:, ::n_phi]), _polar(centers.T)
     lowest = np.searchsorted(polar, c_polar - reach)
     band = np.searchsorted(polar, c_polar + reach, side="right") - lowest
     for c0, c1 in _center_blocks(band):
@@ -191,7 +203,7 @@ def _ring_runs(c, rings, coords, n_phi, cos_w, strict=False):
     d = coords.shape[0] - 1
     base = rings * n_phi
     num = cos_w - c[:, 2] * coords[2, base] if d == 2 else np.full(rings.size, cos_w)
-    den = np.hypot(c[:, 0], c[:, 1]) * coords[0, base]
+    den = np.hypot(c[:, 0], c[:, 1]) * np.hypot(coords[0, base], coords[1, base])
     # a center on the axis sees its whole ring at one dot product, and one a subnormal off it overflows to that
     with np.errstate(over="ignore"):
         q = np.divide(num, den, out=np.where(num > 0.0, np.inf, -np.inf), where=den > 0.0)
@@ -222,36 +234,34 @@ def _ring_runs(c, rings, coords, n_phi, cos_w, strict=False):
     return first, count
 
 
-def _caps_member(spec: CapUnion, pts: np.ndarray, strict: bool, layout) -> np.ndarray:
-    """Point u is in the cap (c, r) when ``cap_dots(c, u) >= cos r``.  On a product rule's nodes
-    (``layout``) each cap holds one run of longitudes per ring of its polar band (``_ring_runs``),
-    marked in one difference array.  Elsewhere, from ``_TREE_MIN_CAPS`` caps on, a k-d tree picks
-    each point's nearest center per radius and that test decides, so far caps change no answer."""
-    n = pts.shape[0]
-    if layout is not None:
-        coords, n_phi = np.ascontiguousarray(pts.T), layout[1]
-        marks = np.zeros(n + 1, dtype=np.int64)
-        for radius in np.unique(spec.radii):
-            centers = spec.centers[spec.radii == radius]
-            for c0, c1, owner, rings in _ring_pairs(centers, coords, n_phi, radius):
-                first, count = _ring_runs(centers[c0:c1][owner], rings, coords, n_phi, math.cos(radius), strict)
-                start, base = rings * n_phi + first % n_phi, rings * n_phi
-                wrap = np.maximum(start + count - base - n_phi, 0)  # the run's part past phi = 2 pi
-                marks += np.bincount(np.concatenate([start, base]), minlength=n + 1)
-                marks -= np.bincount(np.concatenate([start + count - wrap, base + wrap]), minlength=n + 1)
-        return np.cumsum(marks[:-1]) > 0
+def _cap_counts(spec: CapUnion, pts: np.ndarray, strict: bool = False, layout=None) -> np.ndarray:
+    """How many of the union's caps hold each point.  The cap (c, r) holds u when
+    ``cap_dots(c, u) >= cos r`` (``>`` if ``strict``; ``_cos_bound``), tested only on the rings of
+    the cap's polar band (``_ring_pairs``).  On a product rule's nodes (``layout``) the cap holds
+    one run of longitudes per ring (``_ring_runs``); other points are put in polar order, each a
+    ring of one node, and the test decides each pair directly.  The runs are marked in one
+    difference array."""
+    order, n_phi = (np.argsort(_polar(pts.T), kind="stable"), 1) if layout is None else (None, layout[1])
+    coords = np.ascontiguousarray((pts if order is None else pts[order]).T)
     above = np.greater if strict else np.greater_equal
-    cos_r = np.array([math.cos(r) for r in spec.radii])
-    out = np.zeros(n, dtype=bool)
-    if spec.centers.shape[0] >= _TREE_MIN_CAPS:
-        from scipy.spatial import cKDTree
-        for lim in np.unique(cos_r):
-            centers = spec.centers[cos_r == lim]
-            out |= above(cap_dots(centers[cKDTree(centers).query(pts, k=1)[1]].T, pts.T), lim)
-        return out
-    for i0 in range(0, n, 8192):
-        out[i0 : i0 + 8192] = above(cap_dots(spec.centers.T, pts[i0 : i0 + 8192].T[:, :, None]), cos_r).any(axis=1)
-    return out
+    marks = np.zeros(pts.shape[0] + 1, dtype=np.int64)
+    for radius in np.unique(spec.radii):
+        centers, cos_w = spec.centers[spec.radii == radius], _cos_bound(radius)
+        for c0, c1, owner, rings in _ring_pairs(centers, coords, n_phi, radius):
+            if order is None:
+                first, count = _ring_runs(centers[c0:c1][owner], rings, coords, n_phi, cos_w, strict)
+            else:
+                dots = cap_dots(np.take(centers[c0:c1].T, owner, axis=1), np.take(coords, rings, axis=1))
+                rings = rings[above(dots, cos_w)]
+                first, count = np.zeros_like(rings), np.ones_like(rings)
+            start, base = rings * n_phi + first % n_phi, rings * n_phi
+            wrap = np.maximum(start + count - base - n_phi, 0)  # the run's part past phi = 2 pi
+            marks += np.bincount(np.concatenate([start, base]), minlength=marks.size)
+            marks -= np.bincount(np.concatenate([start + count - wrap, base + wrap]), minlength=marks.size)
+    counts = np.cumsum(marks[:-1])
+    if order is not None:  # back to the points' own order
+        counts[order] = counts.copy()
+    return counts
 
 
 def membership(spec: SetSpec, points, strict: bool = False, layout: tuple[int, int] | None = None) -> np.ndarray:
@@ -261,7 +271,8 @@ def membership(spec: SetSpec, points, strict: bool = False, layout: tuple[int, i
     the negation of the strict interior, so Complement flips the flag.  Cap
     unions and arcs refuse points of another sphere (ValueError).  Given the
     ``layout`` (``quadrature.ring_layout``) of the product rule whose nodes
-    the points are, cap unions are classified by ring runs.
+    the points are, cap unions are classified by ring runs, and other points
+    one at a time in their caps' polar bands (``_cap_counts``).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     coords = spec.centers.shape[1] if isinstance(spec, CapUnion) else 2 if isinstance(spec, Arcs) else pts.shape[1]
@@ -274,7 +285,7 @@ def membership(spec: SetSpec, points, strict: bool = False, layout: tuple[int, i
     if isinstance(spec, Complement):
         return ~membership(spec.inner, pts, not strict, layout)
     if isinstance(spec, CapUnion):
-        return _caps_member(spec, pts, strict, layout)
+        return _cap_counts(spec, pts, strict, layout) > 0
     if isinstance(spec, Band):
         t = pts @ spec.axis
         c_hi, c_lo = math.cos(spec.hi), math.cos(spec.lo)

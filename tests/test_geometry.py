@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 import spherenorms as sn
-from spherenorms import geometry
+from spherenorms import functionals, geometry
 from spherenorms.errors import NetConstructionError
+from spherenorms.functionals import covering_net
 from spherenorms.geometry import (
     apply_rotation,
     assert_unit,
-    covering_net,
     frame_at,
     rotation_taking,
     uniform_circle,
@@ -166,8 +167,20 @@ def test_covering_net_covers():
     assert d1.max() <= 0.1
 
 
+@pytest.mark.parametrize("spacing, size", [(0.15, 1140), (0.1, 2565), (0.5 / 8, 6566), (0.5 / 12, 14772),
+                                           (0.5 / 16, 26262)])
+def test_covering_net_sizes_and_cover(spacing, size):
+    # the lattice sizes accepted at the first try, as a Fibonacci probe checked by
+    # a k-d tree accepted them; every node of a product rule finer than the probe,
+    # its rings at other polar angles, lies within the spacing of the net
+    net = covering_net(2, spacing)
+    assert net.shape[0] == size
+    chord = cKDTree(net).query(sn.build_quadrature(2, 0, max_spacing=0.25 * spacing).nodes)[0]
+    assert 2.0 * np.arcsin(chord.max() / 2.0) <= spacing
+
+
 def test_covering_net_certifies_its_overlap(monkeypatch):
-    # the cover at spacing 0.15 puts up to a few caps over a probe point
-    monkeypatch.setattr(geometry, "_OVERLAP_CAP", 1)
+    # the cover at spacing 0.15 puts up to a few caps over a probe node
+    monkeypatch.setattr(functionals, "_OVERLAP_CAP", 1)
     with pytest.raises(NetConstructionError, match="cover overlap"):
         covering_net(2, 0.15)

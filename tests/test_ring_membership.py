@@ -1,7 +1,8 @@
-"""Cap-union membership on product rules by ring runs: against the all-caps
-float64 test on random cap unions, against the k-d tree path on the rules a
-dense-net job builds, and the SciPy modules a plain sweep or a plain S^2
-lambda_min leaves unloaded."""
+"""Cap-union membership by polar bands, on product rules by ring runs and on
+arbitrary points one point at a time: against the all-caps float64 test on
+random cap unions, the two paths against each other on the rules a dense-net
+job builds, caps of radius pi, and the SciPy modules a plain sweep, a
+regularize sweep or a plain S^2 lambda_min leaves unloaded."""
 
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spherenorms as sn
-from spherenorms import quadrature, sets
+from spherenorms import functionals as F, quadrature, sets
 from spherenorms.acceptance import CONFIG_DENSE_NET
 from spherenorms.config import config_hash, parse_config
 from spherenorms.quadrature import ring_layout
@@ -94,12 +95,20 @@ def test_ring_runs_equal_the_all_caps_test(d, exact_degree, max_spacing, radii, 
     np.testing.assert_array_equal(closed, all_caps(E, rule.nodes, strict=False))
     np.testing.assert_array_equal(sets.membership(sn.Complement(E), rule.nodes, layout=layout),
                                   ~all_caps(E, rule.nodes, strict=True))
+    # the same nodes as arbitrary points, shuffled, with random points, the poles,
+    # the centers' antipodes and duplicates: the tied ring's nodes sit on a cap edge
+    poles = np.vstack([np.eye(d + 1), -np.eye(d + 1)])
+    pts = np.vstack([rule.nodes, sn.random_points(d, n_random, rng), poles, -E.centers])
+    pts = pts[rng.permutation(pts.shape[0])]
+    pts = np.vstack([pts, pts[rng.integers(0, pts.shape[0], 20)]])
+    np.testing.assert_array_equal(sets.membership(E, pts), all_caps(E, pts, strict=False))
+    np.testing.assert_array_equal(sets.membership(sn.Complement(E), pts), ~all_caps(E, pts, strict=True))
 
 
 @pytest.mark.parametrize("L", [8, 12, 16])
-def test_dense_net_rules_classify_alike_by_ring_runs_and_tree(monkeypatch, L):
-    # every rule a dense-net job builds: the masks the job used (ring runs)
-    # are those the k-d tree path gives, for E and its complement
+def test_dense_net_rules_classify_alike_by_ring_runs_and_polar_bands(monkeypatch, L):
+    # every rule a dense-net job builds: the masks the job used (ring runs) are
+    # those the nodes get as arbitrary points, one per ring, for E and its complement
     cfg = parse_config(CONFIG_DENSE_NET.replace("L_list: [8, 16, 32]", f"L_list: [{L}]"))
     built, real_build = [], quadrature.build_quadrature
 
@@ -110,14 +119,34 @@ def test_dense_net_rules_classify_alike_by_ring_runs_and_tree(monkeypatch, L):
     monkeypatch.setattr(quadrature, "build_quadrature", recorded)
     _job(cfg, config_hash(cfg), L, range(len(cfg.functionals)))
     E = sets.realize_family(cfg.family, cfg.d, L)
-    assert E.centers.shape[0] >= sets._TREE_MIN_CAPS and built
+    assert built
     for rule in built:
-        tree = sets.membership(E, rule.nodes)
-        np.testing.assert_array_equal(sets.membership(E, rule.nodes, layout=ring_layout(rule)), tree)
+        np.testing.assert_array_equal(sets.membership(E, rule.nodes, layout=ring_layout(rule)),
+                                      sets.membership(E, rule.nodes))
         np.testing.assert_array_equal(sets.membership(sn.Complement(E), rule.nodes, layout=ring_layout(rule)),
                                       sets.membership(sn.Complement(E), rule.nodes))
         for spec, mask in rule._masks.values():  # the masks the job's functionals read
             np.testing.assert_array_equal(mask, sets.membership(spec, rule.nodes))
+
+
+def test_a_closed_cap_of_radius_pi_holds_every_point():
+    # cap_dots(c, -c) rounds below -1 = cos(pi) for about one center in ten
+    rng = np.random.default_rng(5)
+    centers = sn.random_points(2, 2000, rng)
+    below = centers[sets.cap_dots(centers.T, -centers.T) < -1.0][:20]
+    assert below.shape[0] == 20
+    for c in below:
+        cap = sn.cap_set(c, math.pi)
+        assert sets.membership(cap, -c[None, :])[0] and sets.membership(cap, -c[None, :], strict=True)[0]
+        assert not sets.membership(sn.Complement(cap), -c[None, :])[0]
+    # a node of a product rule whose dot with its antipode rounds below -1
+    rule = sn.build_quadrature(2, 40)
+    u = rule.nodes[np.flatnonzero(sets.cap_dots(rule.nodes.T, -rule.nodes.T) < -1.0)[0]]
+    cap = sn.cap_set(-u, math.pi)
+    assert sets.membership(cap, rule.nodes, layout=ring_layout(rule)).all()
+    assert not sets.membership(sn.Complement(cap), rule.nodes, layout=ring_layout(rule)).any()
+    (held,) = F._local_masses(-u[None, :], rule, [(np.ones(rule.n_nodes), math.pi)])
+    assert held[0] == rule.n_nodes
 
 
 def run_fresh(script):
@@ -130,10 +159,9 @@ def run_fresh(script):
 
 
 def test_plain_sweeps_never_import_scipy(tmp_path):
-    # SciPy is loaded where it is called (L-BFGS, weighted triangular solves,
-    # covering nets, k-d trees on arbitrary points): importing the package,
-    # describing, parsing every shipped config and one-degree dense-net and
-    # fixed-cap sweeps load none of it
+    # SciPy is loaded where it is called (L-BFGS, weighted triangular solves):
+    # importing the package, describing, parsing every shipped config and
+    # one-degree dense-net and fixed-cap sweeps load none of it
     out = run_fresh(f"""
 import contextlib, io, sys
 from pathlib import Path
@@ -153,6 +181,29 @@ for name in ("dense_net_sweep", "fixed_cap_decay"):
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """)
     assert out[-1] == "[]"
+
+
+def test_regularize_and_many_caps_never_import_scipy(tmp_path):
+    # a covering net on S^2 (a one-degree criterion-12 sweep) and 64 caps or
+    # more on arbitrary points pair caps with points by polar bands: no k-d
+    # tree, so no scipy.spatial, and nothing else of SciPy either
+    out = run_fresh(f"""
+import sys
+from pathlib import Path
+import numpy as np
+import spherenorms as sn
+from spherenorms.acceptance import CONFIG_REGULARIZATION
+from spherenorms.config import parse_config
+from spherenorms.runner import run_experiment
+cfg = parse_config(CONFIG_REGULARIZATION)
+assert list(cfg.L_list) == [16] and [f.name for f in cfg.functionals] == ["density", "regularize"]
+rows = run_experiment(cfg, Path({str(tmp_path)!r}))[2]
+E = sn.realize_family(cfg.family, 2, 8)
+assert E.centers.shape[0] >= 64
+print(len(rows), int(sn.membership(E, sn.fibonacci_lattice(20000)).sum()) > 0)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+""")
+    assert out == ["2 True", "[]"]
 
 
 def test_plain_sphere_lambda_min_never_imports_scipy():

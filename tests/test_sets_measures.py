@@ -57,8 +57,8 @@ def test_arcs_membership_and_wrap():
     assert sn.indicator(arcs, np.array([-1.0, 0.0])) == 0
 
 
-def test_membership_tree_path_matches_dense():
-    # above the size threshold a KD-tree is used; results must agree with dots
+def test_membership_of_many_caps_matches_dense():
+    # 100 caps on arbitrary points, each tested on the points of its polar band: results must agree with dots
     rng = np.random.default_rng(9)
     centers = sn.random_points(2, 100, rng)
     caps = sn.CapUnion(centers, np.full(100, 0.2))
@@ -80,7 +80,7 @@ def test_cap_union_validation():
 
 def test_cap_edges_do_not_depend_on_far_caps():
     # points within 3e-16 rad of a cap's edge get the same answer from the cap
-    # alone (dense path) and with 63 far, disjoint caps added (k-d tree path)
+    # alone and with 63 far, disjoint caps added
     rng = np.random.default_rng(17)
     ring = 2.0 * math.pi * np.arange(63) / 63
     for _ in range(200):
