@@ -12,7 +12,8 @@ values and per-longitude trig values, without forming it.  ``RingFactors.groups`
 gives each column its (order m, cos|sin) group ``2m + cs``: rings kept whole
 (every node, one weight, n_phi >= 2L+1) add to one group at a time, so they
 are factored by one QR per group of at most L+1-m columns, and a set keeping
-only whole rings gets a block-diagonal factor with no dense QR.
+only whole rings gets a block-diagonal factor with no dense QR.  Other rings
+are folded in one order m at a time, over the columns of orders >= m.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ from .special import dim_pi
 
 __all__ = ["BasisSpec", "RingFactors", "basis_dim", "basis_matrix", "basis_eval", "normalized_assoc_legendre",
            "ring_factors"]
-
-# buffered lifted ring rows, in multiples of dim Pi_L, that trigger a QR merge in ``half_factor``
-_MERGE_ROWS = 3
-
 
 @dataclass(frozen=True)
 class BasisSpec:
@@ -154,41 +151,51 @@ class RingFactors:
         diagonal ``sqrt(a_j) |trig row|`` and it adds to one (order, cos|sin)
         group's block alone.  The whole rings are factored by one QR per group
         of their scaled Legendre values, at most L+1-m columns wide; with no
-        partial ring that block-diagonal R is the answer.  Otherwise its
-        nonzero rows open the stack of partial rings: a QR of a ring's kept
-        rows of ``sqrt(a) * trig.T`` leaves at most 2(L+1) rows, lifted
-        through ``lift_j``, and whenever the buffered rows reach
-        ``_MERGE_ROWS`` x dim Pi_L they are folded into a running triangular
-        factor by one QR, so about (_MERGE_ROWS + 1) dim Pi_L rows are held
-        at a time.  This is the node sum regrouped ring by ring.
+        partial ring that block-diagonal R is the answer.  A partial ring's
+        kept rows of ``sqrt(a) * trig.T`` leave a QR factor ``r_j``, upper
+        triangular in group order, so its row g, lifted, touches only columns
+        of groups >= g.  In group-major column order, the orders m are folded
+        in turn by one QR over the columns of orders >= m, of the carried
+        triangle, the whole rings' rows of order m and rows 2m, 2m+1 of every
+        ``r_j``, lifted: its first rows are R's rows of order m, the rest are
+        carried (sin 0 has no columns; its rows go with order 0's).  One QR
+        makes that R triangular in basis order.  This is the node sum
+        regrouped ring by ring.
         """
         n_m, n_t, _ = self.legendre.shape
-        N = self.slot.size
-        m, l, _ = np.unravel_index(self.slot, (n_m, n_m, 2))
-        group = self.groups
-        lift = self.legendre[m, :, l]  # (dim Pi_L, n_t)
+        order = np.argsort(self.groups, kind="stable")  # group-major columns
+        group = self.groups[order]
+        m, l, _ = np.unravel_index(self.slot[order], (n_m, n_m, 2))
+        ends = np.searchsorted(group, np.arange(2 * n_m + 1))
         a = np.reshape(a, (n_t, -1))
-        root = np.sqrt(a)
         kept = np.ones(a.shape, dtype=bool) if keep is None else np.reshape(keep, a.shape)
         whole = kept.all(axis=1) & (a == a[:, :1]).all(axis=1) & (a.shape[1] > 2 * (n_m - 1))
-        R = np.zeros((N, N))
-        if whole.any():
-            V = lift[:, whole].T * root[whole, :1] * np.linalg.norm(self.trig, axis=1)[group]
-            for g in np.unique(group):
-                cols = np.flatnonzero(group == g)
-                r = np.linalg.qr(V[:, cols], mode="r")
-                R[cols[: r.shape[0], None], cols] = r
-        partial = np.flatnonzero(kept.any(axis=1) & ~whole)
+        partial, whole = np.flatnonzero(kept.any(axis=1) & ~whole), np.flatnonzero(whole)
+        R = np.zeros((group.size, group.size))  # basis order: rows order[s:e] hold a group's rows
+        if whole.size:
+            V = self.legendre[m, whole[:, None], l] * np.sqrt(a[whole, :1]) * np.linalg.norm(self.trig, axis=1)[group]
+            bounds = np.unique(ends)  # the column ranges of the groups that have columns
+            for s, e in zip(bounds, bounds[1:]):
+                q = np.linalg.qr(V[:, s:e], mode="r")
+                R[order[s : s + q.shape[0], None], order[s:e]] = q
         if not partial.size:
             return R
-        blocks, rows = [R[R.any(axis=1)]], 0
-        for j in partial:
-            W = root[j, kept[j], None] * self.trig.T[kept[j]]
-            blocks.append(np.linalg.qr(W, mode="r")[:, group] * lift[:, j])
-            rows += blocks[-1].shape[0]
-            if rows >= _MERGE_ROWS * N:
-                blocks, rows = [np.linalg.qr(np.vstack(blocks), mode="r")], 0
-        return _triangular_factor(np.vstack(blocks), N)
+        r = np.zeros((2 * n_m, partial.size, 2 * n_m))  # [g, i]: row g of partial ring i's factor
+        for i, j in enumerate(partial):
+            q = np.linalg.qr(np.sqrt(a[j, kept[j], None]) * self.trig.T[kept[j]], mode="r")
+            r[: q.shape[0], i] = q
+        lift = self.legendre[m, partial[:, None], l]
+        carry = np.zeros((0, group.size))
+        for g, s, e in zip(range(0, 2 * n_m, 2), ends[::2], ends[2::2]):  # order g/2: its cos and sin groups
+            block = np.ix_(order[s:e], order[s:])
+            carry = np.vstack([carry, R[block], np.empty((2 * partial.size, group.size - s))])
+            rows = carry[-2 * partial.size :].reshape(2, partial.size, -1)  # the ring rows, filled in place
+            np.take(r[g : g + 2], group[s:], axis=2, out=rows, mode="clip")  # in range; "clip" skips a buffer
+            rows *= lift[:, s:]
+            carry = np.linalg.qr(carry, mode="r")  # at least e - s rows: R's rows of order g/2 were stacked
+            R[block] = carry[: e - s]
+            carry = carry[e - s :, e - s :]
+        return np.linalg.qr(R, mode="r")
 
 
 def _triangular_factor(rows: np.ndarray, n: int) -> np.ndarray:

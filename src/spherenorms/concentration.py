@@ -20,13 +20,12 @@ no masking error.  Elsewhere set indicators mask a densified global rule.
 The rule's node x basis matrix B is applied one way per dimension.  On S^2
 the ring factors of a ``build_quadrature`` product rule apply B and B^T and
 build half-factors ring by ring (per-ring QR of the trig rows, lifted through
-the ring's Legendre values and folded into a running triangular factor every
-3 dim Pi_L rows; rings kept whole go group by group, see ``basis``); other
-d=2 rules raise ValueError.  When the pencil factor has exact zeros wherever
-it couples two (order, cos|sin) groups, as on sets centred on the rule's
-axis, its SVD runs one group at a time: 2L+1 SVDs of at most L+1 columns in
-place of one of dim Pi_L (``diagnostics['svd_blocks']``).  On S^1, B is formed.  No
-degree is capped: one guard in ``_node_basis`` raises ResourceLimitError before
+the ring's Legendre values and folded in one order at a time, see ``basis``);
+other d=2 rules raise ValueError.  When the pencil factor has exact zeros
+wherever it couples two (order, cos|sin) groups, as on sets centred on the
+rule's axis, its SVD runs one group at a time: 2L+1 SVDs of at most L+1
+columns in place of one of dim Pi_L (``diagnostics['svd_blocks']``).  On S^1,
+B is formed.  No degree is capped: one guard in ``_node_basis`` raises ResourceLimitError before
 any array sized by dim Pi_L is allocated, if they would pass 4e8 float64 entries.
 """
 
@@ -39,7 +38,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .basis import _MERGE_ROWS, BasisSpec, _triangular_factor, basis_dim, basis_matrix, ring_factors
+from .basis import BasisSpec, _triangular_factor, basis_dim, basis_matrix, ring_factors
 from .errors import DegenerateMeasureError, EmptyIntersectionError, ResourceLimitError
 from .functionals import _local_masses
 from .geometry import candidate_centers
@@ -61,12 +60,14 @@ __all__ = [
 ]
 
 _NODE_CHUNK = 8192
-# float64 entries one call may hold in arrays sized by dim Pi_L (3.2 GB), and
-# the multiple of dim Pi_L^2 among them: the half-factor's merge stack of
-# (_MERGE_ROWS + 1) dim Pi_L rows held three times (blocks, stack, QR copy),
-# plus the two factors and two more for the pencil's SVD, which runs later
+# float64 entries one call may hold in arrays sized by N = dim Pi_L (3.2 GB): N^2 times
+# _SQUARES, the most of the half-factor's five (both factors, one QR stack, its copy, the
+# result) and the pencil SVD's eight (both factors, T, its copy, U, V^T, _split_svd's mask and
+# gather), and on S^2 N per ring times _RING_ENTRIES: its Legendre values, lift, trig factor
+# (4) and its two rows of the QR stack, held twice (4)
 _MAX_ENTRIES = 4 * 10**8
-_SQUARES = 3 * (_MERGE_ROWS + 1) + 4
+_SQUARES = 8
+_RING_ENTRIES = 10
 _EPS = float(np.finfo(float).eps)
 
 
@@ -99,10 +100,11 @@ def _node_basis(spec: BasisSpec, rule: QuadratureRule):
     ring factors on S^2, ValueError unless the rule is a product rule; B itself
     on S^1.  First, ResourceLimitError if the arrays sized by N = dim Pi_L
     would pass ``_MAX_ENTRIES`` float64 entries: B (n_nodes N) on S^1, the
-    Legendre, lift and trig arrays (2 N n_t + 2(L+1) n_phi) on S^2, and
-    ``_SQUARES`` N^2 on both."""
+    per-ring arrays (``_RING_ENTRIES`` N n_t) and trig values (2(L+1) n_phi)
+    on S^2, and ``_SQUARES`` N^2 on both."""
     N, n_t, n_phi = basis_dim(spec), rule.descriptor.get("n_t", 0), rule.descriptor.get("n_phi", 0)
-    entries = _SQUARES * N * N + (2 * N * n_t + 2 * (spec.L + 1) * n_phi if spec.d == 2 else rule.n_nodes * N)
+    entries = _SQUARES * N * N + (_RING_ENTRIES * N * n_t + 2 * (spec.L + 1) * n_phi if spec.d == 2
+                                  else rule.n_nodes * N)
     if entries > _MAX_ENTRIES:
         raise ResourceLimitError(f"dim Pi_L = {N} on {rule.n_nodes} nodes needs {entries:.3g} float64 entries "
                                  f"(limit {_MAX_ENTRIES:.0e})")

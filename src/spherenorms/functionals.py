@@ -18,7 +18,7 @@ from .geometry import (candidate_centers, cap_measure, fibonacci_lattice, frame_
                        uniform_circle)
 from .measures import Lebesgue, MeasureSpec, PowerDistanceWeight, cap_mass, weight_values
 from .quadrature import QuadratureRule, Sampling, build_quadrature, cap_quadrature, ring_layout, rule_dim
-from .sets import CapUnion, EmptySet, SetSpec, _cap_counts, _center_blocks, _cos_bound, _ring_pairs, _ring_runs
+from .sets import CapUnion, EmptySet, SetSpec, _cap_counts, _cos_bound, _ring_pairs, _ring_runs
 from .special import sphere_measure
 
 __all__ = [
@@ -98,31 +98,41 @@ def _local_masses(centers, rule, windows):
     whole sphere (``sets._cos_bound``).  ``rule`` must be a product rule
     (``ring_layout``; the uniform rule on S^1 is one ring), else ValueError.  A window holds one
     run of longitudes per ring in its polar band (``sets._ring_runs``), so
-    the counted nodes are those an all-pairs scan counts.  A center's nodes
-    are summed one after another, ring by ring, so windows holding equally
-    many equal-weight nodes tie exactly.
+    the counted nodes are those an all-pairs scan counts.  Run (first, count)
+    of ring j has mass ``w_j (S_j[first + count] - S_j[first])``, ``w_j`` the
+    ring's largest |value| and ``S_j`` the running sum from phi = 0 of its values
+    over ``w_j``, as hi + lo: hi on the grid of 2^-53 times a power of two above
+    2 n_phi, so that its sums are exact (the error-free split of Rump, Ogita and
+    Oishi).  An indicator times the weights so gives exact counts, and windows
+    with equal counts on each ring tie exactly.  The work goes with the pairs.
     """
     n_phi = ring_layout(rule)[1]
     coords = np.ascontiguousarray(rule.nodes.T)
     cos_r = [_cos_bound(radius) for _, radius in windows]
+    sigma = 2.0 ** (2 * n_phi).bit_length()
+    sums = []
+    for values, _ in windows:
+        v = np.reshape(values, (-1, n_phi))
+        scale = np.abs(v).max(axis=1)
+        scale[scale == 0.0] = 1.0
+        v = v / scale[:, None]
+        S = np.zeros((2, v.shape[0], n_phi + 1))  # one round; a run past 2 pi adds S_j[first + count - n_phi]
+        S[0, :, 1:] = (sigma + v) - sigma
+        S[1, :, 1:] = v - S[0, :, 1:]
+        S = S if S[1].any() else S[:1].copy()  # lo is 0 where the values over w_j are 0 or 1
+        sums.append((scale, np.cumsum(S, axis=2, out=S).reshape(len(S), -1)))
     masses = [np.zeros(centers.shape[0]) for _ in windows]
     for c0, c1, owner, rings in _ring_pairs(centers, coords, n_phi, max(radius for _, radius in windows)):
         pair_centers = centers[c0:c1][owner]
         runs = {cos_w: _ring_runs(pair_centers, rings, coords, n_phi, cos_w) for cos_w in dict.fromkeys(cos_r)}
-        held = np.max([np.bincount(owner, weights=count, minlength=c1 - c0) for _, count in runs.values()], axis=0)
-        pair_end = np.searchsorted(owner, np.arange(c1 - c0 + 1))
-        for b0, b1 in _center_blocks(held):
-            p0, p1 = pair_end[b0], pair_end[b1]
-            for cos_w, (first, count) in runs.items():
-                count = count[p0:p1]
-                offset = np.cumsum(count) - count
-                k = np.repeat(first[p0:p1] - offset, count) + np.arange(int(count.sum()))
-                k %= n_phi
-                k += np.repeat(rings[p0:p1] * n_phi, count)
-                owners = np.repeat(owner[p0:p1] - b0, count)
-                for out, (values, _), cos_v in zip(masses, windows, cos_r):
-                    if cos_v == cos_w:
-                        out[c0 + b0 : c0 + b1] = np.bincount(owners, weights=values[k], minlength=b1 - b0)
+        for out, (scale, S), cos_w in zip(masses, sums, cos_r):
+            first, count = runs[cos_w]
+            ring = rings * (n_phi + 1)
+            start = ring + first % n_phi
+            end = start + count
+            run = (np.take(S, np.minimum(end, ring + n_phi), axis=1) - np.take(S, start, axis=1)
+                   + np.take(S, np.maximum(end - n_phi, ring), axis=1)).sum(axis=0)  # hi (+ lo)
+            out[c0:c1] = np.bincount(owner, weights=scale[rings] * run, minlength=c1 - c0)
     return masses
 
 

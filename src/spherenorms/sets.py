@@ -216,7 +216,7 @@ def _ring_runs(c, rings, coords, n_phi, cos_w, strict=False):
     above = np.greater if strict else np.greater_equal
 
     def passes(live, k):
-        return above(cap_dots(c[:, live], coords[:, base[live] + k % n_phi]), cos_w)
+        return above(cap_dots(np.take(c, live, axis=1), np.take(coords, base[live] + k % n_phi, axis=1)), cos_w)
 
     live = np.arange(rings.size)
     while live.size:

@@ -184,7 +184,7 @@ def test_dimension_guard(monkeypatch):
     # no degree cap: dim Pi_40 = 1681 runs
     rep = sn.lambda_min(sn.FullSphere(), sn.Lebesgue(), 40, d=2)
     assert abs(rep.lambda_min - 1.0) <= 1e-9
-    # 16 (dim Pi_200)^2 = 2.6e10 entries pass the 4e8 budget: refused before the ring factors are built
+    # 8 (dim Pi_200)^2 = 1.3e10 entries pass the 4e8 budget: refused before the ring factors are built
     monkeypatch.setattr(concentration, "ring_factors", None)
     t0 = time.perf_counter()
     with pytest.raises(ResourceLimitError):
@@ -194,7 +194,7 @@ def test_dimension_guard(monkeypatch):
 
 def test_circle_dense_basis_guard():
     # d=1 holds the node x basis matrix: 400,400 nodes x dim Pi_500 = 1001 plus
-    # 16 x 1001^2 factor entries pass the 4e8-entry budget
+    # 8 x 1001^2 factor entries pass the 4e8-entry budget
     E = sn.Arcs([[-1.0, 1.0]])
     w = sn.PowerDistanceWeight(2.0, np.array([1.0, 0.0]))
     rule = sn.build_quadrature(1, 1000, oversample=400.0)

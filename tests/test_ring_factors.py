@@ -1,7 +1,7 @@
 """The ring factors of the d=2 basis on a product rule against the dense
 evaluation matrix they replace: the forward and adjoint maps, the adjoint
 identity, the weighted half-factor (whole rings, split by (order, cos|sin)
-group, partial rings, and both merged) and its memory peak, the L^p
+group, partial rings folded order by order, and both) and its memory peak, the L^p
 adversary's objective against its dense two-adjoint form (also on S^1) and
 its one basis pass each way per evaluation, lambda_min against the streamed
 node-block QR it replaced (one SVD per group on a polar cap, one dense SVD
@@ -128,9 +128,11 @@ POLE = np.array([0.0, 0.0, 1.0])
 
 @settings(max_examples=40, deadline=None)
 @rule_cases
-@example(3, 1.0, 0.05, 4)  # 63 rings of <= 8 rows against dim Pi_3 = 16: a merge every 6 rings
-@example(6, 1.0, 0.05, 5)  # 63 rings of <= 14 rows against dim Pi_6 = 49: a merge every 11 rings
+@example(3, 1.0, 0.05, 4)  # 63 rings of <= 8 rows against dim Pi_3 = 16
+@example(6, 1.0, 0.05, 5)  # 63 rings of <= 14 rows against dim Pi_6 = 49
 @example(8, 4.0, None, 6)  # the polar cap of radius 2.0 at L=8: whole rings only
+@example(0, 1.0, None, 7)  # one group has columns; the sin 0 group's rows pass on
+@example(1, 1.0, None, 8)  # three groups have columns
 def test_half_factor_matches_dense_gram(L, oversample, max_spacing, seed):
     rule = sn.build_quadrature(2, 2 * L, oversample=oversample, max_spacing=max_spacing)
     spec = sn.BasisSpec(2, L)
@@ -138,21 +140,26 @@ def test_half_factor_matches_dense_gram(L, oversample, max_spacing, seed):
     rings = ring_factors(spec, rule)
     rng = np.random.default_rng(seed)
     E = sn.rotate(E2, random_rotation(2, rng))
-    # MU2's pole is the rule's axis, so every ring has one weight
+    # MU2's pole is the rule's axis, so every ring has one weight; a pole off
+    # the axis makes every ring partial in the full-sphere factor
     a = rule.weights * weight_values(MU2, rule.nodes)
+    off_axis = rule.weights * weight_values(sn.PowerDistanceWeight(2.0, np.array([0.6, 0.0, 0.8])), rule.nodes)
     n_t, n_phi = rule.descriptor["n_t"], rule.descriptor["n_phi"]
     emptied = membership(E, rule.nodes).reshape(n_t, n_phi)
     emptied[rng.integers(n_t)] = False  # a ring with no kept node
+    few = emptied.copy()
+    few[rng.integers(n_t)] = np.arange(n_phi) < L + 1  # a ring keeping fewer than 2(L+1) nodes
     # sets centred on the axis keep whole rings only; a small cap off the axis makes some rings partial
     polar = [sn.cap_set(POLE, 2.0), sn.Band(POLE, 0.8, 2.0), sn.Complement(sn.cap_set(POLE, 1.0))]
     merged = sn.CapUnion(np.stack([POLE, [0.8, 0.0, 0.6]]), np.array([1.0, 0.4]))
     coupling = rings.groups[:, None] != rings.groups
-    for keep, whole in [(None, True), (membership(E, rule.nodes), False), (emptied.ravel(), False),
-                        (np.zeros(rule.n_nodes, dtype=bool), True), (membership(merged, rule.nodes), False)] + [
-                        (membership(P, rule.nodes), True) for P in polar]:
-        R = rings.half_factor(a, keep)
+    for w, keep, whole in [(a, None, True), (a, membership(E, rule.nodes), False), (a, emptied.ravel(), False),
+                           (a, few.ravel(), False), (a, np.zeros(rule.n_nodes, dtype=bool), True),
+                           (a, membership(merged, rule.nodes), False), (off_axis, None, False)] + [
+                           (a, membership(P, rule.nodes), True) for P in polar]:
+        R = rings.half_factor(w, keep)
         kept = np.ones(rule.n_nodes) if keep is None else keep
-        G = B.T @ ((a * kept)[:, None] * B)
+        G = B.T @ ((w * kept)[:, None] * B)
         assert R.shape == (B.shape[1], B.shape[1])
         assert np.array_equal(R, np.triu(R))
         if not kept.any():
@@ -166,9 +173,9 @@ def test_half_factor_matches_dense_gram(L, oversample, max_spacing, seed):
 
 def test_half_factor_memory_stays_near_its_output():
     # 315 rings of 26 rows would stack 8,190 x 169 rows (11 MB) before one QR;
-    # merged as they stream, the peak stays within the resource guard's
-    # multiple of dim Pi_L^2 (one factor is 0.23 MB), the lift array and
-    # O(n_nodes) weight arrays
+    # folded order by order, the peak stays within the resource guard's
+    # multiple of dim Pi_L^2 (one factor is 0.23 MB), one array of dim Pi_L
+    # entries a ring and O(n_nodes) weight arrays
     rule = sn.build_quadrature(2, 24, max_spacing=0.01)
     rings = ring_factors(sn.BasisSpec(2, 12), rule)
     N, n_t = rings.slot.size, rule.descriptor["n_t"]

@@ -5,7 +5,7 @@ adversary's anchor against its own all-pairs scan, the Poisson scan against
 the closed-form kernel summed node by node, the harmonic scan's fine and
 coarse patch lower bounds against that closed-form sum (and the coarse
 against the fine), the pruned harmonic minimum against the
-full scan it replaced, the memory bound of the density blocks,
+full scan it replaced, the density kernel's pair blocks and its exact ties,
 the cap masses ainfty_check asks for, and the local rules rhinfty_check
 builds."""
 
@@ -19,7 +19,7 @@ import spherenorms as sn
 from spherenorms import concentration as C
 from spherenorms import functionals as F
 from spherenorms import sets
-from spherenorms.geometry import candidate_centers, random_rotation
+from spherenorms.geometry import candidate_centers, cap_dots, random_rotation
 from spherenorms.quadrature import QuadratureRule, arc_quadrature
 from spherenorms.sets import membership
 from spherenorms.special import sphere_measure
@@ -223,6 +223,34 @@ def test_local_masses_boundary_is_closed(radius, d):
     assert_masses_match(got, all_pairs_masses(center, rule, rule.weights, rule.weights, radii[0], radii[1]))
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_local_masses_tie_exactly_on_equal_ring_counts(d):
+    # an indicator times the rule's weights: windows holding equally many
+    # kept nodes on each ring get bit-equal masses, whichever runs hold them,
+    # as the adversary's anchor needs to take the first of tied windows.  The
+    # centers share three polar angles on S^2, so that ring counts repeat;
+    # plain running sums of the values break some of these ties
+    rng = np.random.default_rng(d)
+    rule = sn.build_quadrature(d, 0, max_spacing=0.05)
+    n_phi = rule.descriptor["n_phi" if d == 2 else "n"]
+    kept = rng.random(rule.n_nodes) < 0.5
+    azimuths = rng.uniform(0.0, 2.0 * math.pi, 200)
+    if d == 1:
+        centers = np.stack([np.cos(azimuths), np.sin(azimuths)], axis=1)
+    else:
+        centers = sphere_points(np.repeat([0.4, 1.5, 2.9], 200), np.tile(azimuths, 3))
+    radius = 0.12  # about five nodes a ring, on up to five rings
+    (mass,) = F._local_masses(centers, rule, [(rule.weights * kept, radius)])
+    held = (cap_dots(centers.T[:, :, None], rule.nodes.T[:, None, :]) >= math.cos(radius)) & kept
+    _, group = np.unique(held.reshape(centers.shape[0], -1, n_phi).sum(axis=2), axis=0, return_inverse=True)
+    ties = 0
+    for g in np.unique(group):
+        same = mass[group == g]
+        np.testing.assert_array_equal(same, same[0])
+        ties += same.size - 1
+    assert ties >= centers.shape[0] // 4
+
+
 def test_density_of_a_rule_without_rings_is_refused():
     # the window kernel reads rings of equispaced longitudes; a product rule
     # turned off the pole, or one without a ring layout, is refused
@@ -239,12 +267,13 @@ def test_density_of_a_rule_without_rings_is_refused():
 
 
 def test_density_blocks_stay_within_old_block(monkeypatch):
-    # a window of radius 2.5 holds ~90% of the nodes; the candidate pairs of
-    # every block must stay within one block of the all-pairs scan
-    rule = sn.build_quadrature(2, 0, max_spacing=0.014)
-    assert rule.n_nodes >= 100_000
+    # a window of radius 2.5 reaches most of the rule's 53 rings from each of
+    # the 26,402 grid centers at L=48: 1.4 million (center, ring) pairs, more
+    # than _PAIR_BLOCK, so the kernel runs block by block, and every block of
+    # pairs must stay within one block of the all-pairs scan
+    rule = sn.build_quadrature(2, 0, max_spacing=0.06)
     blocks = []
-    real_blocks = F._center_blocks
+    real_blocks = sets._center_blocks
 
     def recorded(counts):
         out = real_blocks(counts)
@@ -252,11 +281,9 @@ def test_density_blocks_stay_within_old_block(monkeypatch):
         assert [a for a, _ in out] == [0] + [b for _, b in out[:-1]] and out[-1][1] == counts.shape[0]
         return out
 
-    # the (center, ring) pair blocks of sets._ring_pairs and the (center, node) blocks of the density scan
     monkeypatch.setattr(sets, "_center_blocks", recorded)
-    monkeypatch.setattr(F, "_center_blocks", recorded)
     E = sn.cap_set(sn.north_pole(2), 1.0)
-    rep = sn.density_profile(E, sn.Lebesgue(), 2, 2.5, 2.5, rule=rule)
+    rep = sn.density_profile(E, sn.Lebesgue(), 48, 2.5, 2.5, rule=rule)
     assert len(blocks) > 1 and sum(blocks) > sets._PAIR_BLOCK
     assert max(blocks) <= sets._PAIR_BLOCK <= OLD_BLOCK
     centers = candidate_centers(2, rep.resolution["per_great_circle"])
