@@ -207,7 +207,7 @@ def _triangular_factor(rows: np.ndarray, n: int) -> np.ndarray:
 def ring_factors(spec: BasisSpec, rule) -> RingFactors:
     """Factors of ``basis_matrix(spec, rule.nodes)`` for a d=2 product rule from
     ``build_quadrature``: n_t Gauss-Legendre rings of n_phi equispaced
-    longitudes starting at phi = 0, as ``ring_layout`` reads them."""
+    longitudes starting at phi = 0, the layout the rule recorded (``ring_layout``)."""
     if spec.d != 2 or rule.d != 2:
         raise ValueError("ring factors need a d=2 product rule (n_t rings x n_phi longitudes)")
     n_phi = ring_layout(rule)[1]

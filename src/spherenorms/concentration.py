@@ -32,7 +32,6 @@ any array sized by dim Pi_L is allocated, if they would pass 4e8 float64 entries
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -102,7 +101,7 @@ def _node_basis(spec: BasisSpec, rule: QuadratureRule):
     would pass ``_MAX_ENTRIES`` float64 entries: B (n_nodes N) on S^1, the
     per-ring arrays (``_RING_ENTRIES`` N n_t) and trig values (2(L+1) n_phi)
     on S^2, and ``_SQUARES`` N^2 on both."""
-    N, n_t, n_phi = basis_dim(spec), rule.descriptor.get("n_t", 0), rule.descriptor.get("n_phi", 0)
+    N, (n_t, n_phi) = basis_dim(spec), rule.layout or (0, 0)
     entries = _SQUARES * N * N + (_RING_ENTRIES * N * n_t + 2 * (spec.L + 1) * n_phi if spec.d == 2
                                   else rule.n_nodes * N)
     if entries > _MAX_ENTRIES:
@@ -119,12 +118,10 @@ def _node_basis(spec: BasisSpec, rule: QuadratureRule):
     return SimpleNamespace(forward=lambda c: B @ c, adjoint=lambda w: B.T @ w, half_factor=half_factor, groups=None)
 
 
-def _degree_rule(E: SetSpec, spec: BasisSpec, rule) -> QuadratureRule:
-    """``rule``, ``rule(2L)`` when it is a rule factory ``rule(exact_degree)``,
-    or ``Sampling().rule(E, d, 2L)`` when it is None; ValueError unless it
-    integrates degree 2L exactly."""
+def _degree_rule(E: SetSpec, spec: BasisSpec, rule: QuadratureRule | None) -> QuadratureRule:
+    """``rule``, or ``Sampling().rule(E, d, 2L)`` when it is None; ValueError
+    unless it integrates degree 2L exactly."""
     rule = Sampling().rule(E, spec.d, 2 * spec.L) if rule is None else rule
-    rule = rule(2 * spec.L) if callable(rule) else rule
     if rule.exact_degree < 2 * spec.L:
         raise ValueError("rule exactness must reach degree 2L for the polynomial part")
     return rule
@@ -145,7 +142,7 @@ def _half_factors(E: SetSpec, mu: MeasureSpec, spec: BasisSpec, rule, full: bool
     its ``_node_basis`` and the half-factors with G_X = R_X^T R_X.
 
     On S^1 under the plain measure the rule is Gauss-Legendre on E's arcs
-    (exact, so it replaces any given rule, and a rule factory goes uncalled);
+    (exact, so it replaces any given rule, whose nodes are never classified);
     else it is ``_degree_rule``'s.
     ``R_full`` is None under the plain measure, whose full Gram is then the
     identity, and when ``full`` is false.  The full sphere is factored before
@@ -174,7 +171,7 @@ def lambda_min(
     E: SetSpec,
     mu: MeasureSpec,
     L: int,
-    rule: QuadratureRule | Callable[[int], QuadratureRule] | None = None,
+    rule: QuadratureRule | None = None,
     d: int | None = None,
 ) -> ConcentrationReport:
     """Smallest eigenvalue of G_E x = lambda G_full x over Pi_L, with witness.
@@ -182,10 +179,9 @@ def lambda_min(
     For the plain surface measure with a rule exact to degree 2L the full
     Gram is the identity and the pencil reduces to a standard problem.  No
     Gram is assembled, not even for the residual R_E^T R_E w - lambda R_full^T R_full w.
-    ``rule`` may be a factory ``rule(exact_degree)`` (then give ``d``), called
-    only where the Gram reads a masked rule: not on S^1 under the plain measure.
+    ``rule`` is ``_half_factors``'s: on S^1 under the plain measure it is not read.
     """
-    d = rule_dim(d, None if callable(rule) else rule)
+    d = rule_dim(d, rule)
     spec = BasisSpec(d, L)
     rule, basis, R_E, R_full = _half_factors(E, mu, spec, rule)
     if R_full is None:
@@ -359,10 +355,8 @@ def worst_case_lp(
     zonal peak there, then seeded random coefficient vectors -- with the
     objective evaluations counted.  The basis is applied as in every
     concentration function (``_node_basis``).  Each start runs ``_lbfgs``,
-    SciPy's L-BFGS-B core driven directly: the iterates of
-    ``scipy.optimize.minimize``, with the loop's cost per evaluation down
-    from 30 to 13 us on ``configs/weighted_arcs.yaml`` and from 45 to 19 us
-    on ``perfbench/weighted_sphere.yaml`` (one BLAS thread, 2-CPU Xeon).
+    SciPy's L-BFGS-B core driven directly, which gives the iterates of
+    ``scipy.optimize.minimize`` bit for bit at less cost per evaluation.
     """
     if not (1.0 <= p < math.inf):
         raise ValueError("p must lie in [1, infinity)")

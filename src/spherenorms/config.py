@@ -94,7 +94,7 @@ def _fmt_point(p: np.ndarray) -> str:
 
 
 def _eigen(cfg, E, L, params, rule):
-    rep = lambda_min(E, cfg.measure, L, rule=rule, d=cfg.d)
+    rep = lambda_min(E, cfg.measure, L, rule=rule(2 * L), d=cfg.d)
     wit = f"n_masked={rep.diagnostics.get('n_masked', 'na')};residual={rep.diagnostics['residual']:.3e}"
     if rep.lambda_min < rep.diagnostics["lambda_floor"]:
         wit += ";below_floor"

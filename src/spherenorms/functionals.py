@@ -17,8 +17,8 @@ from .errors import DegenerateMeasureError, NetConstructionError, ResolutionErro
 from .geometry import (candidate_centers, cap_measure, fibonacci_lattice, frame_at, north_pole, random_points,
                        uniform_circle)
 from .measures import Lebesgue, MeasureSpec, PowerDistanceWeight, cap_mass, weight_values
-from .quadrature import QuadratureRule, Sampling, build_quadrature, cap_quadrature, ring_layout, rule_dim
-from .sets import CapUnion, EmptySet, SetSpec, _cap_counts, _cos_bound, _ring_pairs, _ring_runs
+from .quadrature import QuadratureRule, Sampling, cap_quadrature, ring_layout, rule_dim
+from .sets import CapUnion, EmptySet, FullSphere, SetSpec, _cap_counts, _cos_bound, _ring_pairs, _ring_runs
 from .special import sphere_measure
 
 __all__ = [
@@ -49,11 +49,9 @@ _CHECK_RADII = (0.2, 0.5, 1.0)
 _AINFTY_BETAS = (0.5, 1.0, 2.0)
 # centers sampled by doubling_constant
 _DOUBLING_CENTERS = 24
-# densifications covering_net tries before giving up, the most net caps allowed
-# over one probe node, and the probe rule's node spacing over the net spacing
+# densifications covering_net tries before giving up, and the most net caps allowed over one probe node
 _NET_TRIES = 4
 _OVERLAP_CAP = 24
-_PROBE_SPACING = 0.35
 
 
 @dataclass(frozen=True, eq=False)
@@ -546,8 +544,9 @@ def covering_net(d: int, spacing: float) -> np.ndarray:
     d=1 uses a uniform grid (covering radius exactly half the grid step; the
     step is below ``spacing``, so no point lies in more than 5 caps).  d=2
     uses a Fibonacci lattice sized for the target covering radius, densified
-    up to ``_NET_TRIES`` times until its caps hold every node of a product
-    probe rule of node spacing ``_PROBE_SPACING`` times ``spacing``; no probe
+    up to ``_NET_TRIES`` times until its caps hold every node of a probe
+    rule, the one ``Sampling()`` gives a window of ``spacing`` (so the net is
+    built wherever such a window's rule fits under the node cap); no probe
     node may lie in more than ``_OVERLAP_CAP`` caps.  Both are read from the
     caps' counts on the probe (``sets._cap_counts``).
     """
@@ -557,11 +556,11 @@ def covering_net(d: int, spacing: float) -> np.ndarray:
         return uniform_circle(int(math.ceil(2.0 * math.pi / spacing)) + 1)
     if d != 2:
         raise ValueError(f"unsupported sphere dimension d={d}")
-    probe = build_quadrature(2, 0, max_spacing=_PROBE_SPACING * spacing)
+    probe = Sampling().rule(FullSphere(), 2, window=spacing)
     n = max(16, int(math.ceil(4.0 * math.pi / (0.7 * spacing) ** 2)))
     for _ in range(_NET_TRIES):
         net = fibonacci_lattice(n)
-        counts = _cap_counts(CapUnion(net, np.full(n, spacing)), probe.nodes, layout=ring_layout(probe))
+        counts = _cap_counts(CapUnion(net, np.full(n, spacing)), probe.nodes, layout=probe.layout)
         if counts.all():
             if counts.max() > _OVERLAP_CAP:
                 raise NetConstructionError(f"cover overlap {counts.max()} exceeds the bound {_OVERLAP_CAP}")

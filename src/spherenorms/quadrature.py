@@ -9,9 +9,9 @@ are exact to rounding, with no indicator mask.  ``cap_quadrature`` reuses
 the arc rule (d=1) and the product rule's rings, squeezed into the cap (d=2).
 ``oversample`` and ``max_spacing`` densify rules beyond the exactness
 requirement, which matters for discontinuous integrands (set indicators);
-a product rule declares the exactness of the layout it built, so equal
-layouts are equal rules.  ``Sampling`` sizes every masked rule and every
-center grid of a sweep."""
+a product rule records the ring layout it built (``layout``, read-only nodes
+and weights) and declares that layout's exactness, so equal layouts are equal
+rules.  ``Sampling`` sizes every masked rule and every center grid of a sweep."""
 
 from __future__ import annotations
 
@@ -37,13 +37,18 @@ _CAP_N_PHI = 96
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes and positive weights on S^d integrating polynomials exactly up to exact_degree."""
+    """Nodes and positive weights on S^d integrating polynomials exactly up to exact_degree.
+
+    ``layout`` is ``(n_rings, n_phi)`` on a product rule, set only by
+    ``build_quadrature`` (``ring_layout``), and None on every other rule, copies
+    included; ``descriptor`` is a report of how the rule was built."""
 
     d: int
     nodes: np.ndarray
     weights: np.ndarray
     exact_degree: int
     descriptor: dict = field(default_factory=dict)
+    layout: tuple[int, int] | None = field(default=None, init=False)
     _masks: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -52,13 +57,10 @@ class QuadratureRule:
 
     def inside(self, E: SetSpec) -> np.ndarray:
         """E's read-only mask on the nodes, classified once per (rule, set), by ring runs on a
-        product rule (``ring_layout``); the memo holds E, so its id is not reused while it lives."""
+        product rule (``layout``) and point by point on any other; the memo holds E, so its id
+        is not reused while it lives."""
         if id(E) not in self._masks:
-            try:
-                layout = ring_layout(self)
-            except ValueError:  # no rings: the nodes are arbitrary points
-                layout = None
-            mask = membership(E, self.nodes, layout=layout)
+            mask = membership(E, self.nodes, layout=self.layout)
             mask.flags.writeable = False
             self._masks[id(E)] = (E, mask)
         return self._masks[id(E)][1]
@@ -86,7 +88,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _ring_rule(a: float, n_t: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the zone z >= a of S^2: Gauss-Legendre in z on
     [a, 1] times n_phi equispaced longitudes from phi = 0, in ring-major order
-    (the layout ``ring_layout`` reads)."""
+    (the layout ``build_quadrature`` records)."""
     x, wx = _gauss_legendre(n_t)
     t = 0.5 * (1.0 - a) * x + 0.5 * (1.0 + a)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
@@ -112,8 +114,10 @@ def build_quadrature(
 ) -> QuadratureRule:
     """Product rule on S^d exact to ``exact_degree``, densified by ``oversample``
     and, if given, until the nominal node spacing is below ``max_spacing``.
-    The rule declares the exactness of the layout it built, which may pass
-    ``exact_degree``: n - 1 on S^1, min(2 n_t - 1, n_phi - 1) on S^2."""
+    The rule records its ring layout (``ring_layout``), with its nodes and
+    weights read-only so that the record holds, and declares the layout's
+    exactness, which may pass ``exact_degree``: n - 1 on S^1 (one ring of n),
+    min(2 n_t - 1, n_phi - 1) on S^2 (n_t rings of n_phi)."""
     if exact_degree < 0:
         raise ValueError("exactness degree must be nonnegative")
     if oversample < 1.0:
@@ -125,45 +129,35 @@ def build_quadrature(
         n = max(n, 4)
         if n > max_nodes:
             raise ResourceLimitError(f"rule would need {n} nodes (cap {max_nodes})")
-        weights = np.full(n, 2.0 * math.pi / n)
-        return QuadratureRule(1, uniform_circle(n), weights, n - 1, {"n": n})
-    if d != 2:
+        n_t, n_phi = 1, n
+        rule = QuadratureRule(1, uniform_circle(n), np.full(n, 2.0 * math.pi / n), n - 1, {"n": n})
+    elif d == 2:
+        n_t = int(math.ceil((exact_degree + 1) / 2.0 * oversample))
+        n_phi = int(math.ceil((exact_degree + 1) * oversample))
+        if max_spacing is not None:
+            n_t = max(n_t, int(math.ceil(math.pi / max_spacing)))
+            n_phi = max(n_phi, int(math.ceil(2.0 * math.pi / max_spacing)))
+        if n_t * n_phi > max_nodes:
+            raise ResourceLimitError(
+                f"rule would need {n_t}x{n_phi}={n_t * n_phi} nodes (cap {max_nodes})"
+            )
+        nodes, weights = _ring_rule(-1.0, n_t, n_phi)
+        rule = QuadratureRule(2, nodes, weights, min(2 * n_t - 1, n_phi - 1), {"n_t": n_t, "n_phi": n_phi})
+    else:
         raise ValueError(f"unsupported sphere dimension d={d}")
-
-    n_t = int(math.ceil((exact_degree + 1) / 2.0 * oversample))
-    n_phi = int(math.ceil((exact_degree + 1) * oversample))
-    if max_spacing is not None:
-        n_t = max(n_t, int(math.ceil(math.pi / max_spacing)))
-        n_phi = max(n_phi, int(math.ceil(2.0 * math.pi / max_spacing)))
-    if n_t * n_phi > max_nodes:
-        raise ResourceLimitError(
-            f"rule would need {n_t}x{n_phi}={n_t * n_phi} nodes (cap {max_nodes})"
-        )
-    nodes, weights = _ring_rule(-1.0, n_t, n_phi)
-    return QuadratureRule(2, nodes, weights, min(2 * n_t - 1, n_phi - 1), {"n_t": n_t, "n_phi": n_phi})
+    rule.nodes.flags.writeable = rule.weights.flags.writeable = False
+    object.__setattr__(rule, "layout", (n_t, n_phi))
+    return rule
 
 
 def ring_layout(rule: QuadratureRule) -> tuple[int, int]:
     """``(n_rings, n_phi)`` of a product rule from ``build_quadrature``: rings
     of n_phi longitudes 2 pi k / n_phi in ring-major order, one ring on S^1
-    and rings of fixed, increasing z on S^2.  The nodes are checked against
-    that layout exactly; any other rule is a ValueError."""
-    if rule.d == 1:
-        n_rings, n_phi = 1, rule.descriptor.get("n")
-    else:
-        n_rings, n_phi = rule.descriptor.get("n_t"), rule.descriptor.get("n_phi")
-    ok = n_rings is not None and n_phi is not None and n_rings * n_phi == rule.n_nodes
-    if ok:
-        rings = rule.nodes.reshape(n_rings, n_phi, rule.d + 1)
-        phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-        s = rings[:, :1, 0]
-        ok = (rings[..., 0] == s * np.cos(phi)).all() and (rings[..., 1] == s * np.sin(phi)).all()
-        if ok and rule.d == 2:
-            z = rings[..., 2]
-            ok = (z == z[:, :1]).all() and (np.diff(z[:, 0]) > 0.0).all()
-    if not ok:
+    and rings of fixed, increasing z on S^2, as the rule recorded when built.
+    Any other rule is a ValueError."""
+    if rule.layout is None:
         raise ValueError("need a product rule from build_quadrature (rings of equispaced longitudes from phi = 0)")
-    return n_rings, n_phi
+    return rule.layout
 
 
 def cap_quadrature(d: int, center, radius: float) -> QuadratureRule:

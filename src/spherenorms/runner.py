@@ -51,7 +51,7 @@ def _job(cfg, digest, L, indices):
 
     def rule(*request, **kw):
         built = cfg.sampling.rule(E, cfg.d, *request, **kw)
-        return layouts.setdefault(tuple(built.descriptor.items()), built)
+        return layouts.setdefault(built.layout, built)
 
     rows = []
     for i in indices:

@@ -270,7 +270,7 @@ def membership(spec: SetSpec, points, strict: bool = False, layout: tuple[int, i
     ``strict`` selects the open interior; the complement of a closed set is
     the negation of the strict interior, so Complement flips the flag.  Cap
     unions and arcs refuse points of another sphere (ValueError).  Given the
-    ``layout`` (``quadrature.ring_layout``) of the product rule whose nodes
+    ``layout`` (``QuadratureRule.layout``) of the product rule whose nodes
     the points are, cap unions are classified by ring runs, and other points
     one at a time in their caps' polar bands (``_cap_counts``).
     """

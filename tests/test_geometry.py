@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 import spherenorms as sn
-from spherenorms import functionals, geometry
+from spherenorms import functionals, geometry, quadrature
 from spherenorms.errors import NetConstructionError
 from spherenorms.functionals import covering_net
 from spherenorms.geometry import (
@@ -177,6 +177,21 @@ def test_covering_net_sizes_and_cover(spacing, size):
     assert net.shape[0] == size
     chord = cKDTree(net).query(sn.build_quadrature(2, 0, max_spacing=0.25 * spacing).nodes)[0]
     assert 2.0 * np.arcsin(chord.max() / 2.0) <= spacing
+
+
+@pytest.mark.parametrize("spacing", [0.5, 0.15, 0.5 / 16, 0.5 / 32])
+def test_covering_net_probes_on_the_default_window_rule(monkeypatch, spacing):
+    # the probe is the rule Sampling gives a window of the net spacing, so the net is
+    # built wherever the regularize functional's own rule fits under the node cap
+    real, probes = quadrature.build_quadrature, []
+
+    def recorded(*args, **kwargs):
+        probes.append(real(*args, **kwargs))
+        return probes[-1]
+
+    monkeypatch.setattr(quadrature, "build_quadrature", recorded)
+    covering_net(2, spacing)
+    assert [probe.descriptor for probe in probes] == [sn.Sampling().rule(sn.FullSphere(), 2, window=spacing).descriptor]
 
 
 def test_covering_net_certifies_its_overlap(monkeypatch):

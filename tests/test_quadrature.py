@@ -1,14 +1,17 @@
 """Quadrature rules: mass, positivity, exactness certificates, guards."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
 import spherenorms as sn
+from spherenorms import functionals, quadrature
+from spherenorms.basis import ring_factors
 from spherenorms.errors import ResourceLimitError
-from spherenorms.quadrature import _gauss_legendre
+from spherenorms.quadrature import QuadratureRule, _gauss_legendre, ring_layout
 
 
 def test_total_mass():
@@ -169,3 +172,55 @@ def test_product_rule_nodes_are_gauss_legendre_rings(exact_degree, oversample):
     s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
     ref = np.stack([np.outer(s, np.cos(phi)).ravel(), np.outer(s, np.sin(phi)).ravel(), np.repeat(t, n_phi)], axis=1)
     assert np.array_equal(rule.nodes, ref)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_product_rules_record_their_layout(d):
+    E = sn.random_cap_union(d, 3, 0.4, 7)
+    for rule in (sn.build_quadrature(d, 9, oversample=2.0, max_spacing=0.3), sn.Sampling().rule(E, d, 8),
+                 sn.Sampling().rule(E, d, window=0.2)):
+        n_rings, n_phi = ring_layout(rule)
+        assert rule.layout == (n_rings, n_phi) == ((1, rule.descriptor["n"]) if d == 1 else
+                                                   (rule.descriptor["n_t"], rule.descriptor["n_phi"]))
+        # rings of n_phi longitudes 2 pi k / n_phi, in ring-major order
+        rings = rule.nodes.reshape(n_rings, n_phi, d + 1)
+        phi = np.arctan2(rings[..., 1], rings[..., 0]) % (2.0 * math.pi)
+        np.testing.assert_allclose(phi, np.broadcast_to(2.0 * math.pi * np.arange(n_phi) / n_phi, phi.shape),
+                                   atol=1e-12)
+        # the record cannot go stale: the nodes and weights refuse writes
+        for values in (rule.nodes, rule.weights):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+    with pytest.raises(TypeError):
+        QuadratureRule(d, rule.nodes, rule.weights, rule.exact_degree, dict(rule.descriptor), layout=rule.layout)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_copies_of_a_product_rule_carry_no_layout(d, monkeypatch):
+    # the same nodes and descriptor by hand, or a replace copy: no ring kernel takes
+    # them, and inside classifies them point by point, to the product rule's mask
+    rule = sn.build_quadrature(d, 0, max_spacing=0.1)
+    E = sn.random_cap_union(d, 4, 0.5, 11)
+    hand = QuadratureRule(d, rule.nodes, rule.weights, rule.exact_degree, dict(rule.descriptor))
+    centers = sn.candidate_centers(d, 12)
+    layouts, real = [], quadrature.membership
+
+    def recorded(spec, points, *args, layout=None, **kwargs):
+        layouts.append(layout)
+        return real(spec, points, *args, layout=layout, **kwargs)
+
+    mask = rule.inside(E)
+    monkeypatch.setattr(quadrature, "membership", recorded)
+    for bad in (hand, replace(rule)):
+        assert bad.layout is None
+        with pytest.raises(ValueError, match="product"):
+            functionals._local_masses(centers, bad, [(bad.weights, 0.3)])
+        if d == 2:
+            with pytest.raises(ValueError, match="product"):
+                ring_factors(sn.BasisSpec(2, 4), bad)
+            with pytest.raises(ValueError, match="product"):
+                sn.lambda_min(E, sn.Lebesgue(), 4, rule=bad)
+        layouts.clear()
+        np.testing.assert_array_equal(bad.inside(E), mask)
+        assert layouts == [None]

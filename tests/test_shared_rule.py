@@ -41,12 +41,12 @@ def classified(monkeypatch):
 
 @pytest.fixture
 def classified_layouts(monkeypatch):
-    """(set, rule descriptor) of every ``membership`` call ``QuadratureRule.inside`` makes;
+    """(set, rule layout) of every ``membership`` call ``QuadratureRule.inside`` makes;
     the list holds each set, so its id is not reused while the list lives."""
     real_inside, real_membership, calls, layout = quadrature.QuadratureRule.inside, quadrature.membership, [], []
 
     def inside(rule, E):
-        layout.append(tuple(rule.descriptor.items()))
+        layout.append(rule.layout)
         try:
             return real_inside(rule, E)
         finally:
@@ -76,6 +76,16 @@ def test_each_job_classifies_a_set_once_per_layout(classified_layouts, cfg, job_
     assert job_calls in (None, len(classified_layouts))
 
 
+@pytest.mark.parametrize("path", ["configs/dense_net_sweep.yaml", "configs/fixed_cap_decay.yaml",
+                                  "configs/weighted_arcs.yaml", "perfbench/weighted_sphere.yaml"])
+def test_shipped_jobs_classify_only_recorded_layouts(classified_layouts, path):
+    # a rule without a recorded layout is classified point by point, several times slower
+    # than by ring runs, so no shipped sweep may hand one to inside
+    cfg = load_config(Path(__file__).resolve().parents[1] / path)
+    _job(cfg, config_hash(cfg), cfg.L_list[0], range(len(cfg.functionals)))
+    assert classified_layouts and all(layout is not None for _, layout in classified_layouts)
+
+
 def _sweep(config, L, functionals, path):
     text = config.split("functionals:")[0] + "functionals: [" + ", ".join(functionals) + "]\n"
     cfg = parse_config(text.replace("L_list: [8, 16, 32]", f"L_list: [{L}]"))
@@ -102,21 +112,18 @@ def test_fixed_cap_job_classifies_each_layout(classified, tmp_path):
     assert classified == sizes
 
 
-def test_plain_arc_eigen_job_builds_no_uniform_rule(monkeypatch):
+def test_plain_arc_eigen_job_classifies_no_uniform_rule(classified_layouts):
     # on S^1 under the plain measure the Gram comes from Gauss-Legendre on the arcs,
-    # so the job's masked 2L rule would never be read
-    real, built = quadrature.Sampling.rule, []
-
-    def counted(sampling, *args, **kwargs):
-        built.append(args[2:] + tuple(kwargs.values()))
-        return real(sampling, *args, **kwargs)
-
+    # so the job's masked 2L rule is handed over but its nodes are never classified
     cfg = parse_config("schema: 1\nd: 1\nL_list: [8]\nfamily: {kind: fixed, set: {kind: arcs, intervals: "
                        "[[-1.2, 1.2], [2.0, 3.4]]}}\nfunctionals: [{name: eigen}, {name: pnorm, p: 4.0, restarts: 2}]\n")
-    monkeypatch.setattr(quadrature.Sampling, "rule", counted)
-    eigen, pnorm = _job(cfg, config_hash(cfg), 8, [0])[0], _job(cfg, config_hash(cfg), 8, [1])[0]
-    # only the adversary asks for the masked rule
-    assert built == [(16,)]
+    eigen = _job(cfg, config_hash(cfg), 8, [0])[0]
+    # the arc rule has no ring layout
+    assert classified_layouts and all(layout is None for _, layout in classified_layouts)
+    classified_layouts.clear()
+    pnorm = _job(cfg, config_hash(cfg), 8, [1])[0]
+    # only the adversary classifies the uniform rule
+    assert {layout for _, layout in classified_layouts} == {sn.Sampling().rule(cfg.family.spec, 1, 16).layout}
     assert eigen.value == sn.lambda_min(cfg.family.spec, sn.Lebesgue(), 8, d=1).lambda_min
     assert math.isfinite(pnorm.value)
 
