@@ -122,8 +122,9 @@ class RingFactors:
         n_m, n_t, _ = self.legendre.shape
         grid = np.zeros(n_m * n_m * 2)
         grid[self.slot] = c
-        ring = np.matmul(self.legendre, grid.reshape(n_m, n_m, 2))  # (m, j, cos|sin)
-        return (ring.transpose(1, 0, 2).reshape(n_t, 2 * n_m) @ self.trig).ravel()
+        ring = np.empty((n_t, n_m, 2))  # (j, m, cos|sin), filled by order
+        np.matmul(self.legendre, grid.reshape(n_m, n_m, 2), out=ring.transpose(1, 0, 2))
+        return (ring.reshape(n_t, 2 * n_m) @ self.trig).ravel()
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         """``B.T @ w``: the trigonometric sums of w along each ring, then per

@@ -26,12 +26,16 @@ wherever it couples two (order, cos|sin) groups, as on sets centred on the
 rule's axis, its SVD runs one group at a time: 2L+1 SVDs of at most L+1
 columns in place of one of dim Pi_L (``diagnostics['svd_blocks']``).  On S^1,
 B is formed.  No degree is capped: one guard in ``_node_basis`` raises ResourceLimitError before
-any array sized by dim Pi_L is allocated, if they would pass 4e8 float64 entries.
+any array sized by dim Pi_L is allocated, if they would pass 4e8 float64 entries.  The L^p
+adversary's L-BFGS-B core is the one piece of SciPy this module loads (``_lbfgsb_core``).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -59,11 +63,11 @@ __all__ = [
 ]
 
 _NODE_CHUNK = 8192
-# float64 entries one call may hold in arrays sized by N = dim Pi_L (3.2 GB): N^2 times
-# _SQUARES, the most of the half-factor's five (both factors, one QR stack, its copy, the
-# result) and the pencil SVD's eight (both factors, T, its copy, U, V^T, _split_svd's mask and
-# gather), and on S^2 N per ring times _RING_ENTRIES: its Legendre values, lift, trig factor
-# (4) and its two rows of the QR stack, held twice (4)
+# float64 entries one call may hold in arrays sized by N = dim Pi_L (3.2 GB): N^2 times _SQUARES, one above
+# the most a step holds: the half-factor's five (both factors, one QR stack, its copy, the result), R_full^-1's
+# six (both factors, I, solve's copies of R_full and I, the result) and the pencil SVD's seven (both factors,
+# R_full^-1, T, the SVD's copy of it, U, V^T), and on S^2 N per ring times _RING_ENTRIES: its Legendre values,
+# lift, trig factor (4) and its two rows of the QR stack, held twice (4)
 _MAX_ENTRIES = 4 * 10**8
 _SQUARES = 8
 _RING_ENTRIES = 10
@@ -179,6 +183,8 @@ def lambda_min(
     For the plain surface measure with a rule exact to degree 2L the full
     Gram is the identity and the pencil reduces to a standard problem.  No
     Gram is assembled, not even for the residual R_E^T R_E w - lambda R_full^T R_full w.
+    Under a weight, ``np.linalg.solve(R_full, I)`` gives R_full^-1 (R_full is upper-triangular, so
+    LU swaps no rows), T = R_E R_full^-1 and the witness is R_full^-1 v for T's last right singular vector v.
     ``rule`` is ``_half_factors``'s: on S^1 under the plain measure it is not read.
     """
     d = rule_dim(d, rule)
@@ -192,8 +198,8 @@ def lambda_min(
             raise DegenerateMeasureError("full-sphere Gram is numerically singular for this measure")
         s_full = _split_svd(R_full, basis.groups, vectors=False)[0]
         cond_full = float((s_full[0] / s_full[-1]) ** 2)
-        import scipy.linalg
-        T = scipy.linalg.solve_triangular(R_full, R_E.T, trans="T", lower=False).T
+        R_inv = np.linalg.solve(R_full, np.eye(R_full.shape[0]))
+        T = R_E @ R_inv
     n_masked = int(rule.inside(E).sum())
     try:
         svals, v, n_svd = _split_svd(T, basis.groups)
@@ -203,7 +209,7 @@ def lambda_min(
         ) from exc
     sigma = float(svals[-1])
     lam = sigma * sigma
-    witness = v if R_full is None else scipy.linalg.solve_triangular(R_full, v, lower=False)
+    witness = v if R_full is None else R_inv @ v
     nrm = np.linalg.norm(witness)
     if nrm > 0:
         witness = witness / nrm
@@ -228,15 +234,15 @@ def lambda_min(
 def _split_svd(T: np.ndarray, groups: np.ndarray | None, vectors: bool = True):
     """``(svals, v, n)``: the singular values of T, largest first, the right
     singular vector of the smallest (None without ``vectors``) and the number
-    n of SVDs run.  When every entry of T coupling two of ``groups`` (the
-    basis columns' (order, cos|sin) groups; None on S^1) is exactly zero, one
-    SVD per group answers and v is embedded in the full coefficient vector;
-    otherwise one dense SVD does."""
-    if groups is None or T[groups[:, None] != groups].any():
-        blocks = [np.arange(T.shape[1])]
-    else:
-        blocks = [np.flatnonzero(groups == g) for g in np.unique(groups)]
-    svds = [np.linalg.svd(T[np.ix_(cols, cols)], compute_uv=vectors) for cols in blocks]
+    n of SVDs run.  When T has no more nonzero entries than its blocks on ``groups``
+    (the basis columns' (order, cos|sin) groups; None on S^1), no entry couples two
+    groups: one SVD per group answers and v is embedded in the full coefficient
+    vector; otherwise one dense SVD of T itself does."""
+    blocks = [np.arange(T.shape[1])] if groups is None else [np.flatnonzero(groups == g) for g in np.unique(groups)]
+    parts = [T[np.ix_(cols, cols)] for cols in blocks] if len(blocks) > 1 else [T]
+    if sum(map(np.count_nonzero, parts)) < np.count_nonzero(T):
+        blocks, parts = [np.arange(T.shape[1])], [T]
+    svds = [np.linalg.svd(part, compute_uv=vectors) for part in parts]
     if not vectors:
         return np.sort(np.concatenate(svds))[::-1], None, len(blocks)
     k = min(range(len(blocks)), key=lambda i: svds[i][1][-1])
@@ -288,13 +294,36 @@ def _pnorm_objective(forward, adjoint, a_full, a_masked, p):
     the ratio's floor to 0.92 decade from the benchmark reference, whose tolerance is one (README)."""
     def fun(c):
         v = forward(c)
-        t = np.abs(v) ** (p - 2.0) * v if p > 2.0 else np.abs(v) ** (p - 1.0) * np.sign(v)
+        t = np.abs(v)
+        t **= p - 2.0 if p > 2.0 else p - 1.0  # in place, through the same square and sqrt fast paths as **
+        t *= v if p > 2.0 else np.sign(v)
         vp = t * v
         den = a_full @ vp
         r = (a_masked @ vp) / den
-        return r, adjoint((a_masked - r * a_full) * t) * (p / den)
+        w = a_masked - r * a_full
+        w *= t
+        g = adjoint(w)
+        g *= p / den
+        return r, g
 
     return fun
+
+
+def _lbfgsb_core():
+    """SciPy's compiled L-BFGS-B core ``scipy.optimize._lbfgsb``, loaded alone from its extension file
+    (``find_spec`` runs no SciPy code; ``import scipy.optimize`` loads about 320 modules) and registered
+    in ``sys.modules``, so a later ``import scipy.optimize`` shares it; one loaded already is used."""
+    name = "scipy.optimize._lbfgsb"
+    if name not in sys.modules:
+        folder = importlib.util.find_spec("scipy").submodule_search_locations[0] + "/optimize"
+        suffixes = importlib.machinery.EXTENSION_SUFFIXES
+        spec = importlib.machinery.FileFinder(folder, (importlib.machinery.ExtensionFileLoader, suffixes)).find_spec(name)
+        if spec is None:
+            raise ImportError(f"L-BFGS-B core not found: no file {folder}/_lbfgsb{suffixes[0]}", name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
 
 
 def _lbfgs(fun, x0: np.ndarray, maxiter: int = 2000):
@@ -305,8 +334,8 @@ def _lbfgs(fun, x0: np.ndarray, maxiter: int = 2000):
     options maxcor=10, maxls=20, ftol=1e-16, gtol=1e-12, so x, f, nfev and nit are minimize's bit
     for bit, without its wrapper around every evaluation: ``fun`` runs at x0, then again only when
     x changed, and the stops at ``maxiter`` iterations and past 15000 evaluations go through
-    ``task`` as minimize sets them."""
-    from scipy.optimize._lbfgsb import setulb
+    ``task`` as minimize sets them.  The core comes from ``_lbfgsb_core``, without the rest of SciPy."""
+    setulb = _lbfgsb_core().setulb
     n, m = x0.size, 10
     x = np.array(x0, dtype=float)
     bound, nbd = np.zeros(n), np.zeros(n, np.int32)  # nbd = 0: every x_i is free, no bound is read
@@ -319,7 +348,7 @@ def _lbfgs(fun, x0: np.ndarray, maxiter: int = 2000):
     while True:
         setulb(m, x, bound, bound, nbd, f, g, 1e-16 / _EPS, 1e-12, wa, iwa, task, lsave, isave, dsave, 20, ln_task)
         if task[0] == 3:  # FG: f and g at x, into a fresh g, which setulb may overwrite on a restart
-            if not np.array_equal(x, seen):
+            if (x != seen).any():
                 seen = x.copy()
                 f_seen, g_seen = fun(seen)
                 nfev += 1

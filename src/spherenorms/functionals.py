@@ -17,7 +17,7 @@ from .errors import DegenerateMeasureError, NetConstructionError, ResolutionErro
 from .geometry import (candidate_centers, cap_measure, fibonacci_lattice, frame_at, north_pole, random_points,
                        uniform_circle)
 from .measures import Lebesgue, MeasureSpec, PowerDistanceWeight, cap_mass, weight_values
-from .quadrature import QuadratureRule, Sampling, cap_quadrature, ring_layout, rule_dim
+from .quadrature import QuadratureRule, Sampling, cap_rules, ring_layout, rule_dim
 from .sets import CapUnion, EmptySet, FullSphere, SetSpec, _cap_counts, _cos_bound, _ring_pairs, _ring_runs
 from .special import sphere_measure
 
@@ -389,10 +389,7 @@ def doubling_constant(
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         d = centers.shape[1] - 1
     radii = np.unique(np.concatenate([scales, 2.0 * scales]))
-    masses = np.empty((centers.shape[0], radii.size))
-    for i, u in enumerate(centers):
-        for j, rad in enumerate(radii):
-            masses[i, j] = cap_mass(mu, d, u, float(rad))
+    masses = cap_mass(mu, d, np.repeat(centers, radii.size, axis=0), np.tile(radii, len(centers))).reshape(len(centers), -1)
     if np.any(masses <= 0.0):
         bad = np.argwhere(masses <= 0.0)[0]
         raise DegenerateMeasureError(
@@ -431,27 +428,6 @@ def _tangent_at(u: np.ndarray) -> np.ndarray:
     return t / n
 
 
-def _ainfty_subsets(mu: MeasureSpec, d: int, u: np.ndarray, delta: float, masses: dict):
-    """(sigma(E), omega(E), tag) for the structured subsets of B(u, delta);
-    ``masses`` memoizes omega(B(u, radius)) by exact radius across calls."""
-
-    def mass(radius: float) -> float:
-        if radius not in masses:
-            masses[radius] = cap_mass(mu, d, u, radius)
-        return masses[radius]
-
-    out = []
-    sig_b = cap_measure(d, delta)
-    w_b = mass(delta)
-    for frac, tag in ((0.5, "half-subcap"), (0.25, "quarter-subcap")):
-        out.append((cap_measure(d, frac * delta), mass(frac * delta), tag))
-    out.append((sig_b - cap_measure(d, 0.5 * delta), w_b - mass(0.5 * delta), "annulus"))
-    shifted = math.cos(delta / 2.0) * u + math.sin(delta / 2.0) * _tangent_at(u)
-    shifted = shifted / np.linalg.norm(shifted)
-    out.append((cap_measure(d, delta / 2.0), cap_mass(mu, d, shifted, delta / 2.0), "offcenter-subcap"))
-    return sig_b, w_b, out
-
-
 def ainfty_check(
     mu: MeasureSpec,
     d: int,
@@ -464,18 +440,24 @@ def ainfty_check(
     records = []
     witness = None
     passed = True
-    for u in centers:
-        masses = {}
-        for delta in _CHECK_RADII:
-            sig_b, w_b, subsets = _ainfty_subsets(mu, d, u, float(delta), masses)
-            for sig_e, w_e, tag in subsets:
-                if w_e <= 0.0:
-                    if w_b > 0.0:
-                        passed = False
-                        if witness is None:
-                            witness = {"center": u.tolist(), "delta": float(delta), "subset": tag}
-                    continue
-                records.append((w_b, sig_b, w_e, sig_e))
+    balls = [(u, float(delta)) for u in centers for delta in _CHECK_RADII]
+    caps = []  # B(u, delta), its half and quarter subcaps and the off-center subcap of radius delta/2
+    for u, delta in balls:
+        shifted = math.cos(delta / 2.0) * u + math.sin(delta / 2.0) * _tangent_at(u)
+        caps += [(u, delta), (u, 0.5 * delta), (u, 0.25 * delta), (shifted / np.linalg.norm(shifted), delta / 2.0)]
+    masses = cap_mass(mu, d, np.array([c for c, _ in caps]), np.array([r for _, r in caps]))
+    for (u, delta), (w_b, w_half, w_quarter, w_off) in zip(balls, masses.reshape(-1, 4).tolist()):
+        sig_b, sig_half = cap_measure(d, delta), cap_measure(d, 0.5 * delta)
+        subsets = [(sig_half, w_half, "half-subcap"), (cap_measure(d, 0.25 * delta), w_quarter, "quarter-subcap"),
+                   (sig_b - sig_half, w_b - w_half, "annulus"), (sig_half, w_off, "offcenter-subcap")]
+        for sig_e, w_e, tag in subsets:
+            if w_e <= 0.0:
+                if w_b > 0.0:
+                    passed = False
+                    if witness is None:
+                        witness = {"center": u.tolist(), "delta": delta, "subset": tag}
+                continue
+            records.append((w_b, sig_b, w_e, sig_e))
     best_beta = None
     best_B = math.inf
     per_beta = {}
@@ -508,27 +490,23 @@ def rhinfty_check(
     C = 1.0
     passed = True
     witness = None
-    for u in centers:
-        for delta in _CHECK_RADII:
-            local = cap_quadrature(d, u, float(delta))
-            values = weight_values(mu, np.vstack([local.nodes, u[None, :]]))
-            # cap_mass's value over the cap's measure, from the rule built for the sup
-            if isinstance(mu, Lebesgue):
-                avg = 1.0
-            else:
-                avg = float(local.weights @ values[:-1]) / cap_measure(d, float(delta))
-            sup = float(values.max())
-            if avg <= 0.0:
-                if sup > 0.0:
-                    passed = False
-                    if witness is None:
-                        witness = {"center": u.tolist(), "delta": float(delta)}
-                continue
-            if not math.isfinite(sup):
+    balls = [(u, float(delta)) for u in centers for delta in _CHECK_RADII]
+    for (u, delta), local in zip(balls, cap_rules(d, [u for u, _ in balls], [delta for _, delta in balls])):
+        values = weight_values(mu, np.vstack([local.nodes, u[None, :]]))
+        # cap_mass's value over the cap's measure, from the rule built for the sup
+        avg = 1.0 if isinstance(mu, Lebesgue) else float(local.weights @ values[:-1]) / cap_measure(d, delta)
+        sup = float(values.max())
+        if avg <= 0.0:
+            if sup > 0.0:
                 passed = False
                 if witness is None:
-                    witness = {"center": u.tolist(), "delta": float(delta), "sup": "inf"}
-            C = max(C, sup / avg)
+                    witness = {"center": u.tolist(), "delta": delta}
+            continue
+        if not math.isfinite(sup):
+            passed = False
+            if witness is None:
+                witness = {"center": u.tolist(), "delta": delta, "sup": "inf"}
+        C = max(C, sup / avg)
     if not passed:
         C = math.inf
     return WeightReport(

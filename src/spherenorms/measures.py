@@ -10,7 +10,7 @@ from typing import ClassVar, Union, get_args
 import numpy as np
 
 from .geometry import apply_rotation, assert_unit, cap_measure, check_orthogonal, geodesic_distance
-from .quadrature import QuadratureRule, cap_quadrature
+from .quadrature import QuadratureRule, cap_rules
 from .sets import SetSpec, check_fields, spec_from_dict, spec_to_dict
 
 __all__ = [
@@ -140,12 +140,17 @@ def set_measure(E: SetSpec, mu: MeasureSpec, rule: QuadratureRule) -> float:
     return float(w.sum())
 
 
-def cap_mass(mu: MeasureSpec, d: int, center, radius: float) -> float:
-    """mu(B(center, radius)) via a local polar rule (exact cap geometry)."""
+def cap_mass(mu: MeasureSpec, d: int, center, radius):
+    """mu(B(center, radius)) via a local polar rule (exact cap geometry).  Given rows of centers and one
+    radius per row, their masses: each distinct pair is summed once, on one ``cap_rules`` pass."""
+    radii = np.atleast_1d(np.asarray(radius, dtype=float))
     if isinstance(mu, Lebesgue):
-        return cap_measure(d, radius)
-    rule = cap_quadrature(d, center, radius)
-    return float(rule.weights @ weight_values(mu, rule.nodes))
+        masses = np.array([cap_measure(d, r) for r in radii.tolist()])
+    else:
+        pairs, inverse = np.unique(np.column_stack([np.atleast_2d(center), radii]), axis=0, return_inverse=True)
+        rules = cap_rules(d, pairs[:, :-1], pairs[:, -1])
+        masses = np.array([rule.weights @ weight_values(mu, rule.nodes) for rule in rules])[inverse]
+    return float(masses[0]) if np.ndim(radius) == 0 else masses
 
 
 def regularized_measure(mu: MeasureSpec, L: int, u, d: int) -> float:

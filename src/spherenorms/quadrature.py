@@ -25,8 +25,8 @@ from .errors import ResourceLimitError
 from .geometry import frame_at, uniform_circle
 from .sets import SetSpec, arc_list, check_fields, membership, min_feature_scale
 
-__all__ = ["QuadratureRule", "Sampling", "build_quadrature", "cap_quadrature", "arc_quadrature", "ring_layout",
-           "rule_dim", "DEFAULT_MAX_NODES", "SPACING_FACTOR"]
+__all__ = ["QuadratureRule", "Sampling", "build_quadrature", "cap_quadrature", "cap_rules", "arc_quadrature",
+           "ring_layout", "rule_dim", "DEFAULT_MAX_NODES", "SPACING_FACTOR"]
 
 DEFAULT_MAX_NODES = 6_000_000
 # default node spacing: the smallest set feature (or window scale) over this factor
@@ -161,24 +161,31 @@ def ring_layout(rule: QuadratureRule) -> tuple[int, int]:
 
 
 def cap_quadrature(d: int, center, radius: float) -> QuadratureRule:
-    """Local rule supported on the cap B(center, radius), exact for smooth caps.
+    """Local rule supported on the cap B(center, radius), exact for smooth caps (see ``cap_rules``)."""
+    return next(cap_rules(d, [center], [radius]))
 
-    The cap is parametrized in polar coordinates around its center; weights
-    sum to the exact cap measure.  Used for localized masses (doubling / weight
-    diagnostics, regularized measure) where a global rule would be wasteful.
-    """
-    if not (0.0 < radius <= math.pi):
-        raise ValueError(f"cap radius must lie in (0, pi], got {radius}")
-    center = np.asarray(center, dtype=float)
-    if d == 1:
-        theta0 = math.atan2(center[1], center[0])
-        nodes, weights = _arc_rule(theta0 - radius, 2.0 * radius, _CAP_N_R)
-        return QuadratureRule(1, nodes, weights, 0, {"cap": True, "n_r": _CAP_N_R})
-    if d != 2:
-        raise ValueError(f"unsupported sphere dimension d={d}")
-    nodes, weights = _ring_rule(math.cos(radius), _CAP_N_R, _CAP_N_PHI)
-    return QuadratureRule(2, nodes @ frame_at(center).T, weights, 0,
-                          {"cap": True, "n_r": _CAP_N_R, "n_phi": _CAP_N_PHI})
+
+def cap_rules(d: int, centers, radii):
+    """The local rule on each cap B(u, r), u a row of ``centers`` and r of ``radii``, in turn: polar
+    coordinates around u, weights summing to the exact cap measure, for localized masses (weight
+    diagnostics, regularized measure) where a global rule would be wasteful.  On S^2 one pass builds the
+    polar ring rule of each radius and the frame at each center once, and keeps neither past its end."""
+    polar, frames = {}, {}
+    for u, r in zip(np.atleast_2d(np.asarray(centers, dtype=float)), map(float, radii)):
+        if not (0.0 < r <= math.pi):
+            raise ValueError(f"cap radius must lie in (0, pi], got {r}")
+        if d == 1:
+            nodes, weights = _arc_rule(math.atan2(u[1], u[0]) - r, 2.0 * r, _CAP_N_R)
+            yield QuadratureRule(1, nodes, weights, 0, {"cap": True, "n_r": _CAP_N_R})
+            continue
+        if d != 2:
+            raise ValueError(f"unsupported sphere dimension d={d}")
+        if r not in polar:
+            polar[r] = _ring_rule(math.cos(r), _CAP_N_R, _CAP_N_PHI)
+        if u.tobytes() not in frames:
+            frames[u.tobytes()] = frame_at(u).T
+        yield QuadratureRule(2, polar[r][0] @ frames[u.tobytes()], polar[r][1], 0,
+                             {"cap": True, "n_r": _CAP_N_R, "n_phi": _CAP_N_PHI})
 
 
 def arc_quadrature(E: SetSpec, exact_degree: int) -> QuadratureRule:

@@ -4,13 +4,18 @@ sup-norm ratios."""
 
 import math
 import time
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 import spherenorms as sn
 from spherenorms import concentration
+from spherenorms.config import load_config
 from spherenorms.errors import EmptyIntersectionError, ResourceLimitError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def toeplitz_gram(L, a):
@@ -170,6 +175,49 @@ def test_lambda_weighted_pencil():
     lam_w = sn.lambda_min(E, w, L, rule=rule).lambda_min
     lam_s = sn.lambda_min(E, sn.Lebesgue(), L, rule=rule).lambda_min
     assert lam_w == pytest.approx(lam_s, rel=1e-9)  # constant weights cancel
+
+
+def _back_substitute(R, b):
+    """R^-1 b for an upper-triangular mpmath matrix R (a list of rows) and a vector b."""
+    x = [mpmath.mpf(0)] * len(b)
+    for i in reversed(range(len(b))):
+        x[i] = (b[i] - mpmath.fdot(R[i][i + 1 :], x[i + 1 :])) / R[i][i]
+    return x
+
+
+def _forward_substitute(R, b):
+    """R^-T b for an upper-triangular mpmath matrix R (a list of rows) and a vector b."""
+    x = [mpmath.mpf(0)] * len(b)
+    for i in range(len(b)):
+        x[i] = (b[i] - mpmath.fdot([R[k][i] for k in range(i)], x[:i])) / R[i][i]
+    return x
+
+
+@pytest.mark.parametrize("config, L", [("configs/weighted_arcs.yaml", 16), ("configs/weighted_arcs.yaml", 32),
+                                       ("perfbench/weighted_sphere.yaml", 12)],
+                         ids=["weighted-arcs-L16", "weighted-arcs-L32", "weighted-sphere-L12"])
+def test_weighted_sigma_matches_a_high_precision_pencil(config, L):
+    # sigma = sqrt(lambda_min) against sigma_min of the pencil factor T = R_E R_full^-1
+    # built in 50-digit arithmetic from the same float64 half-factors: inverse
+    # iteration on T^T T = R_full^-T R_E^T R_E R_full^-1 by triangular solves,
+    # started at the reported witness, then the norm of T at the unit iterate
+    cfg = load_config(ROOT / config)
+    spec = sn.BasisSpec(cfg.d, L)
+    E = sn.realize_family(cfg.family, cfg.d, L)
+    rule = cfg.sampling.rule(E, cfg.d, 2 * L)
+    rep = sn.lambda_min(E, cfg.measure, L, rule=rule, d=cfg.d)
+    _, _, R_E, R_full = concentration._half_factors(E, cfg.measure, spec, rule)
+    with mpmath.workdps(50):
+        R_e, R_f = ([[mpmath.mpf(float(x)) for x in row] for row in R] for R in (R_E, R_full))
+        v = [mpmath.mpf(float(x)) for x in R_full @ rep.witness]
+        for _ in range(3):  # v <- R_full R_E^-1 R_E^-T R_full^T v, normalized
+            w = [mpmath.fdot([R_f[k][i] for k in range(i + 1)], v[: i + 1]) for i in range(len(v))]
+            w = _back_substitute(R_e, _forward_substitute(R_e, w))
+            v = [mpmath.fdot(R_f[i][i:], w[i:]) for i in range(len(w))]
+            v = [x / mpmath.norm(v) for x in v]
+        y = _back_substitute(R_f, v)
+        sigma = mpmath.norm([mpmath.fdot(R_e[i][i:], y[i:]) for i in range(len(y))])
+    assert abs(math.sqrt(rep.lambda_min) - float(sigma)) <= 1e-16, (math.sqrt(rep.lambda_min), sigma)
 
 
 def test_degenerate_measure_error():

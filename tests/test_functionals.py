@@ -3,6 +3,7 @@ and the good-cap regularization."""
 
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from scipy.integrate import quad
 
 import spherenorms as sn
 from spherenorms.acceptance import CONFIG_DENSE_NET
-from spherenorms.config import FUNCTIONALS, parse_config
+from spherenorms.config import FUNCTIONALS, load_config, parse_config
 from spherenorms.errors import DegenerateMeasureError, ResolutionError
+from spherenorms.functionals import covering_net
 from spherenorms.geometry import candidate_centers
 from spherenorms.quadrature import cap_quadrature
 from spherenorms.sets import EmptySet
@@ -320,6 +322,20 @@ def test_regularize_default_delta():
     assert isinstance(star, sn.CapUnion)
     assert star.radii[0] == pytest.approx(0.5 / L)
     assert witness == f"good_caps={star.centers.shape[0]};eps=0.5;delta={delta:.6g}"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 9")
+def test_regularize_default_delta_drops_caps_on_weighted_arcs():
+    # with delta unset, E* must keep fewer good caps than the net holds; on
+    # weighted_arcs.yaml the default delta = 1/2 rho_hat(E, r/L) is 0 (a grid
+    # window misses E), so every one of the net's 102 caps is kept at L = 8
+    L = 8
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "weighted_arcs.yaml")
+    E = sn.realize_family(cfg.family, 1, L)
+    (params,) = [f.params for f in cfg.functionals if f.name == "regularize"]
+    _, witness = FUNCTIONALS["regularize"].compute(cfg, E, L, params, functools.partial(cfg.sampling.rule, E, 1))
+    good_caps = int(witness.split(";")[0].removeprefix("good_caps="))
+    assert good_caps < covering_net(1, 0.5 / L).shape[0] == 102, witness
 
 
 def test_functional_rotation_covariance():

@@ -6,7 +6,9 @@ pin it to ``minimize(method="L-BFGS-B")`` bit for bit, so a SciPy release that
 changes the core or its calling convention fails here instead of moving the
 adversary's values."""
 
+import importlib.machinery
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,13 @@ def test_driver_follows_minimize_bit_for_bit(cfg, L, maxiter):
         assert (f, nfev, nit) == (ref.fun, ref.nfev, ref.nit)
         # the stopped run ends on the iteration limit, the others converge well inside it
         assert (nit == maxiter) == (maxiter < 2000), (nit, ref.message)
+
+
+def test_missing_core_file_is_an_import_error_naming_it(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb")
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing-suffix"])
+    with pytest.raises(ImportError, match=r"optimize/_lbfgsb\.missing-suffix"):
+        concentration._lbfgsb_core()
 
 
 def _reference_worst_case_lp(E, mu, L, p, restarts, seed, rule, d):

@@ -159,7 +159,7 @@ def run_fresh(script):
 
 
 def test_plain_sweeps_never_import_scipy(tmp_path):
-    # SciPy is loaded where it is called (L-BFGS, weighted triangular solves):
+    # SciPy is loaded where it is called (the L-BFGS-B core of the L^p adversary):
     # importing the package, describing, parsing every shipped config and
     # one-degree dense-net and fixed-cap sweeps load none of it
     out = run_fresh(f"""
@@ -210,7 +210,7 @@ def test_plain_sphere_lambda_min_never_imports_scipy():
     # both SVD paths: one per (order, cos|sin) group on a polar cap, one dense SVD
     # on a dense net, and the whole and partial rings merged in one factor
     out = run_fresh("""
-import sys
+import importlib.machinery, sys
 import numpy as np
 import spherenorms as sn
 pole = np.array([0.0, 0.0, 1.0])
@@ -232,7 +232,40 @@ text = Path("configs/weighted_arcs.yaml").read_text().replace("L_list: [8, 16, 3
 rows = run_experiment(parse_config(text), Path({str(tmp_path)!r}))[2]
 (pnorm,) = [row for row in rows if row.functional == "pnorm"]
 assert math.isfinite(pnorm.value) and pnorm.witness.startswith("restarts=6"), pnorm
-print("scipy.optimize" in sys.modules, "scipy.optimize._lbfgsb" in sys.modules)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """)
-    # the adversary drives L-BFGS-B's core directly
-    assert out[-1] == "True True"
+    # the adversary drives L-BFGS-B's core directly, loaded alone from its extension
+    # file, and the weighted eigen pencil is solved in NumPy: no scipy.optimize,
+    # scipy.linalg or scipy.sparse, not even the scipy package itself
+    assert out[-1] == "['scipy.optimize._lbfgsb']"
+
+
+def test_standalone_lbfgsb_core_is_the_one_scipy_optimize_uses():
+    # the adversary's driver loads the core alone, first; importing scipy.optimize
+    # afterwards shares that module, and minimize over it follows the driver bit for bit
+    out = run_fresh("""
+import importlib.machinery, sys
+import numpy as np
+import spherenorms as sn
+from spherenorms import concentration
+from spherenorms.config import load_config
+from spherenorms.measures import weight_values
+cfg = load_config("configs/weighted_arcs.yaml")
+E, spec = sn.realize_family(cfg.family, 1, 16), sn.BasisSpec(1, 16)
+rule = cfg.sampling.rule(E, 1, 32)
+basis = concentration._node_basis(spec, rule)
+a = rule.weights * weight_values(cfg.measure, rule.nodes)
+objective = concentration._pnorm_objective(basis.forward, basis.adjoint, a, a * rule.inside(E), 4.0)
+c0 = np.random.default_rng(16).standard_normal(sn.basis_dim(spec))
+c0 /= np.linalg.norm(c0)
+x, f, nfev, nit = concentration._lbfgs(objective, c0)
+core = sys.modules["scipy.optimize._lbfgsb"]
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")), core.__file__.endswith(tuple(importlib.machinery.EXTENSION_SUFFIXES)))
+import scipy.optimize
+ref = scipy.optimize.minimize(objective, c0, jac=True, method="L-BFGS-B",
+                              options={"maxiter": 2000, "gtol": 1e-12, "ftol": 1e-16})
+print(np.array_equal(x, ref.x), (f, nfev, nit) == (ref.fun, ref.nfev, ref.nit), nit > 10)
+print(sys.modules["scipy.optimize._lbfgsb"] is core, scipy.optimize._lbfgsb_py._lbfgsb is core,
+      concentration._lbfgsb_core() is core)
+""")
+    assert out == ["['scipy.optimize._lbfgsb'] True", "True True True", "True True True"]

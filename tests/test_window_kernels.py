@@ -305,20 +305,35 @@ def test_poisson_scan_matches_kernel_node_by_node(d):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
+def counted_cap_rules(monkeypatch, module):
+    """The (center, radius) pairs of every rule ``module``'s ``cap_rules`` yields, as they are yielded."""
+    pairs, real_cap_rules = [], module.cap_rules
+
+    def counted(d, centers, radii):
+        for u, r, rule in zip(np.atleast_2d(centers), radii, real_cap_rules(d, centers, radii)):
+            pairs.append((tuple(u), float(r)))
+            yield rule
+
+    monkeypatch.setattr(module, "cap_rules", counted)
+    return pairs
+
+
 def test_ainfty_asks_each_cap_mass_once(monkeypatch):
     # 13 centers (12 samples and the pole) x 10 distinct caps: radii 0.2, 0.5,
     # 1.0 and their halves and quarters (0.25 and 0.5 repeat), plus three
-    # off-center subcaps; the values are those computed with every repeat
-    calls = []
-    real_cap_mass = F.cap_mass
+    # off-center subcaps; one cap_mass call asks for all 156 (center, radius)
+    # pairs and sums each distinct one once; the values are those computed with
+    # every repeat
+    asked, real_cap_mass = [], F.cap_mass
 
-    def counted(mu, d, center, radius, *args, **kwargs):
-        calls.append((tuple(center), radius))
-        return real_cap_mass(mu, d, center, radius, *args, **kwargs)
+    def counted(mu, d, center, radius):
+        asked.append(len(radius))
+        return real_cap_mass(mu, d, center, radius)
 
     monkeypatch.setattr(F, "cap_mass", counted)
+    summed = counted_cap_rules(monkeypatch, sn.measures)
     rep = F.ainfty_check(sn.PowerDistanceWeight(1.5, np.array([1.0, 0.0])), 1, seed=0, n_caps=12)
-    assert len(calls) == len(set(calls)) == 130
+    assert asked == [156] and len(summed) == len(set(summed)) == 130
     B, beta, passed = rep.ainfty
     assert passed and beta == 2.0 and rep.witness is None
     assert B == pytest.approx(2.168274494262604, rel=1e-12)
@@ -333,19 +348,39 @@ def test_ainfty_asks_each_cap_mass_once(monkeypatch):
 def test_rhinfty_builds_each_local_rule_once(monkeypatch, d, mu, C):
     # 13 centers x 3 radii, one rule each: the cap mass comes from the rule
     # built for the sup; C is the value computed when cap_mass built it again
-    builds = []
-    real_cap_quadrature = F.cap_quadrature
-
-    def counted(d, center, radius, *args, **kwargs):
-        builds.append((tuple(center), radius))
-        return real_cap_quadrature(d, center, radius, *args, **kwargs)
-
-    monkeypatch.setattr(F, "cap_quadrature", counted)
-    monkeypatch.setattr(sn.measures, "cap_quadrature", counted)
+    builds = counted_cap_rules(monkeypatch, F)
     rep = F.rhinfty_check(mu, d, seed=0, n_caps=12)
     assert len(builds) == len(set(builds)) == 39
     assert rep.rhinfty == (C, True) and rep.witness is None
     assert rep.config == {"seed": 0, "n_caps": 12, "radii": [0.2, 0.5, 1.0]}
+
+
+@pytest.mark.parametrize("check, polar, frames", [
+    (lambda mu: F.doubling_constant(mu, [0.1, 0.2, 0.4], d=2, seed=5), 4, 25),
+    (lambda mu: F.rhinfty_check(mu, 2, seed=5), 3, 13),
+    (lambda mu: F.ainfty_check(mu, 2, seed=5), 7, 52),
+], ids=["doubling", "rhinfty", "ainfty"])
+def test_weight_checks_build_each_polar_rule_and_frame_once(monkeypatch, check, polar, frames):
+    # weighted-sphere's weights job: an S^2 cap rule is a polar ring rule of its
+    # radius turned by the frame at its center, so a check builds one polar rule
+    # per distinct radius (doubling: 0.1, 0.2, 0.4, 0.8; A_infinity: 0.2, 0.5, 1.0,
+    # their halves and quarters) and one frame per distinct center (25 doubling
+    # centers, 13 check centers, and 39 off-center subcaps for A_infinity), where
+    # it built both for each of its 100, 39 and 130 caps; nothing outlives a call,
+    # so a second call builds them all again and reports the same
+    built = []
+    for name in ("_ring_rule", "frame_at"):
+        def counted(*args, real=getattr(sn.quadrature, name), name=name):
+            built.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(sn.quadrature, name, counted)
+    mu = sn.PowerDistanceWeight(2.0, np.array([0.0, 0.0, 1.0]))
+    for calls in (1, 2):
+        rep = check(mu)
+        assert (built.count("_ring_rule"), built.count("frame_at")) == (calls * polar, calls * frames)
+        assert calls == 1 or repr(rep) == first
+        first = repr(rep)
 
 
 def full_scan_sums(E, L, rule):
