@@ -27,7 +27,7 @@ rule's axis, its SVD runs one group at a time: 2L+1 SVDs of at most L+1
 columns in place of one of dim Pi_L (``diagnostics['svd_blocks']``).  On S^1,
 B is formed.  No degree is capped: one guard in ``_node_basis`` raises ResourceLimitError before
 any array sized by dim Pi_L is allocated, if they would pass 4e8 float64 entries.  The L^p
-adversary's L-BFGS-B core is the one piece of SciPy this module loads (``_lbfgsb_core``).
+adversary's L-BFGS-B core is the one piece of SciPy this module loads, after the package's init (``_lbfgsb_core``).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -63,11 +64,11 @@ __all__ = [
 ]
 
 _NODE_CHUNK = 8192
-# float64 entries one call may hold in arrays sized by N = dim Pi_L (3.2 GB): N^2 times _SQUARES, one above
-# the most a step holds: the half-factor's five (both factors, one QR stack, its copy, the result), R_full^-1's
-# six (both factors, I, solve's copies of R_full and I, the result) and the pencil SVD's seven (both factors,
-# R_full^-1, T, the SVD's copy of it, U, V^T), and on S^2 N per ring times _RING_ENTRIES: its Legendre values,
-# lift, trig factor (4) and its two rows of the QR stack, held twice (4)
+# float64 entries one call may hold in arrays sized by N = dim Pi_L (3.2 GB): N^2 times _SQUARES, two above
+# the most a step holds: the half-factor's five (both factors, one QR stack, its copy, the result), T's solve's
+# five (both factors, its copies of R_full^T and R_E^T, T) and the pencil SVD's six (both factors, T, the SVD's
+# copy of it, U, V^T), and on S^2 N per ring times _RING_ENTRIES: its Legendre values, lift, trig factor (4)
+# and its two rows of the QR stack, held twice (4)
 _MAX_ENTRIES = 4 * 10**8
 _SQUARES = 8
 _RING_ENTRIES = 10
@@ -183,8 +184,7 @@ def lambda_min(
     For the plain surface measure with a rule exact to degree 2L the full
     Gram is the identity and the pencil reduces to a standard problem.  No
     Gram is assembled, not even for the residual R_E^T R_E w - lambda R_full^T R_full w.
-    Under a weight, ``np.linalg.solve(R_full, I)`` gives R_full^-1 (R_full is upper-triangular, so
-    LU swaps no rows), T = R_E R_full^-1 and the witness is R_full^-1 v for T's last right singular vector v.
+    Under a weight, T = R_E R_full^-1 and the witness R_full^-1 v come from LU solves (``np.linalg.solve``).
     ``rule`` is ``_half_factors``'s: on S^1 under the plain measure it is not read.
     """
     d = rule_dim(d, rule)
@@ -198,8 +198,7 @@ def lambda_min(
             raise DegenerateMeasureError("full-sphere Gram is numerically singular for this measure")
         s_full = _split_svd(R_full, basis.groups, vectors=False)[0]
         cond_full = float((s_full[0] / s_full[-1]) ** 2)
-        R_inv = np.linalg.solve(R_full, np.eye(R_full.shape[0]))
-        T = R_E @ R_inv
+        T = np.linalg.solve(R_full.T, R_E.T).T
     n_masked = int(rule.inside(E).sum())
     try:
         svals, v, n_svd = _split_svd(T, basis.groups)
@@ -209,7 +208,7 @@ def lambda_min(
         ) from exc
     sigma = float(svals[-1])
     lam = sigma * sigma
-    witness = v if R_full is None else R_inv @ v
+    witness = v if R_full is None else np.linalg.solve(R_full, v)
     nrm = np.linalg.norm(witness)
     if nrm > 0:
         witness = witness / nrm
@@ -239,8 +238,9 @@ def _split_svd(T: np.ndarray, groups: np.ndarray | None, vectors: bool = True):
     groups: one SVD per group answers and v is embedded in the full coefficient
     vector; otherwise one dense SVD of T itself does."""
     blocks = [np.arange(T.shape[1])] if groups is None else [np.flatnonzero(groups == g) for g in np.unique(groups)]
-    parts = [T[np.ix_(cols, cols)] for cols in blocks] if len(blocks) > 1 else [T]
-    if sum(map(np.count_nonzero, parts)) < np.count_nonzero(T):
+    nnz = np.count_nonzero(T)  # the blocks are copied out only if their sizes leave room for every nonzero
+    parts = [T[np.ix_(c, c)] for c in blocks] if len(blocks) > 1 and nnz <= sum(c.size ** 2 for c in blocks) else []
+    if not parts or sum(map(np.count_nonzero, parts)) < nnz:
         blocks, parts = [np.arange(T.shape[1])], [T]
     svds = [np.linalg.svd(part, compute_uv=vectors) for part in parts]
     if not vectors:
@@ -301,25 +301,23 @@ def _pnorm_objective(forward, adjoint, a_full, a_masked, p):
         den = a_full @ vp
         r = (a_masked @ vp) / den
         w = a_masked - r * a_full
-        w *= t
-        g = adjoint(w)
-        g *= p / den
-        return r, g
+        g = adjoint(np.multiply(w, t, out=w))
+        return r, np.multiply(g, p / den, out=g)
 
     return fun
 
 
 def _lbfgsb_core():
     """SciPy's compiled L-BFGS-B core ``scipy.optimize._lbfgsb``, loaded alone from its extension file
-    (``find_spec`` runs no SciPy code; ``import scipy.optimize`` loads about 320 modules) and registered
-    in ``sys.modules``, so a later ``import scipy.optimize`` shares it; one loaded already is used."""
+    after the ``scipy`` package's own init (``import scipy.optimize`` loads about 320 modules) and
+    registered in ``sys.modules``, so a later ``import scipy.optimize`` shares it; one loaded already is used."""
     name = "scipy.optimize._lbfgsb"
     if name not in sys.modules:
-        folder = importlib.util.find_spec("scipy").submodule_search_locations[0] + "/optimize"
-        suffixes = importlib.machinery.EXTENSION_SUFFIXES
+        import scipy  # ten light modules, among them a wheel's own shared-library setup (_distributor_init)
+        folder, suffixes = os.path.join(scipy.__path__[0], "optimize"), importlib.machinery.EXTENSION_SUFFIXES
         spec = importlib.machinery.FileFinder(folder, (importlib.machinery.ExtensionFileLoader, suffixes)).find_spec(name)
         if spec is None:
-            raise ImportError(f"L-BFGS-B core not found: no file {folder}/_lbfgsb{suffixes[0]}", name=name)
+            raise ImportError(f"L-BFGS-B core not found: no file {folder}{os.sep}_lbfgsb{suffixes[0]}", name=name)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         sys.modules[name] = module

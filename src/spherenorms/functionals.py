@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DegenerateMeasureError, NetConstructionError, ResolutionError
 from .geometry import (candidate_centers, cap_measure, fibonacci_lattice, frame_at, north_pole, random_points,
                        uniform_circle)
-from .measures import Lebesgue, MeasureSpec, PowerDistanceWeight, cap_mass, weight_values
+from .measures import Lebesgue, MeasureSpec, PowerDistanceWeight, cap_masses, weight_values
 from .quadrature import QuadratureRule, Sampling, cap_rules, ring_layout, rule_dim
 from .sets import CapUnion, EmptySet, FullSphere, SetSpec, _cap_counts, _cos_bound, _ring_pairs, _ring_runs
 from .special import sphere_measure
@@ -389,7 +389,7 @@ def doubling_constant(
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         d = centers.shape[1] - 1
     radii = np.unique(np.concatenate([scales, 2.0 * scales]))
-    masses = cap_mass(mu, d, np.repeat(centers, radii.size, axis=0), np.tile(radii, len(centers))).reshape(len(centers), -1)
+    masses = cap_masses(mu, d, np.repeat(centers, radii.size, 0), np.tile(radii, len(centers))).reshape(-1, radii.size)
     if np.any(masses <= 0.0):
         bad = np.argwhere(masses <= 0.0)[0]
         raise DegenerateMeasureError(
@@ -445,7 +445,7 @@ def ainfty_check(
     for u, delta in balls:
         shifted = math.cos(delta / 2.0) * u + math.sin(delta / 2.0) * _tangent_at(u)
         caps += [(u, delta), (u, 0.5 * delta), (u, 0.25 * delta), (shifted / np.linalg.norm(shifted), delta / 2.0)]
-    masses = cap_mass(mu, d, np.array([c for c, _ in caps]), np.array([r for _, r in caps]))
+    masses = cap_masses(mu, d, np.array([c for c, _ in caps]), np.array([r for _, r in caps]))
     for (u, delta), (w_b, w_half, w_quarter, w_off) in zip(balls, masses.reshape(-1, 4).tolist()):
         sig_b, sig_half = cap_measure(d, delta), cap_measure(d, 0.5 * delta)
         subsets = [(sig_half, w_half, "half-subcap"), (cap_measure(d, 0.25 * delta), w_quarter, "quarter-subcap"),

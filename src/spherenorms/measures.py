@@ -24,6 +24,7 @@ __all__ = [
     "rotate_measure",
     "set_measure",
     "cap_mass",
+    "cap_masses",
     "regularized_measure",
     "measure_to_dict",
     "measure_from_dict",
@@ -140,17 +141,18 @@ def set_measure(E: SetSpec, mu: MeasureSpec, rule: QuadratureRule) -> float:
     return float(w.sum())
 
 
-def cap_mass(mu: MeasureSpec, d: int, center, radius):
-    """mu(B(center, radius)) via a local polar rule (exact cap geometry).  Given rows of centers and one
-    radius per row, their masses: each distinct pair is summed once, on one ``cap_rules`` pass."""
-    radii = np.atleast_1d(np.asarray(radius, dtype=float))
+def cap_mass(mu: MeasureSpec, d: int, center, radius: float) -> float:
+    """mu(B(center, radius)) via a local polar rule (exact cap geometry)."""
+    return float(cap_masses(mu, d, [center], [radius])[0])
+
+
+def cap_masses(mu: MeasureSpec, d: int, centers, radii) -> np.ndarray:
+    """``cap_mass`` of each row u of ``centers`` with its r in ``radii``: each distinct (u, r) is summed once,
+    on one ``cap_rules`` pass, which builds each polar rule and frame once."""
     if isinstance(mu, Lebesgue):
-        masses = np.array([cap_measure(d, r) for r in radii.tolist()])
-    else:
-        pairs, inverse = np.unique(np.column_stack([np.atleast_2d(center), radii]), axis=0, return_inverse=True)
-        rules = cap_rules(d, pairs[:, :-1], pairs[:, -1])
-        masses = np.array([rule.weights @ weight_values(mu, rule.nodes) for rule in rules])[inverse]
-    return float(masses[0]) if np.ndim(radius) == 0 else masses
+        return np.array([cap_measure(d, float(r)) for r in radii])
+    caps, inverse = np.unique(np.column_stack([np.atleast_2d(centers), radii]), axis=0, return_inverse=True)
+    return np.array([c.weights @ weight_values(mu, c.nodes) for c in cap_rules(d, caps[:, :-1], caps[:, -1])])[inverse]
 
 
 def regularized_measure(mu: MeasureSpec, L: int, u, d: int) -> float:

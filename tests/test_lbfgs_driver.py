@@ -61,9 +61,16 @@ def test_driver_follows_minimize_bit_for_bit(cfg, L, maxiter):
 
 
 def test_missing_core_file_is_an_import_error_naming_it(monkeypatch):
-    monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb")
+    monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb", raising=False)
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing-suffix"])
     with pytest.raises(ImportError, match=r"optimize/_lbfgsb\.missing-suffix"):
+        concentration._lbfgsb_core()
+
+
+def test_missing_scipy_is_an_import_error(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb", raising=False)
+    monkeypatch.setitem(sys.modules, "scipy", None)  # as if SciPy were not installed
+    with pytest.raises(ImportError, match="scipy"):
         concentration._lbfgsb_core()
 
 

@@ -4,6 +4,7 @@ random cap unions, the two paths against each other on the rules a dense-net
 job builds, caps of radius pi, and the SciPy modules a plain sweep, a
 regularize sweep or a plain S^2 lambda_min leaves unloaded."""
 
+import ast
 import math
 import os
 import subprocess
@@ -210,7 +211,7 @@ def test_plain_sphere_lambda_min_never_imports_scipy():
     # both SVD paths: one per (order, cos|sin) group on a polar cap, one dense SVD
     # on a dense net, and the whole and partial rings merged in one factor
     out = run_fresh("""
-import importlib.machinery, sys
+import sys
 import numpy as np
 import spherenorms as sn
 pole = np.array([0.0, 0.0, 1.0])
@@ -235,9 +236,24 @@ assert math.isfinite(pnorm.value) and pnorm.witness.startswith("restarts=6"), pn
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """)
     # the adversary drives L-BFGS-B's core directly, loaded alone from its extension
-    # file, and the weighted eigen pencil is solved in NumPy: no scipy.optimize,
-    # scipy.linalg or scipy.sparse, not even the scipy package itself
-    assert out[-1] == "['scipy.optimize._lbfgsb']"
+    # file after the scipy package's own init, and the weighted eigen pencil is
+    # solved in NumPy: no scipy.optimize, scipy.linalg or scipy.sparse
+    loaded = set(ast.literal_eval(out[-1]))
+    assert loaded == bare_scipy_modules() | {"scipy.optimize._lbfgsb"}, loaded
+    assert not loaded & {"scipy.optimize", "scipy.linalg", "scipy.sparse"}
+
+
+def bare_scipy_modules():
+    """The SciPy modules a bare ``import scipy`` loads in a new interpreter."""
+    out = run_fresh("""
+import sys
+import scipy
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+""")
+    modules = set(ast.literal_eval(out[-1]))
+    assert "scipy" in modules
+    assert not any(m.startswith(("scipy.optimize", "scipy.linalg", "scipy.sparse")) for m in modules), modules
+    return modules
 
 
 def test_standalone_lbfgsb_core_is_the_one_scipy_optimize_uses():
@@ -260,7 +276,8 @@ c0 = np.random.default_rng(16).standard_normal(sn.basis_dim(spec))
 c0 /= np.linalg.norm(c0)
 x, f, nfev, nit = concentration._lbfgs(objective, c0)
 core = sys.modules["scipy.optimize._lbfgsb"]
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")), core.__file__.endswith(tuple(importlib.machinery.EXTENSION_SUFFIXES)))
+print(core.__file__.endswith(tuple(importlib.machinery.EXTENSION_SUFFIXES)))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 import scipy.optimize
 ref = scipy.optimize.minimize(objective, c0, jac=True, method="L-BFGS-B",
                               options={"maxiter": 2000, "gtol": 1e-12, "ftol": 1e-16})
@@ -268,4 +285,5 @@ print(np.array_equal(x, ref.x), (f, nfev, nit) == (ref.fun, ref.nfev, ref.nit), 
 print(sys.modules["scipy.optimize._lbfgsb"] is core, scipy.optimize._lbfgsb_py._lbfgsb is core,
       concentration._lbfgsb_core() is core)
 """)
-    assert out == ["['scipy.optimize._lbfgsb'] True", "True True True", "True True True"]
+    assert out[0] == "True" and out[2:] == ["True True True", "True True True"], out
+    assert set(ast.literal_eval(out[1])) == bare_scipy_modules() | {"scipy.optimize._lbfgsb"}, out[1]

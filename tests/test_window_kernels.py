@@ -305,35 +305,37 @@ def test_poisson_scan_matches_kernel_node_by_node(d):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
-def counted_cap_rules(monkeypatch, module):
-    """The (center, radius) pairs of every rule ``module``'s ``cap_rules`` yields, as they are yielded."""
-    pairs, real_cap_rules = [], module.cap_rules
+def counted_cap_rules(monkeypatch):
+    """The (center, radius) pairs of every cap rule built, as built: ``cap_rules`` is counted in every
+    module that calls it (``cap_quadrature`` goes through it), all into one list."""
+    pairs, real_cap_rules = [], sn.quadrature.cap_rules
 
     def counted(d, centers, radii):
         for u, r, rule in zip(np.atleast_2d(centers), radii, real_cap_rules(d, centers, radii)):
             pairs.append((tuple(u), float(r)))
             yield rule
 
-    monkeypatch.setattr(module, "cap_rules", counted)
+    for module in (F, sn.measures, sn.quadrature):
+        monkeypatch.setattr(module, "cap_rules", counted)
     return pairs
 
 
 def test_ainfty_asks_each_cap_mass_once(monkeypatch):
     # 13 centers (12 samples and the pole) x 10 distinct caps: radii 0.2, 0.5,
     # 1.0 and their halves and quarters (0.25 and 0.5 repeat), plus three
-    # off-center subcaps; one cap_mass call asks for all 156 (center, radius)
-    # pairs and sums each distinct one once; the values are those computed with
-    # every repeat
-    asked, real_cap_mass = [], F.cap_mass
+    # off-center subcaps; one cap_masses call asks for all 156 (center, radius)
+    # pairs and builds and sums each distinct one once; the values are those
+    # computed with every repeat
+    asked, real_cap_masses = [], F.cap_masses
 
-    def counted(mu, d, center, radius):
-        asked.append(len(radius))
-        return real_cap_mass(mu, d, center, radius)
+    def counted(mu, d, centers, radii):
+        asked.append(len(radii))
+        return real_cap_masses(mu, d, centers, radii)
 
-    monkeypatch.setattr(F, "cap_mass", counted)
-    summed = counted_cap_rules(monkeypatch, sn.measures)
+    monkeypatch.setattr(F, "cap_masses", counted)
+    built = counted_cap_rules(monkeypatch)
     rep = F.ainfty_check(sn.PowerDistanceWeight(1.5, np.array([1.0, 0.0])), 1, seed=0, n_caps=12)
-    assert asked == [156] and len(summed) == len(set(summed)) == 130
+    assert asked == [156] and len(built) == len(set(built)) == 130
     B, beta, passed = rep.ainfty
     assert passed and beta == 2.0 and rep.witness is None
     assert B == pytest.approx(2.168274494262604, rel=1e-12)
@@ -346,9 +348,10 @@ def test_ainfty_asks_each_cap_mass_once(monkeypatch):
     (2, sn.PowerDistanceWeight(2.0, np.array([0.0, 0.0, 1.0])), 3.151610601517901),
 ])
 def test_rhinfty_builds_each_local_rule_once(monkeypatch, d, mu, C):
-    # 13 centers x 3 radii, one rule each: the cap mass comes from the rule
-    # built for the sup; C is the value computed when cap_mass built it again
-    builds = counted_cap_rules(monkeypatch, F)
+    # 13 centers x 3 radii, one rule each, counted wherever a cap rule is built:
+    # the cap mass comes from the rule built for the sup; C is the value computed
+    # when cap_mass built it again
+    builds = counted_cap_rules(monkeypatch)
     rep = F.rhinfty_check(mu, d, seed=0, n_caps=12)
     assert len(builds) == len(set(builds)) == 39
     assert rep.rhinfty == (C, True) and rep.witness is None
