@@ -37,8 +37,8 @@ __all__ = [
 ]
 
 # harmonic scan blocks: 64 x 2048 kernel entries (1 MB), small enough that the
-# elementwise passes over a block stay in cache; harmonic_infimum also screens
-# and sums the centers 64 at a time
+# elementwise passes over a block stay in cache; harmonic_infimum also sums
+# the centers its bounds leave in full 64 at a time
 _CENTER_CHUNK = 64
 _NODE_CHUNK = 2048
 # relative rounding allowance of the patch lower bounds, and the coarse patches' side in fine ones
@@ -201,39 +201,25 @@ def _poisson_from_dots(t: np.ndarray, d: int, root: np.ndarray | None = None) ->
     return t
 
 
-def _poisson_sums(
-    centers: np.ndarray, nodes: np.ndarray, values: np.ndarray, rho: float, d: int, bound: float = math.inf
-) -> tuple[np.ndarray, int]:
-    """Per-center sums over all nodes u of P(rho c, u) * values[u], and the
-    number of (center, node) terms summed.
+def _poisson_sums(centers: np.ndarray, nodes: np.ndarray, values: np.ndarray, rho: float, d: int) -> np.ndarray:
+    """Per-center sums over all nodes u of P(rho c, u) * values[u].
 
     The scan runs one node chunk at a time over blocks of centers, and every
-    center adds its chunks in node order.  The kernel is positive, so with
-    nonnegative values a partial sum never exceeds the full one: after each
-    chunk, a center whose partial sum is above ``bound`` is dropped and
-    reported as +inf.  Every other sum is complete.
+    center adds its chunks in node order.
     """
     # |rho c - u|^2 = [-2 rho c, 1 + rho^2] . [u, 1]; 1 - rho^2 goes into the values
     lifted = np.hstack([-2.0 * rho * centers, np.full((centers.shape[0], 1), 1.0 + rho * rho)])
     nodes = np.hstack([nodes, np.ones((nodes.shape[0], 1))])
     values = values * (1.0 - rho * rho)
-    live = np.arange(centers.shape[0])
-    acc = np.zeros(centers.shape[0])
+    sums = np.zeros(centers.shape[0])
     root = np.empty(_CENTER_CHUNK * _NODE_CHUNK)
-    pairs = 0
     for i0 in range(0, nodes.shape[0], _NODE_CHUNK):
         chunk = nodes[i0 : i0 + _NODE_CHUNK].T
         chunk_values = values[i0 : i0 + _NODE_CHUNK]
-        for c0 in range(0, live.size, _CENTER_CHUNK):
+        for c0 in range(0, centers.shape[0], _CENTER_CHUNK):
             t = lifted[c0 : c0 + _CENTER_CHUNK] @ chunk
-            acc[c0 : c0 + _CENTER_CHUNK] += _poisson_from_dots(t, d, root[: t.size].reshape(t.shape)) @ chunk_values
-        pairs += live.size * chunk.shape[1]
-        keep = ~(acc > bound)
-        if not keep.all():
-            live, lifted, acc = live[keep], lifted[keep], acc[keep]
-    sums = np.full(centers.shape[0], math.inf)
-    sums[live] = acc
-    return sums, pairs
+            sums[c0 : c0 + _CENTER_CHUNK] += _poisson_from_dots(t, d, root[: t.size].reshape(t.shape)) @ chunk_values
+    return sums
 
 
 def harmonic_measure(E: SetSpec, x, rule: QuadratureRule) -> float:
@@ -248,8 +234,7 @@ def harmonic_measure(E: SetSpec, x, rule: QuadratureRule) -> float:
     # at the origin the kernel is 1, so any unit vector serves as the center
     center = x / rho if rho > 0.0 else north_pole(rule.d)
     values = rule.weights[mask] / sphere_measure(rule.d)
-    sums, _ = _poisson_sums(center[None, :], rule.nodes[mask], values, rho, rule.d)
-    return float(sums[0])
+    return float(_poisson_sums(center[None, :], rule.nodes[mask], values, rho, rule.d)[0])
 
 
 def _patches(nodes: np.ndarray, values: np.ndarray, L: float) -> tuple[np.ndarray, np.ndarray]:
@@ -292,14 +277,13 @@ def harmonic_infimum(
     full sum; it is the same scan on fewer points.  Fine patches have side
     1/L; coarse ones, of side ``_COARSE_SIDE``/L, group the fine means by
     mass, so they group the same nodes more coarsely and bound lower still.
-    Every center gets a coarse bound, and the ``_CENTER_CHUNK`` lowest get
-    fine ones; the lowest of these is summed alone, a first best sum.  Fine
-    bounds then go to the centers whose coarse bound is within
-    ``_BOUND_MARGIN`` (relative) of that best, which are taken in increasing
-    order of fine bound, one center and then blocks of ``_CENTER_CHUNK``.  A
-    block's centers whose bound exceeds the best complete sum so far by more
-    than the margin are skipped, the rest are summed with partial sums above
-    that best dropped, and the scan stops at the first block left empty.
+    Every center gets a coarse bound, and the center of lowest coarse bound
+    is summed in full, a first best sum.  Fine bounds then go, once, to the
+    centers whose coarse bound is within ``_BOUND_MARGIN`` (relative) of that
+    best, which are summed in increasing order of fine bound, one center and
+    then blocks of ``_CENTER_CHUNK``.  A block's centers whose fine bound
+    exceeds the best sum so far by more than the margin are skipped, and the
+    scan stops at the first block left empty.
 
     The margin covers rounding, the only way a computed bound can exceed a
     computed full sum.  Both sides form t >= (1 - rho)^2 = 1/L^2 by the same
@@ -329,16 +313,13 @@ def harmonic_infimum(
     nodes, values, rho = rule.nodes[mask], rule.weights[mask] / sphere_measure(d), 1.0 - 1.0 / L
     means, masses = _patches(nodes, values, L)
     coarse_means, coarse_masses = _patches(means, masses, L / _COARSE_SIDE)
-    coarse, coarse_pairs = _poisson_sums(centers, coarse_means, coarse_masses, rho, d)
-    fine = np.full(centers.shape[0], math.inf)
-    seed = np.argsort(coarse, kind="stable")[:_CENTER_CHUNK]
-    fine[seed], seed_pairs = _poisson_sums(centers[seed], means, masses, rho, d)
-    first = seed[np.argmin(fine[seed])]
+    coarse = _poisson_sums(centers, coarse_means, coarse_masses, rho, d)
+    first = int(np.argmin(coarse))
     sums = np.full(centers.shape[0], math.inf)
-    sums[first : first + 1], pairs = _poisson_sums(centers[first : first + 1], nodes, values, rho, d)
-    best = float(sums[first])
-    near = np.flatnonzero(~(coarse > best * (1.0 + _BOUND_MARGIN)) & np.isinf(fine))
-    fine[near], near_pairs = _poisson_sums(centers[near], means, masses, rho, d)
+    sums[first] = best = float(_poisson_sums(centers[first : first + 1], nodes, values, rho, d)[0])
+    near = np.flatnonzero(~(coarse > best * (1.0 + _BOUND_MARGIN)))
+    fine = np.full(centers.shape[0], math.inf)
+    fine[near] = _poisson_sums(centers[near], means, masses, rho, d)
     order = np.argsort(fine, kind="stable")
     order = order[order != first]
     b0, b1 = 0, 1
@@ -347,17 +328,18 @@ def harmonic_infimum(
         block = block[~(fine[block] > best * (1.0 + _BOUND_MARGIN))]
         if block.size == 0:
             break
-        sums[block], block_pairs = _poisson_sums(centers[block], nodes, values, rho, d, bound=best)
-        pairs += block_pairs
+        sums[block] = _poisson_sums(centers[block], nodes, values, rho, d)
         best = min(best, float(sums[block].min()))
         b0, b1 = b1, b1 + _CENTER_CHUNK
     best_i = int(np.argmin(sums))
+    coarse_pairs = centers.shape[0] * coarse_masses.size
     return HarmonicReport(
         delta_hat=float(sums[best_i]),
         argmin_center=centers[best_i].copy(),
         L=L,
-        resolution={**grid, "pairs_summed": pairs, "patches": masses.size, "coarse_patches": coarse_masses.size,
-                    "patch_pairs": coarse_pairs + seed_pairs + near_pairs, "coarse_pairs": coarse_pairs},
+        resolution={**grid, "pairs_summed": int(np.isfinite(sums).sum()) * nodes.shape[0], "patches": masses.size,
+                    "coarse_patches": coarse_masses.size, "patch_pairs": coarse_pairs + near.size * masses.size,
+                    "coarse_pairs": coarse_pairs},
     )
 
 

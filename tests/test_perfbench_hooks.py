@@ -11,8 +11,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import spherenorms as sn
 from spherenorms.config import FUNCTIONALS
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -67,3 +69,43 @@ def test_registry_holds_no_traced_function():
     for entry in FUNCTIONALS.values():
         held = [entry.compute, *(check for _, check, _ in entry.checks)]
         assert not any(h is t for h in held for t in traced)
+
+
+def _small_calls():
+    """One small real call per traced function that has a count function: a d=2 cap at L=4, under the
+    power weight where the function takes a measure."""
+    E, L = sn.cap_set(sn.north_pole(2), 1.0), 4
+    mu = sn.PowerDistanceWeight(2.0, np.array([0.0, 0.0, 1.0]))
+    grid = sn.fibonacci_lattice(200)
+    return {
+        "density_profile": ((E, mu, L, 2.0 / L, 2.0 / L), {"d": 2}),
+        "harmonic_infimum": ((E, L), {"d": 2}),
+        "lambda_min": ((E, mu, L), {"d": 2}),
+        "worst_case_lp": ((E, mu, L, 4.0), {"restarts": 1, "d": 2}),
+        "sup_norm_ratios": ((lambda x: x[:, 2] + 2.0, E, grid), {}),
+        "cap_mass": ((mu, 2, sn.north_pole(2), 0.5), {}),
+        "membership": ((E, grid), {}),
+        "build_quadrature": ((2, 2 * L), {}),
+        "cap_quadrature": ((2, sn.north_pole(2), 0.5), {}),
+        "basis_matrix": ((sn.BasisSpec(2, L), grid), {}),
+        "candidate_centers": ((2, 6 * L), {}),
+    }
+
+
+COUNTED = [t for t in TARGETS if t[3] is not None]
+
+
+@pytest.mark.parametrize("module_name, name, layer, count", COUNTED, ids=[f"{t[0]}.{t[1]}" for t in COUNTED])
+def test_count_function_reads_a_real_result(module_name, name, layer, count):
+    # the count functions also read report fields (resolution["n_centers"], resolution["rule"],
+    # diagnostics["method"], ...): run each on a real call, in a span whose one child membership
+    # span saw one node inside, so that a dropped key fails here or reads as a zero count
+    Span = sys.modules["perfbench_tracer"].Span
+    fn = getattr(importlib.import_module(module_name), name)
+    args, kwargs = _small_calls()[name]
+    bound = inspect.signature(fn).bind(*args, **kwargs)
+    bound.apply_defaults()
+    span = Span(layer, 0.0, None, True)
+    span.children.append(Span("sets.membership", 0.0, span, True, counts={"sets.points": 1, "inside": 1}))
+    counts = count(bound.arguments, fn(*args, **kwargs), span)
+    assert counts and all(isinstance(v, int) and v > 0 for v in counts.values()), counts

@@ -5,11 +5,12 @@ adversary's anchor against its own all-pairs scan, the Poisson scan against
 the closed-form kernel summed node by node, the harmonic scan's fine and
 coarse patch lower bounds against that closed-form sum (and the coarse
 against the fine), the pruned harmonic minimum against the
-full scan it replaced, the density kernel's pair blocks and its exact ties,
+full scan it replaced and against harmonic_measure at its argmin, the density kernel's pair blocks and its exact ties,
 the cap masses ainfty_check asks for, and the local rules rhinfty_check
 builds."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ import spherenorms as sn
 from spherenorms import concentration as C
 from spherenorms import functionals as F
 from spherenorms import sets
+from spherenorms.config import load_config
 from spherenorms.geometry import candidate_centers, cap_dots, random_rotation
 from spherenorms.quadrature import QuadratureRule, arc_quadrature
 from spherenorms.sets import membership
@@ -298,8 +300,7 @@ def test_poisson_scan_matches_kernel_node_by_node(d):
     mask = num > 0
     nodes, values = rule.nodes[mask], rule.weights[mask]
     rho = 1.0 - 1.0 / 5
-    got, pairs = F._poisson_sums(centers, nodes, values, rho, d)
-    assert pairs == centers.shape[0] * nodes.shape[0]
+    got = F._poisson_sums(centers, nodes, values, rho, d)
     # the kernel (1 - |x|^2) / |x - u|^(d+1) in closed form, node by node
     want = np.array([values @ ((1.0 - rho**2) / np.linalg.norm(rho * c - nodes, axis=1) ** (d + 1)) for c in centers])
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
@@ -423,7 +424,7 @@ def assert_infimum_matches_full_scan(E, L, rule):
 
 
 # node spacings giving about 6,300 nodes on S^1 and 7,900 on S^2, so most
-# sets keep more than one 2048-node chunk for the pruning to act between
+# sets span several 2048-node chunks of the Poisson scan
 PRUNE_SPACING = {1: 0.001, 2: 0.05}
 
 
@@ -451,6 +452,20 @@ def test_pruned_harmonic_infimum_skips_most_of_fixed_cap():
     # best of +inf (the single-level scan summed 64 x the masked nodes)
     n_masked = all_pairs // rep.resolution["n_centers"]
     assert rep.resolution["pairs_summed"] <= 2 * n_masked
+
+
+@pytest.mark.parametrize("config, L", [("configs/fixed_cap_decay.yaml", 8), ("configs/fixed_cap_decay.yaml", 16),
+                                       ("configs/dense_net_sweep.yaml", 8), ("configs/weighted_arcs.yaml", 8),
+                                       ("configs/weighted_arcs.yaml", 32)],
+                         ids=["fixed-cap-L8", "fixed-cap-L16", "dense-net-L8", "weighted-arcs-L8", "weighted-arcs-L32"])
+def test_harmonic_infimum_is_harmonic_measure_at_its_argmin(config, L):
+    # the sweeps' sets and rules: the reported minimum is a complete Poisson sum at the reported center
+    cfg = load_config(Path(__file__).resolve().parents[1] / config)
+    E = sn.realize_family(cfg.family, cfg.d, L)
+    rule = cfg.sampling.rule(E, cfg.d, window=1.0 / L)
+    rep = sn.harmonic_infimum(E, L, rule=rule, sampling=cfg.sampling)
+    value = sn.harmonic_measure(E, (1.0 - 1.0 / L) * rep.argmin_center, rule)
+    assert abs(value - rep.delta_hat) <= 1e-14 * rep.delta_hat
 
 
 def patch_case(d, L, kind, seed, fine):
@@ -487,8 +502,7 @@ def test_patch_bound_is_below_every_full_sum(d, L, kind, seed, fine):
     E, rule, nodes, values, rho, centers, want = case
     means, masses = F._patches(nodes, values, L)
     assert masses.sum() == pytest.approx(values.sum(), rel=1e-12)
-    bound, pairs = F._poisson_sums(centers, means, masses, rho, d)
-    assert pairs == centers.shape[0] * masses.size
+    bound = F._poisson_sums(centers, means, masses, rho, d)
     assert np.all(bound <= want * (1.0 + F._BOUND_MARGIN))
     if masses.size == nodes.shape[0]:  # one node per patch: Jensen's inequality is an equality
         np.testing.assert_allclose(bound, want, rtol=F._BOUND_MARGIN, atol=0.0)
@@ -516,9 +530,8 @@ def test_coarse_patch_bound_is_below_the_fine_one(d, L, kind, seed, fine):
     coarse_means, coarse_masses = F._patches(means, masses, L / F._COARSE_SIDE)
     assert coarse_masses.size <= masses.size
     assert coarse_masses.sum() == pytest.approx(masses.sum(), rel=1e-12)
-    fine_bound, _ = F._poisson_sums(centers, means, masses, rho, d)
-    coarse_bound, pairs = F._poisson_sums(centers, coarse_means, coarse_masses, rho, d)
-    assert pairs == centers.shape[0] * coarse_masses.size
+    fine_bound = F._poisson_sums(centers, means, masses, rho, d)
+    coarse_bound = F._poisson_sums(centers, coarse_means, coarse_masses, rho, d)
     assert np.all(coarse_bound <= fine_bound * (1.0 + F._BOUND_MARGIN))
     assert np.all(coarse_bound <= want * (1.0 + F._BOUND_MARGIN))
 
@@ -533,28 +546,32 @@ def test_patch_bound_sums_few_pairs_of_the_sweeps(E, L, fraction, patch_fraction
     # centers, and the minimum is still the full scan's
     calls, poisson_sums = [], F._poisson_sums
 
-    def recorded(centers, points, values, rho, d, bound=math.inf):
-        sums, pairs = poisson_sums(centers, points, values, rho, d, bound)
-        calls.append((centers.shape[0], points.shape[0], pairs))
-        return sums, pairs
+    def recorded(centers, points, values, rho, d):
+        sums = poisson_sums(centers, points, values, rho, d)
+        calls.append((centers, points.shape[0], sums))
+        return sums
 
     monkeypatch.setattr(F, "_poisson_sums", recorded)
     rule = sn.Sampling().rule(E, 2, window=1.0 / L)
     rep, all_pairs = assert_infimum_matches_full_scan(E, L, rule)
     res = rep.resolution
     assert res["pairs_summed"] <= fraction * all_pairs
-    # exact accounting: the coarse pass bounds every center, the fine pass each center at most once,
-    # and every other call sums the masked nodes
+    # exact accounting: one coarse call bounds every center, the lowest-bound center is summed in
+    # full, one fine call bounds just the centers whose coarse bound is within the margin of that
+    # sum, and every later call sums the masked nodes
     n_masked = int(rule.inside(E).sum())
     assert len({res["coarse_patches"], res["patches"], n_masked}) == 3
+    grid = candidate_centers(2, res["per_great_circle"])
+    (coarse_centers, n_coarse, coarse), (first_center, n_first, first), (fine_centers, n_fine, _), *blocks = calls
+    assert (n_coarse, n_first, n_fine) == (res["coarse_patches"], n_masked, res["patches"])
+    assert all(n == n_masked for _, n, _ in blocks)
+    np.testing.assert_array_equal(coarse_centers, grid)
+    np.testing.assert_array_equal(first_center, grid[np.argmin(coarse)][None, :])
+    near = np.flatnonzero(~(coarse > first[0] * (1.0 + F._BOUND_MARGIN)))
+    np.testing.assert_array_equal(fine_centers, grid[near])
     assert res["coarse_pairs"] == res["n_centers"] * res["coarse_patches"]
-    coarse = [c for c in calls if c[1] == res["coarse_patches"]]
-    assert coarse == [(res["n_centers"], res["coarse_patches"], res["coarse_pairs"])]
-    fine = [(n, pairs) for n, points, pairs in calls if points == res["patches"]]
-    assert all(pairs == n * res["patches"] for n, pairs in fine)
-    assert sum(n for n, _ in fine) <= res["n_centers"]
-    assert res["patch_pairs"] == res["coarse_pairs"] + sum(pairs for _, pairs in fine)
-    assert res["pairs_summed"] == sum(pairs for _, points, pairs in calls if points == n_masked)
+    assert res["patch_pairs"] == res["coarse_pairs"] + near.size * res["patches"]
+    assert res["pairs_summed"] == (1 + sum(centers.shape[0] for centers, _, _ in blocks)) * n_masked
     if patch_fraction is not None:
         assert res["patch_pairs"] <= patch_fraction * res["n_centers"] * res["patches"]
 
