@@ -15,7 +15,6 @@ repeated at every other degree with a wall time of 0.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import csv
 import time
@@ -72,6 +71,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir, workers: int = 1, verbose:
     jobs = [(L, [i for i, free in enumerate(degree_free) if k == 0 or not free]) for k, L in enumerate(cfg.L_list)]
     degrees, indices = zip(*[(L, ix) for L, ix in jobs if ix])
     rows = []
+    if workers > 1:  # a one-worker run does not pay for the pool's imports
+        import concurrent.futures
     with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
         for job_rows in (map if pool is None else pool.map)(_job, [cfg] * len(degrees), [digest] * len(degrees),

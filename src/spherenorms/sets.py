@@ -59,8 +59,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# (center, ring) pairs, or counted (center, node) pairs, per block of a ring scan; bounds its temporaries
-_PAIR_BLOCK = 1 << 20
+# (center, ring) pairs, or counted (center, node) pairs, per block of a ring scan: about 200 bytes
+# of temporaries each, so a block holds about 1.6 MB whatever the rule
+_PAIR_BLOCK = 1 << 13
 # polar-angle slack of a cap's ring band: a node the float64 test passes lies
 # within radius + sqrt(2 * 1e-15) of the center, far inside radius + 1e-6
 _BAND_SLACK = 1e-6
@@ -240,13 +241,15 @@ def _cap_counts(spec: CapUnion, pts: np.ndarray, strict: bool = False, layout=No
     the cap's polar band (``_ring_pairs``).  On a product rule's nodes (``layout``) the cap holds
     one run of longitudes per ring (``_ring_runs``); other points are put in polar order, each a
     ring of one node, and the test decides each pair directly.  The runs are marked in one
-    difference array."""
+    difference array, each block's only in the node span its rings cover; the caps of one radius
+    go in polar order, so that span stays narrow."""
     order, n_phi = (np.argsort(_polar(pts.T), kind="stable"), 1) if layout is None else (None, layout[1])
     coords = np.ascontiguousarray((pts if order is None else pts[order]).T)
     above = np.greater if strict else np.greater_equal
     marks = np.zeros(pts.shape[0] + 1, dtype=np.int64)
     for radius in np.unique(spec.radii):
         centers, cos_w = spec.centers[spec.radii == radius], _cos_bound(radius)
+        centers = centers[np.argsort(_polar(centers.T), kind="stable")]
         for c0, c1, owner, rings in _ring_pairs(centers, coords, n_phi, radius):
             if order is None:
                 first, count = _ring_runs(centers[c0:c1][owner], rings, coords, n_phi, cos_w, strict)
@@ -256,8 +259,10 @@ def _cap_counts(spec: CapUnion, pts: np.ndarray, strict: bool = False, layout=No
                 first, count = np.zeros_like(rings), np.ones_like(rings)
             start, base = rings * n_phi + first % n_phi, rings * n_phi
             wrap = np.maximum(start + count - base - n_phi, 0)  # the run's part past phi = 2 pi
-            marks += np.bincount(np.concatenate([start, base]), minlength=marks.size)
-            marks -= np.bincount(np.concatenate([start + count - wrap, base + wrap]), minlength=marks.size)
+            lo, hi = (rings.min() * n_phi, (rings.max() + 1) * n_phi + 1) if rings.size else (0, 0)
+            span = marks[lo:hi]  # a view: a run ends at most n_phi past its ring's first node
+            span += np.bincount(np.concatenate([start, base]) - lo, minlength=span.size)
+            span -= np.bincount(np.concatenate([start + count - wrap, base + wrap]) - lo, minlength=span.size)
     counts = np.cumsum(marks[:-1])
     if order is not None:  # back to the points' own order
         counts[order] = counts.copy()

@@ -1,0 +1,78 @@
+"""The ledger of known-wrong result columns (ROADMAP item 19): one strict
+xfail per row, comparing the value a sweep ships with an oracle computed here
+that does not use the masked path.  When a change fixes a row, its test
+passes, strict mode fails the run, and the marker must go."""
+
+import functools
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import spherenorms as sn
+from spherenorms.basis import BasisSpec, basis_matrix
+from spherenorms.config import FUNCTIONALS, load_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def shipped_eigen(config, L):
+    """The eigen column of ``config`` at degree L, as a sweep computes it."""
+    cfg = load_config(CONFIGS / config)
+    E = sn.realize_family(cfg.family, cfg.d, L)
+    (params,) = [f.params for f in cfg.functionals if f.name == "eigen"]
+    return FUNCTIONALS["eigen"].compute(cfg, E, L, params, functools.partial(cfg.sampling.rule, E, cfg.d))[0]
+
+
+def pencil_min(R_E, R_full=None):
+    """lambda_min of R_E^T R_E x = lambda R_full^T R_full x: the smallest singular value of
+    T = R_E R_full^-1 (R_E alone when R_full is the identity), squared."""
+    T = R_E if R_full is None else np.linalg.solve(R_full.T, R_E.T).T
+    return float(np.linalg.svd(T, compute_uv=False)[-1] ** 2)
+
+
+def fixed_cap_oracle(L):
+    """The cap's exact rule (``cap_quadrature``, 48 x 96 nodes): the basis is orthonormal on the
+    sphere, so R_full is the identity."""
+    rule = sn.cap_quadrature(2, sn.north_pole(2), math.pi / 3)
+    return pencil_min(np.linalg.qr(basis_matrix(BasisSpec(2, L), rule.nodes) * np.sqrt(rule.weights)[:, None],
+                                   mode="r"))
+
+
+def weighted_arcs_oracle(L, n=300):
+    """Gauss-Legendre in angle, ``n`` nodes per piece of the circle cut at E's endpoints and at
+    the weight's pole (0) and kink (pi): each piece lies in E or off it, so no node is masked."""
+    cfg = load_config(CONFIGS / "weighted_arcs.yaml")
+    E = sn.realize_family(cfg.family, 1, L)
+    cuts = np.sort(np.mod([a for s, ln in E.intervals for a in (s, s + ln)] + [0.0, math.pi], 2.0 * math.pi))
+    pieces = list(zip(cuts, np.append(cuts[1:], cuts[0] + 2.0 * math.pi)))
+    x, w = np.polynomial.legendre.leggauss(n)
+    theta = np.concatenate([(b + a) / 2 + (b - a) / 2 * x for a, b in pieces])
+    weights = np.concatenate([(b - a) / 2 * w for a, b in pieces])
+    mids = np.array([[math.cos((a + b) / 2), math.sin((a + b) / 2)] for a, b in pieces])
+    inside = np.repeat(sn.membership(E, mids), n)
+    pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    B = basis_matrix(BasisSpec(1, L), pts) * np.sqrt(weights * sn.weight_values(cfg.measure, pts))[:, None]
+    return pencil_min(np.linalg.qr(B[inside], mode="r"), np.linalg.qr(B, mode="r"))
+
+
+def test_oracles_give_the_recorded_exact_values():
+    # the oracles themselves must hold, or a wrong oracle could flip a ledger entry
+    assert fixed_cap_oracle(8) == pytest.approx(3.689188e-18, rel=1e-6, abs=0.0)
+    assert weighted_arcs_oracle(8) == pytest.approx(2.1171931e-6, rel=1e-7, abs=0.0)
+    assert weighted_arcs_oracle(16) == pytest.approx(2.3671423e-12, rel=1e-7, abs=0.0)
+    assert weighted_arcs_oracle(16, n=600) == pytest.approx(weighted_arcs_oracle(16), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 18: the masked product rule misses the fixed cap's lambda_min at L=8")
+def test_fixed_cap_eigen_at_8_is_exact():
+    assert shipped_eigen("fixed_cap_decay.yaml", 8) == pytest.approx(fixed_cap_oracle(8), rel=1e-6, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: weighted d=1 Grams come from a masked uniform rule")
+@pytest.mark.parametrize("L", [8, 16])
+def test_weighted_arcs_eigen_is_exact(L):
+    assert shipped_eigen("weighted_arcs.yaml", L) == pytest.approx(weighted_arcs_oracle(L), rel=1e-8, abs=0.0)

@@ -6,6 +6,7 @@ the closed-form kernel summed node by node, the harmonic scan's fine and
 coarse patch lower bounds against that closed-form sum (and the coarse
 against the fine), the pruned harmonic minimum against the
 full scan it replaced and against harmonic_measure at its argmin, the density kernel's pair blocks and its exact ties,
+the cap counts and window masses bit for bit at every pair-block size,
 the cap masses ainfty_check asks for, and the local rules rhinfty_check
 builds."""
 
@@ -292,6 +293,42 @@ def test_density_blocks_stay_within_old_block(monkeypatch):
     ind = membership(E, rule.nodes).astype(float)
     num, den = all_pairs_masses(centers, rule, rule.weights * ind, rule.weights, 2.5, 2.5)
     assert rep.rho_hat == pytest.approx(float((num / den).min()), rel=1e-12)
+
+
+def block_case(d):
+    """A product rule, points of S^d in no order, and caps of two radii in random (not polar)
+    order, a quarter of them about azimuth 0, so that their runs wrap past phi = 2 pi."""
+    rng = np.random.default_rng(17 + d)
+    rule = sn.build_quadrature(d, 0, max_spacing=0.08)
+    points = rng.normal(size=(300, d + 1))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    centers = rng.normal(size=(120, d + 1))
+    centers[:30, 1] *= 1e-3
+    centers[:30, 0] = np.abs(centers[:30, 0])
+    centers = rng.permutation(centers / np.linalg.norm(centers, axis=1, keepdims=True))
+    radii = np.where(np.arange(centers.shape[0]) % 2, 0.15, 0.6)
+    return rule, points, sn.CapUnion(centers, radii)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_ring_pair_results_do_not_depend_on_the_block_size(monkeypatch, d):
+    # one center per block, a few, the default and one block for all: integer counts
+    # and the per-center mass sums must come out bit for bit the same
+    rule, points, caps = block_case(d)
+    den = rule.weights * (1.0 + np.random.default_rng(3).random(rule.n_nodes))
+    num = den * membership(SETS[d], rule.nodes)
+    results = []
+    for block in (1, 7, sets._PAIR_BLOCK, 1 << 20):
+        monkeypatch.setattr(sets, "_PAIR_BLOCK", block)
+        results.append([sets._cap_counts(caps, rule.nodes, layout=rule.layout), sets._cap_counts(caps, points),
+                        *F._local_masses(caps.centers, rule, [(num, 0.6), (den, 0.15)])])
+    for got in results[1:]:
+        for g, want in zip(got, results[0]):
+            np.testing.assert_array_equal(g, want)
+    for counts, pts in zip(results[0], (rule.nodes, points)):
+        held = [cap_dots(c, pts.T) >= math.cos(r) for c, r in zip(caps.centers, caps.radii)]
+        np.testing.assert_array_equal(counts, np.sum(held, axis=0))
+        assert counts.max() > 1
 
 
 @pytest.mark.parametrize("d", [1, 2])
