@@ -23,7 +23,6 @@ __all__ = [
     "fibonacci_lattice",
     "uniform_circle",
     "candidate_centers",
-    "angle_of",
 ]
 
 _GOLDEN = math.pi * (1.0 + math.sqrt(5.0))
@@ -178,9 +177,3 @@ def candidate_centers(d: int, per_great_circle: int) -> np.ndarray:
         n = int(math.ceil(4.0 * math.pi / (h * h)))
         return fibonacci_lattice(n)
     raise ValueError(f"unsupported sphere dimension d={d}")
-
-
-def angle_of(points) -> np.ndarray:
-    """Angles in [0, 2 pi) of points on S^1."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)

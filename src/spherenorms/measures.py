@@ -11,7 +11,7 @@ import numpy as np
 
 from .geometry import apply_rotation, assert_unit, cap_measure, check_orthogonal, geodesic_distance
 from .quadrature import QuadratureRule, cap_rules
-from .sets import SetSpec, check_fields, spec_from_dict, spec_to_dict
+from .sets import Band, SetSpec, check_fields, membership, spec_from_dict, spec_to_dict
 
 __all__ = [
     "Lebesgue",
@@ -53,7 +53,7 @@ class PowerDistanceWeight:
 
 @dataclass(frozen=True, eq=False)
 class BandWeight:
-    """Piecewise-constant weight: ``inside`` on the band d(u, axis) in [lo, hi], ``outside`` off it."""
+    """Piecewise-constant weight: ``inside`` on ``Band(axis, lo, hi)``, ``outside`` off it."""
 
     kind: ClassVar[str] = "band_weight"
     axis: np.ndarray
@@ -65,9 +65,7 @@ class BandWeight:
     def __post_init__(self):
         nonnegative = (lambda w: w >= 0, "must be nonnegative")
         check_fields(self, inside=nonnegative, outside=nonnegative)
-        object.__setattr__(self, "axis", assert_unit(self.axis, name="axis"))
-        if not (0.0 <= self.lo < self.hi <= math.pi):
-            raise ValueError("band bounds must satisfy 0 <= lo < hi <= pi")
+        object.__setattr__(self, "axis", Band(self.axis, self.lo, self.hi).axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +106,7 @@ def weight_values(mu: MeasureSpec, points) -> np.ndarray:
             vals = np.where(dist == 0.0, np.inf, vals)
         return vals
     if isinstance(mu, BandWeight):
-        dist = geodesic_distance(pts, mu.axis)
-        return np.where((dist >= mu.lo) & (dist <= mu.hi), mu.inside, mu.outside)
+        return np.where(membership(Band(mu.axis, mu.lo, mu.hi), pts), mu.inside, mu.outside)
     if isinstance(mu, ProductWeight):
         out = np.ones(pts.shape[0])
         for f in mu.factors:

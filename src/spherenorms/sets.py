@@ -1,13 +1,14 @@
 """Measurable subsets of the sphere: cap unions, bands, arcs, complements,
 seeded random families, and L-indexed set families.
 
-All sets are closed (indicator = 1 on boundaries); complements are closures of
-set differences, so boundaries of measure zero are double-counted, which no
-integral sees.  A cap union holds u when the float64 test
-``geometry.cap_dots(c, u) >= cos r`` passes it for some cap (c, r); each cap
-is tested only on the points of its polar band, by ring runs on a product
-rule's nodes and point by point elsewhere (``_cap_counts``).  Random kinds are
-fully determined by their seed.
+All sets are closed up to the one float test that decides them (indicator = 1
+on boundaries the test passes); complements are closures of set differences,
+so boundaries of measure zero are double-counted, which no integral sees.  A
+cap union holds u when the float64 test ``geometry.cap_dots(c, u) >= cos r``
+passes it for some cap (c, r); each cap is tested only on the points of its
+polar band, by ring runs on a product rule's nodes and point by point
+elsewhere (``_cap_counts``).  Arcs are decided as the caps about their
+midpoints (``Arcs.caps``).  Random kinds are fully determined by their seed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import ClassVar, Union, get_args
 import numpy as np
 
 from .geometry import (
-    angle_of,
     apply_rotation,
     assert_unit,
     cap_dots,
@@ -103,7 +103,8 @@ class Band:
 
 @dataclass(frozen=True, eq=False)
 class Arcs:
-    """d=1 only: union of closed arcs, stored as (start, length) rows, written as [start, end]."""
+    """d=1 only: union of closed arcs, stored as (start, length) rows, written as [start, end], and
+    decided as the union of their ``caps``."""
 
     kind: ClassVar[str] = "arcs"
     intervals: np.ndarray = field(metadata={"dump": lambda iv: np.stack([iv[:, 0], iv[:, 0] + iv[:, 1]], 1).tolist()})
@@ -120,6 +121,12 @@ class Arcs:
             raise ValueError("intervals must have positive length")
         lengths = np.minimum(lengths, _TWO_PI)
         object.__setattr__(self, "intervals", np.stack([starts, lengths], axis=1))
+
+    @property
+    def caps(self) -> CapUnion:
+        """The same points as a cap union: each arc is the cap about its midpoint, of radius half its length."""
+        mid = self.intervals[:, 0] + self.intervals[:, 1] / 2
+        return CapUnion(np.stack([np.cos(mid), np.sin(mid)], axis=1), self.intervals[:, 1] / 2)
 
 
 @dataclass(frozen=True)
@@ -178,12 +185,12 @@ def _cos_bound(radius):
 
 
 def _ring_pairs(centers, coords, n_phi, radius):
-    """The (center, ring) pairs whose ring lies within polar angle ``radius`` (at most pi, plus
-    ``_BAND_SLACK``) of the center, a block of centers at a time (``_center_blocks``): yields
-    ``(c0, c1, owner, rings)``, each pair's center index from c0 and its ring index, grouped by
-    center.  ``coords`` holds the nodes, one row per coordinate, in rings of ``n_phi`` whose
-    polar angles do not decrease: a product rule's, or points in polar order, one per ring."""
-    reach = min(radius, math.pi) + _BAND_SLACK
+    """The (center, ring) pairs whose ring lies within polar angle ``radius`` (the centers' one radius or
+    one each, at most pi, plus ``_BAND_SLACK``) of the center, a block of centers at a time
+    (``_center_blocks``): yields ``(c0, c1, owner, rings)``, each pair's center index from c0 and its
+    ring index, grouped by center.  ``coords`` holds the nodes, one row per coordinate, in rings of
+    ``n_phi`` whose polar angles do not decrease: a product rule's, or points in polar order, one per ring."""
+    reach = np.minimum(radius, math.pi) + _BAND_SLACK
     polar, c_polar = _polar(coords[:, ::n_phi]), _polar(centers.T)
     lowest = np.searchsorted(polar, c_polar - reach)
     band = np.searchsorted(polar, c_polar + reach, side="right") - lowest
@@ -199,11 +206,12 @@ def _ring_runs(c, rings, coords, n_phi, cos_w, strict=False):
     and ``coords`` the rule's nodes, one row per coordinate.  The run within
     arccos((cos_w - c_z t) / (rho_c s)) of the center's longitude is a first
     guess; then each end takes in its outer neighbour while the float64 test
-    ``cap_dots(c, u) >= cos_w`` (``>`` if ``strict``) passes it and gives up
-    its own node while the test fails it, until neither end moves."""
+    ``cap_dots(c, u) >= cos_w`` (``>`` if ``strict``; one bound or one a pair)
+    passes it and gives up its own node while the test fails it, until neither end moves."""
     d = coords.shape[0] - 1
     base = rings * n_phi
-    num = cos_w - c[:, 2] * coords[2, base] if d == 2 else np.full(rings.size, cos_w)
+    cos_w = np.broadcast_to(cos_w, rings.shape)
+    num = cos_w - c[:, 2] * coords[2, base] if d == 2 else cos_w
     den = np.hypot(c[:, 0], c[:, 1]) * np.hypot(coords[0, base], coords[1, base])
     # a center on the axis sees its whole ring at one dot product, and one a subnormal off it overflows to that
     with np.errstate(over="ignore"):
@@ -217,7 +225,7 @@ def _ring_runs(c, rings, coords, n_phi, cos_w, strict=False):
     above = np.greater if strict else np.greater_equal
 
     def passes(live, k):
-        return above(cap_dots(np.take(c, live, axis=1), np.take(coords, base[live] + k % n_phi, axis=1)), cos_w)
+        return above(cap_dots(np.take(c, live, axis=1), np.take(coords, base[live] + k % n_phi, axis=1)), cos_w[live])
 
     live = np.arange(rings.size)
     while live.size:
@@ -241,28 +249,29 @@ def _cap_counts(spec: CapUnion, pts: np.ndarray, strict: bool = False, layout=No
     the cap's polar band (``_ring_pairs``).  On a product rule's nodes (``layout``) the cap holds
     one run of longitudes per ring (``_ring_runs``); other points are put in polar order, each a
     ring of one node, and the test decides each pair directly.  The runs are marked in one
-    difference array, each block's only in the node span its rings cover; the caps of one radius
-    go in polar order, so that span stays narrow."""
+    difference array, each block's only in the node span its rings cover; the caps go in polar
+    order, so that span stays narrow."""
     order, n_phi = (np.argsort(_polar(pts.T), kind="stable"), 1) if layout is None else (None, layout[1])
     coords = np.ascontiguousarray((pts if order is None else pts[order]).T)
     above = np.greater if strict else np.greater_equal
     marks = np.zeros(pts.shape[0] + 1, dtype=np.int64)
-    for radius in np.unique(spec.radii):
-        centers, cos_w = spec.centers[spec.radii == radius], _cos_bound(radius)
-        centers = centers[np.argsort(_polar(centers.T), kind="stable")]
-        for c0, c1, owner, rings in _ring_pairs(centers, coords, n_phi, radius):
-            if order is None:
-                first, count = _ring_runs(centers[c0:c1][owner], rings, coords, n_phi, cos_w, strict)
-            else:
-                dots = cap_dots(np.take(centers[c0:c1].T, owner, axis=1), np.take(coords, rings, axis=1))
-                rings = rings[above(dots, cos_w)]
-                first, count = np.zeros_like(rings), np.ones_like(rings)
-            start, base = rings * n_phi + first % n_phi, rings * n_phi
-            wrap = np.maximum(start + count - base - n_phi, 0)  # the run's part past phi = 2 pi
-            lo, hi = (rings.min() * n_phi, (rings.max() + 1) * n_phi + 1) if rings.size else (0, 0)
-            span = marks[lo:hi]  # a view: a run ends at most n_phi past its ring's first node
-            span += np.bincount(np.concatenate([start, base]) - lo, minlength=span.size)
-            span -= np.bincount(np.concatenate([start + count - wrap, base + wrap]) - lo, minlength=span.size)
+    by_polar = np.argsort(_polar(spec.centers.T), kind="stable")
+    centers, radii = spec.centers[by_polar], spec.radii[by_polar]
+    radius, each = np.unique(radii, return_inverse=True)
+    cos_w = np.array([_cos_bound(r) for r in radius])[each]
+    for c0, c1, owner, rings in _ring_pairs(centers, coords, n_phi, radii):
+        if order is None:
+            first, count = _ring_runs(centers[c0:c1][owner], rings, coords, n_phi, cos_w[c0:c1][owner], strict)
+        else:
+            dots = cap_dots(np.take(centers[c0:c1].T, owner, axis=1), np.take(coords, rings, axis=1))
+            rings = rings[above(dots, cos_w[c0:c1][owner])]
+            first, count = np.zeros_like(rings), np.ones_like(rings)
+        start, base = rings * n_phi + first % n_phi, rings * n_phi
+        wrap = np.maximum(start + count - base - n_phi, 0)  # the run's part past phi = 2 pi
+        lo, hi = (rings.min() * n_phi, (rings.max() + 1) * n_phi + 1) if rings.size else (0, 0)
+        span = marks[lo:hi]  # a view: a run ends at most n_phi past its ring's first node
+        span += np.bincount(np.concatenate([start, base]) - lo, minlength=span.size)
+        span -= np.bincount(np.concatenate([start + count - wrap, base + wrap]) - lo, minlength=span.size)
     counts = np.cumsum(marks[:-1])
     if order is not None:  # back to the points' own order
         counts[order] = counts.copy()
@@ -274,15 +283,15 @@ def membership(spec: SetSpec, points, strict: bool = False, layout: tuple[int, i
 
     ``strict`` selects the open interior; the complement of a closed set is
     the negation of the strict interior, so Complement flips the flag.  Cap
-    unions and arcs refuse points of another sphere (ValueError).  Given the
-    ``layout`` (``QuadratureRule.layout``) of the product rule whose nodes
-    the points are, cap unions are classified by ring runs, and other points
-    one at a time in their caps' polar bands (``_cap_counts``).
+    unions, bands and arcs refuse points of another sphere (ValueError).  Arcs
+    are decided as their ``caps``.  Given the ``layout``
+    (``QuadratureRule.layout``) of the product rule whose nodes the points
+    are, cap unions are classified by ring runs, and other points one at a
+    time in their caps' polar bands (``_cap_counts``).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    coords = spec.centers.shape[1] if isinstance(spec, CapUnion) else 2 if isinstance(spec, Arcs) else pts.shape[1]
-    if pts.shape[1] != coords:
-        raise ValueError(f"the set's points have {coords} coordinates, these {pts.shape[1]}")
+    validate_set(spec, pts.shape[1] - 1)
+    spec = spec.caps if isinstance(spec, Arcs) else spec
     if isinstance(spec, FullSphere):
         return np.ones(pts.shape[0], dtype=bool)
     if isinstance(spec, EmptySet):
@@ -293,19 +302,11 @@ def membership(spec: SetSpec, points, strict: bool = False, layout: tuple[int, i
         return _cap_counts(spec, pts, strict, layout) > 0
     if isinstance(spec, Band):
         t = pts @ spec.axis
-        c_hi, c_lo = math.cos(spec.hi), math.cos(spec.lo)
+        # like a cap's bound (_cos_bound): a pole end holds its pole however t rounds
+        c_hi, c_lo = _cos_bound(spec.hi), math.inf if spec.lo == 0.0 else math.cos(spec.lo)
         if strict:
             return (t > c_hi) & (t < c_lo)
         return (t >= c_hi) & (t <= c_lo)
-    if isinstance(spec, Arcs):
-        theta = angle_of(pts)
-        out = np.zeros(pts.shape[0], dtype=bool)
-        for s, ln in spec.intervals:
-            rel = np.mod(theta - s, _TWO_PI)
-            out |= (rel < ln) if strict else (rel <= ln)
-            if not strict:
-                out |= rel >= _TWO_PI - 1e-15  # closed start point, mod rounding
-        return out
     raise TypeError(f"unknown set spec {type(spec).__name__}")
 
 
@@ -424,15 +425,9 @@ def rotate(obj, R):
     if isinstance(obj, Band):
         return Band(apply_rotation(obj.axis, R), obj.lo, obj.hi)
     if isinstance(obj, Arcs):
-        det = np.linalg.det(R)
-        alpha = math.atan2(R[1, 0], R[0, 0])
-        rows = []
-        for s, ln in obj.intervals:
-            if det > 0:
-                rows.append([s + alpha, s + alpha + ln])
-            else:
-                rows.append([alpha - s - ln, alpha - s])
-        return Arcs(np.asarray(rows))
+        caps = rotate(obj.caps, R)
+        mid = np.arctan2(caps.centers[:, 1], caps.centers[:, 0])
+        return Arcs(np.stack([mid - caps.radii, mid + caps.radii], axis=1))
     raise TypeError(f"cannot rotate {type(obj).__name__}")
 
 

@@ -11,18 +11,20 @@ import numpy as np
 import pytest
 
 import spherenorms as sn
+from spherenorms import quadrature
 from spherenorms.basis import BasisSpec, basis_matrix
 from spherenorms.config import FUNCTIONALS, load_config
+from spherenorms.geometry import frame_at
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def shipped_eigen(config, L):
-    """The eigen column of ``config`` at degree L, as a sweep computes it."""
+def shipped(config, name, L):
+    """The column of the functional ``name`` of ``config`` at degree L, as a sweep computes it."""
     cfg = load_config(CONFIGS / config)
     E = sn.realize_family(cfg.family, cfg.d, L)
-    (params,) = [f.params for f in cfg.functionals if f.name == "eigen"]
-    return FUNCTIONALS["eigen"].compute(cfg, E, L, params, functools.partial(cfg.sampling.rule, E, cfg.d))[0]
+    (params,) = [f.params for f in cfg.functionals if f.name == name]
+    return FUNCTIONALS[name].compute(cfg, E, L, params, functools.partial(cfg.sampling.rule, E, cfg.d))[0]
 
 
 def pencil_min(R_E, R_full=None):
@@ -57,22 +59,72 @@ def weighted_arcs_oracle(L, n=300):
     return pencil_min(np.linalg.qr(B[inside], mode="r"), np.linalg.qr(B, mode="r"))
 
 
+def dense_net_rule(L, n_t, n_phi):
+    """The dense-net set at degree L and its exact rule: ``n_t`` x ``n_phi`` Gauss nodes on each cap
+    (``quadrature._ring_rule`` turned to the cap by ``frame_at``), which holds because the caps are disjoint."""
+    E = sn.realize_family(load_config(CONFIGS / "dense_net_sweep.yaml").family, 2, L)
+    gaps = sn.geodesic_distance(E.centers[:, None, :], E.centers[None, :, :]) + 4.0 * np.eye(len(E.radii))
+    assert gaps.min() > 2.0 * E.radii.max()
+    polar, weights = quadrature._ring_rule(math.cos(E.radii[0]), n_t, n_phi)
+    nodes = np.concatenate([polar @ frame_at(c).T for c in E.centers])
+    return E, sn.QuadratureRule(2, nodes, np.tile(weights, len(E.radii)), 0, {"caps": len(E.radii)})
+
+
+def dense_net_eigen_oracle(L, n_t=6, n_phi=12):
+    """The per-cap rule (``dense_net_rule``): the basis is orthonormal on the sphere, so R_full is the identity."""
+    _, rule = dense_net_rule(L, n_t, n_phi)
+    return pencil_min(np.linalg.qr(basis_matrix(BasisSpec(2, L), rule.nodes) * np.sqrt(rule.weights)[:, None],
+                                   mode="r"))
+
+
+def dense_net_harmonic_oracle(L, n_t=8, n_phi=16):
+    """``harmonic_infimum`` on the per-cap rule (``dense_net_rule``), on the sweep's center grid."""
+    E, rule = dense_net_rule(L, n_t, n_phi)
+    return sn.harmonic_infimum(E, L, rule=rule, sampling=load_config(CONFIGS / "dense_net_sweep.yaml").sampling)
+
+
 def test_oracles_give_the_recorded_exact_values():
     # the oracles themselves must hold, or a wrong oracle could flip a ledger entry
     assert fixed_cap_oracle(8) == pytest.approx(3.689188e-18, rel=1e-6, abs=0.0)
     assert weighted_arcs_oracle(8) == pytest.approx(2.1171931e-6, rel=1e-7, abs=0.0)
     assert weighted_arcs_oracle(16) == pytest.approx(2.3671423e-12, rel=1e-7, abs=0.0)
     assert weighted_arcs_oracle(16, n=600) == pytest.approx(weighted_arcs_oracle(16), rel=1e-10, abs=0.0)
+    assert dense_net_eigen_oracle(8) == pytest.approx(0.17590033457420576, rel=1e-12, abs=0.0)
+    assert dense_net_eigen_oracle(8, 10, 20) == pytest.approx(dense_net_eigen_oracle(8), rel=1e-12, abs=0.0)
+    coarse, fine = dense_net_harmonic_oracle(8), dense_net_harmonic_oracle(8, 12, 24)
+    assert coarse.delta_hat == pytest.approx(0.16643080048264475, rel=1e-12, abs=0.0)
+    assert fine.delta_hat == pytest.approx(coarse.delta_hat, rel=1e-10, abs=0.0)
+    np.testing.assert_array_equal(fine.argmin_center, coarse.argmin_center)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 18: the masked product rule misses the fixed cap's lambda_min at L=8")
 def test_fixed_cap_eigen_at_8_is_exact():
-    assert shipped_eigen("fixed_cap_decay.yaml", 8) == pytest.approx(fixed_cap_oracle(8), rel=1e-6, abs=0.0)
+    assert shipped("fixed_cap_decay.yaml", "eigen", 8) == pytest.approx(fixed_cap_oracle(8), rel=1e-6, abs=0.0)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 1: weighted d=1 Grams come from a masked uniform rule")
 @pytest.mark.parametrize("L", [8, 16])
 def test_weighted_arcs_eigen_is_exact(L):
-    assert shipped_eigen("weighted_arcs.yaml", L) == pytest.approx(weighted_arcs_oracle(L), rel=1e-8, abs=0.0)
+    assert shipped("weighted_arcs.yaml", "eigen", L) == pytest.approx(weighted_arcs_oracle(L), rel=1e-8, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 18: the masked product rule misses dense-net's lambda_min at L=8")
+def test_dense_net_eigen_at_8_is_exact():
+    assert shipped("dense_net_sweep.yaml", "eigen", 8) == pytest.approx(dense_net_eigen_oracle(8), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 18: the masked product rule misses dense-net's harmonic floor at L=8")
+def test_dense_net_harmonic_at_8_is_exact():
+    assert shipped("dense_net_sweep.yaml", "harmonic", 8) == pytest.approx(dense_net_harmonic_oracle(8).delta_hat,
+                                                                           rel=1e-9, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: the L^4 adversary reports a ratio below a lower bound of it")
+def test_weighted_arcs_pnorm_at_8_is_above_its_lower_bound():
+    # p = 4 = 2 * 2: Q^2 has degree 16, so lambda(E, mu, 16) bounds the L^4 ratio of every Q of degree 8 from below
+    assert shipped("weighted_arcs.yaml", "pnorm", 8) >= weighted_arcs_oracle(16)

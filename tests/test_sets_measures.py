@@ -2,12 +2,14 @@
 weighted measures with radial-integral oracles."""
 
 import math
+import typing
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import spherenorms as sn
+from spherenorms import sets
 from spherenorms.sets import (
     arc_list,
     family_from_dict,
@@ -15,6 +17,7 @@ from spherenorms.sets import (
     min_feature_scale,
     set_from_dict,
     set_to_dict,
+    validate_set,
 )
 from spherenorms.measures import measure_from_dict, measure_to_dict, validate_measure
 
@@ -47,6 +50,76 @@ def test_band_membership():
     outside = np.array([math.sin(0.2), 0.0, math.cos(0.2)])
     assert sn.indicator(band, inside) == 1
     assert sn.indicator(band, outside) == 0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_band_poles_are_decided_as_cap_bounds(d):
+    # a band from the pole holds it in its interior, as a cap does, so neither closed complement holds it
+    axis = sn.north_pole(d)
+    assert sn.indicator(sn.Complement(sn.cap_set(axis, 1.0)), axis) == 0
+    assert sn.indicator(sn.Complement(sn.Band(axis, 0.0, 1.0)), axis) == 0
+    assert sn.indicator(sn.Complement(sn.Band(axis, 1.0, math.pi)), -axis) == 0
+    assert sn.indicator(sn.Band(axis, 0.0, 1.0), axis) == sn.indicator(sn.Band(axis, 1.0, math.pi), -axis) == 1
+
+
+def _on_circle(theta):
+    return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
+def _arc_cases():
+    """Six random arcs, one arc wrapping past 2 pi and one of length 2 pi."""
+    rng = np.random.default_rng(33)
+    starts, lengths = rng.uniform(0.0, 2.0 * math.pi, 6), rng.uniform(0.05, 2.5, 6)
+    return [sn.Arcs(np.stack([starts, starts + lengths], axis=1)), sn.Arcs([[5.9, 6.9]]),
+            sn.Arcs([[1.0, 1.0 + 2.0 * math.pi]])]
+
+
+def _off_the_ends(E, theta, margin=1e-9):
+    """Whether each angle is more than ``margin`` from every end of E's arcs, and whether it lies in an arc."""
+    rel = np.mod(theta[:, None] - E.intervals[:, 0], 2.0 * math.pi)
+    off = (np.minimum(rel, 2.0 * math.pi - rel) > margin) & (np.abs(rel - E.intervals[:, 1]) > margin)
+    return off.all(axis=1), (rel <= E.intervals[:, 1]).any(axis=1)
+
+
+@pytest.mark.parametrize("E", _arc_cases(), ids=["random", "wrapping", "whole-circle"])
+def test_arcs_are_decided_as_their_caps(E):
+    rng = np.random.default_rng(34)
+    rule = sn.build_quadrature(1, 0, max_spacing=0.003)
+    theta = rng.uniform(0.0, 2.0 * math.pi, 3000)
+    for pts, layout in [(_on_circle(theta), None), (rule.nodes, rule.layout)]:
+        for spec, caps in [(E, E.caps), (sn.Complement(E), sn.Complement(E.caps))]:
+            for strict in (False, True):
+                np.testing.assert_array_equal(sn.membership(spec, pts, strict, layout),
+                                              sn.membership(caps, pts, strict, layout))
+    # away from the arcs' ends the caps hold the arcs' angles
+    off, inside = _off_the_ends(E, theta)
+    np.testing.assert_array_equal(sn.membership(E, _on_circle(theta))[off], inside[off])
+
+
+@pytest.mark.parametrize("E", _arc_cases(), ids=["random", "wrapping", "whole-circle"])
+@pytest.mark.parametrize("R", [[[math.cos(2.5), -math.sin(2.5)], [math.sin(2.5), math.cos(2.5)]],
+                               [[math.cos(2.5), math.sin(2.5)], [math.sin(2.5), -math.cos(2.5)]]],
+                         ids=["rotation", "reflection"])
+def test_rotated_arcs_hold_the_rotated_points(E, R):
+    R = np.array(R)
+    theta = np.random.default_rng(35).uniform(0.0, 2.0 * math.pi, 3000)
+    off, _ = _off_the_ends(E, theta)
+    pts = _on_circle(theta[off])
+    image = sn.rotate(E, R)
+    np.testing.assert_array_equal(sn.membership(image, pts @ R.T), sn.membership(E, pts))
+    np.testing.assert_allclose(np.sort(image.intervals[:, 1]), np.sort(E.intervals[:, 1]), rtol=1e-14)
+
+
+def test_band_weights_read_the_band_test():
+    rng = np.random.default_rng(36)
+    axis = sn.north_pole(2)
+    ends = [0.3, 1.2, math.pi]  # points on the band's ends, whichever side the test puts them
+    pts = np.vstack([sn.random_points(2, 4000, rng), axis, -axis,
+                     [[math.sin(a), 0.0, math.cos(a)] for a in ends]])
+    for lo, hi in [(0.0, 0.3), (0.3, 1.2), (1.2, math.pi)]:
+        mu = sn.BandWeight(axis, lo, hi, inside=1.5, outside=0.25)
+        np.testing.assert_array_equal(sn.weight_values(mu, pts),
+                                      np.where(sn.membership(sn.Band(axis, lo, hi), pts), 1.5, 0.25))
 
 
 def test_arcs_membership_and_wrap():
@@ -105,10 +178,43 @@ def test_cap_edges_do_not_depend_on_far_caps():
     (sn.cap_set(sn.north_pole(1), 1.0), [1.0, 0.0, 0.0]),  # raised IndexError
     (sn.Arcs([[0.0, 1.0]]), [1.0, 0.0, 0.0]),  # answered [True]
     (sn.Complement(sn.Arcs([[0.0, 1.0]])), [1.0, 0.0, 0.0]),
-], ids=["S2-cap-on-S1", "S1-cap-on-S2", "arcs-on-S2", "arc-complement-on-S2"])
+    (sn.Band(sn.north_pole(2), 0.1, 0.5), [1.0, 0.0]),  # raised NumPy's matmul ValueError
+], ids=["S2-cap-on-S1", "S1-cap-on-S2", "arcs-on-S2", "arc-complement-on-S2", "S2-band-on-S1"])
 def test_membership_refuses_points_of_another_sphere(spec, point):
     with pytest.raises(ValueError, match="coordinates"):
         sn.membership(spec, [point])
+
+
+# one example of each set kind, and the spheres the kind exists on
+_KIND_EXAMPLES = {
+    sn.CapUnion: ((1, 2), lambda d: sn.random_cap_union(d, 5, 0.4, seed=d)),
+    sn.Band: ((1, 2), lambda d: sn.Band(sn.north_pole(d), 0.3, 1.1)),
+    sn.Arcs: ((1,), lambda d: sn.Arcs([[-0.5, 0.7], [2.0, 3.1]])),
+    sn.FullSphere: ((1, 2), lambda d: sn.FullSphere()),
+    sn.EmptySet: ((1, 2), lambda d: sn.EmptySet()),
+    sn.Complement: ((1, 2), lambda d: sn.Complement(sn.cap_set(sn.north_pole(d), 0.8))),
+}
+
+
+@pytest.mark.parametrize("kind", typing.get_args(sets.SetSpec), ids=lambda kind: kind.kind)
+def test_every_set_kind_takes_every_set_operation(kind):
+    rng = np.random.default_rng(37)
+    reflect = {1: np.diag([1.0, -1.0]), 2: np.diag([1.0, 1.0, -1.0])}
+    spheres, make = _KIND_EXAMPLES[kind]
+    for d in spheres:
+        E = make(d)
+        validate_set(E, d)
+        assert 0.0 < min_feature_scale(E) <= math.pi
+        assert set_to_dict(set_from_dict(set_to_dict(E))) == set_to_dict(E)
+        rule = sn.build_quadrature(d, 0, max_spacing=0.05)
+        for strict in (False, True):
+            np.testing.assert_array_equal(sn.membership(E, rule.nodes, strict, rule.layout),
+                                          sn.membership(E, rule.nodes, strict))
+        pts = sn.random_points(d, 2000, rng)
+        for R in (sn.random_rotation(d, rng), sn.random_rotation(d, rng) @ reflect[d]):
+            image = sn.rotate(E, R)
+            assert type(image) is kind
+            np.testing.assert_array_equal(sn.membership(image, pts @ R.T), sn.membership(E, pts))
 
 
 def test_arc_reduction_merges():
