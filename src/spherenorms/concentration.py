@@ -14,9 +14,10 @@ sweeps flag values under it as ``below_floor``.  Every other p=2 number --
 same half-factors on the same rule.
 
 Every Gram comes from a quadrature rule.  On S^1 under the plain measure the
-rule is Gauss-Legendre on E's arcs (``arc_quadrature``): all its nodes lie in
-E and it integrates the degree-2L products to rounding, so those Grams carry
-no masking error.  Elsewhere set indicators mask a densified global rule.
+rule is Gauss-Legendre on the pieces of the circle cut at E's cap ends, kept
+where E holds them (``arc_quadrature``): all its nodes lie in E and it
+integrates the degree-2L products to rounding, so those Grams carry no
+masking error.  Elsewhere set indicators mask a densified global rule.
 The rule's node x basis matrix B is applied one way per dimension.  On S^2
 the ring factors of a ``build_quadrature`` product rule apply B and B^T and
 build half-factors ring by ring (per-ring QR of the trig rows, lifted through
@@ -146,8 +147,8 @@ def _half_factors(E: SetSpec, mu: MeasureSpec, spec: BasisSpec, rule, full: bool
     """``(rule, basis, R_E, R_full)``: the rule a Gram over E is built from,
     its ``_node_basis`` and the half-factors with G_X = R_X^T R_X.
 
-    On S^1 under the plain measure the rule is Gauss-Legendre on E's arcs
-    (exact, so it replaces any given rule, whose nodes are never classified);
+    On S^1 under the plain measure the rule is ``arc_quadrature``'s, on E's
+    pieces of the circle (exact, so it replaces any given rule, whose nodes are never classified);
     else it is ``_degree_rule``'s.
     ``R_full`` is None under the plain measure, whose full Gram is then the
     identity, and when ``full`` is false.  The full sphere is factored before

@@ -3,9 +3,10 @@
 d=1 rules are uniform grids on the circle (exact for trigonometric degree up
 to n-1); d=2 rules are Gauss-Legendre in cos(theta) times a uniform grid in
 phi (exact for total degree up to the declared bound).  ``arc_quadrature``
-places Gauss-Legendre nodes in angle on each arc of a d=1 set, so integrals
-over the set itself of trigonometric polynomials up to the declared degree
-are exact to rounding, with no indicator mask.  ``cap_quadrature`` reuses
+cuts the circle at a d=1 set's cap ends, places Gauss-Legendre nodes in angle
+on each piece and keeps the nodes the set holds, so integrals over the set
+itself of trigonometric polynomials up to the declared degree are exact to
+rounding, with no mask left to apply.  ``cap_quadrature`` reuses
 the arc rule (d=1) and the product rule's rings, squeezed into the cap (d=2).
 ``oversample`` and ``max_spacing`` densify rules beyond the exactness
 requirement, which matters for discontinuous integrands (set indicators);
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .geometry import frame_at, uniform_circle
-from .sets import SetSpec, arc_list, check_fields, membership, min_feature_scale
+from .sets import SetSpec, check_fields, cut_angles, membership, min_feature_scale
 
 __all__ = ["QuadratureRule", "Sampling", "build_quadrature", "cap_quadrature", "cap_rules", "arc_quadrature",
            "ring_layout", "rule_dim", "DEFAULT_MAX_NODES", "SPACING_FACTOR"]
@@ -189,18 +190,25 @@ def cap_rules(d: int, centers, radii):
 
 
 def arc_quadrature(E: SetSpec, exact_degree: int) -> QuadratureRule:
-    """Rule on the d=1 set E, Gauss-Legendre in angle on each of its arcs.
+    """Rule on the d=1 set E: the circle cut at E's ``cut_angles`` (one piece if it has none),
+    Gauss-Legendre in angle on each piece, and of those nodes the ones E holds, classified once
+    (``QuadratureRule.inside``), so every node lies in E and E's mask on the rule is all true.
 
-    On an arc of length l, cos(k theta) with k <= exact_degree is an entire
+    On a piece of length l, cos(k theta) with k <= exact_degree is an entire
     function of the Gauss-Legendre variable with frequency k l / 2; n nodes
     with 2n - 1 >= 0.6 exact_degree l + 40 integrate it to rounding (its
     Chebyshev coefficients past 1.2 times the frequency decay geometrically).
+    The descriptor counts the pieces E holds nodes of (``arcs``) and the nodes (``n``).
     """
-    arcs = arc_list(E)
-    parts = [_arc_rule(s, ln, int(math.ceil((0.6 * exact_degree * ln + 41) / 2.0))) for s, ln in arcs]
-    nodes = np.concatenate([np.empty((0, 2))] + [x for x, _ in parts])
-    weights = np.concatenate([np.empty(0)] + [w for _, w in parts])
-    return QuadratureRule(1, nodes, weights, exact_degree, {"arcs": len(arcs), "n": weights.size})
+    cuts = np.unique(np.mod(cut_angles(E), 2.0 * math.pi))
+    ends = np.append(cuts, cuts[0] + 2.0 * math.pi) if cuts.size else np.array([0.0, 2.0 * math.pi])
+    sizes = np.ceil((0.6 * exact_degree * np.diff(ends) + 41) / 2.0).astype(int)
+    nodes, weights = (np.concatenate(column) for column in zip(*map(_arc_rule, ends[:-1], np.diff(ends), sizes)))
+    keep = QuadratureRule(1, nodes, weights, exact_degree).inside(E)
+    pieces = int(np.logical_or.reduceat(keep, np.cumsum(sizes) - sizes).sum())
+    rule = QuadratureRule(1, nodes[keep], weights[keep], exact_degree, {"arcs": pieces, "n": int(keep.sum())})
+    rule._masks[id(E)] = (E, np.broadcast_to(True, rule.n_nodes))  # E holds every kept node: no second classification
+    return rule
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ cap union holds u when the float64 test ``geometry.cap_dots(c, u) >= cos r``
 passes it for some cap (c, r); each cap is tested only on the points of its
 polar band, by ring runs on a product rule's nodes and point by point
 elsewhere (``_cap_counts``).  Arcs are decided as the caps about their
-midpoints (``Arcs.caps``).  Random kinds are fully determined by their seed.
+midpoints (``Arcs.caps``).  On S^1 a set's boundary lies among its
+``cut_angles``, the ends of its caps or of its band.  Random kinds are fully
+determined by their seed.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ __all__ = [
     "membership",
     "validate_set",
     "indicator",
-    "arc_list",
+    "cut_angles",
     "min_feature_scale",
     "rotate",
     "set_to_dict",
@@ -116,7 +118,7 @@ class Arcs:
             raise ValueError("empty arc list; use EmptySet")
         starts = np.mod(iv[:, 0], _TWO_PI)
         lengths = iv[:, 1] - iv[:, 0]
-        lengths = np.where(lengths <= 0, lengths + _TWO_PI, lengths)
+        lengths = np.where(lengths < 0, lengths + _TWO_PI, lengths)
         if not np.all(lengths > 0):
             raise ValueError("intervals must have positive length")
         lengths = np.minimum(lengths, _TWO_PI)
@@ -325,87 +327,36 @@ def indicator(spec: SetSpec, u) -> int:
     return int(membership(spec, np.atleast_2d(np.asarray(u, dtype=float)))[0])
 
 
-def _merge_arcs(pairs: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Merge closed (start, length) arcs on the circle into disjoint sorted arcs."""
-    if not pairs:
-        return []
-    cleaned = [(s % _TWO_PI, min(ln, _TWO_PI)) for s, ln in pairs]
-    if any(ln >= _TWO_PI - 1e-14 for _, ln in cleaned):
-        return [(0.0, _TWO_PI)]
-    ivs = sorted((s, s + ln) for s, ln in cleaned)
-    merged: list[list[float]] = []
-    for s, e in ivs:
-        if merged and s <= merged[-1][1] + 1e-14:
-            merged[-1][1] = max(merged[-1][1], e)
-        else:
-            merged.append([s, e])
-    # wrap-around: last interval may spill past 2 pi onto the first ones
-    while len(merged) > 1 and merged[-1][1] >= _TWO_PI + merged[0][0] - 1e-14:
-        first = merged.pop(0)
-        merged[-1][1] = max(merged[-1][1], first[1] + _TWO_PI)
-    if merged and merged[-1][1] - merged[-1][0] >= _TWO_PI - 1e-14:
-        return [(0.0, _TWO_PI)]
-    return [(s % _TWO_PI, e - s) for s, e in merged]
-
-
-# gaps narrower than this between arcs are dropped from a complement: Gauss-
-# Legendre nodes on such a sliver would sit within rounding of its ends, where
-# membership cannot tell them from the neighbouring arcs' interiors
-_MIN_GAP = 1e-10
-
-
-def _complement_arcs(pairs: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    if not pairs:
-        return [(0.0, _TWO_PI)]
-    if len(pairs) == 1 and pairs[0][1] >= _TWO_PI - 1e-14:
-        return []
-    ordered = sorted(pairs)
-    out = []
-    for (s1, l1), (s2, _) in zip(ordered, ordered[1:] + [(ordered[0][0] + _TWO_PI, 0.0)]):
-        gap_start = s1 + l1
-        gap_len = s2 - gap_start
-        if gap_len > _MIN_GAP:
-            out.append((gap_start % _TWO_PI, gap_len))
-    return out
-
-
-def arc_list(spec: SetSpec) -> list[tuple[float, float]]:
-    """Reduce a d=1 set spec to disjoint sorted (start, length) arcs."""
-    if isinstance(spec, FullSphere):
-        return [(0.0, _TWO_PI)]
-    if isinstance(spec, EmptySet):
-        return []
-    if isinstance(spec, Arcs):
-        return _merge_arcs([tuple(row) for row in spec.intervals])
-    if isinstance(spec, CapUnion):
-        if spec.centers.shape[1] != 2:
-            raise ValueError("arc reduction requires S^1 caps")
-        pairs = []
-        for c, r in zip(spec.centers, spec.radii):
-            a = math.atan2(c[1], c[0])
-            pairs.append((a - r, 2.0 * r))
-        return _merge_arcs(pairs)
-    if isinstance(spec, Band):
-        if spec.axis.shape[0] != 2:
-            raise ValueError("arc reduction requires S^1 bands")
-        a = math.atan2(spec.axis[1], spec.axis[0])
-        pairs = [(a + spec.lo, spec.hi - spec.lo), (a - spec.hi, spec.hi - spec.lo)]
-        return _merge_arcs(pairs)
+def cut_angles(spec: SetSpec) -> np.ndarray:
+    """The angles at which the boundary of a set on S^1 can lie: atan2(c) -+ r for each cap (c, r) of a
+    cap union or of an arc's ``caps``, axis -+ lo and axis -+ hi for a band, but none at a pole, where
+    the test holds both sides (r = pi, lo = 0, hi = pi), the inner set's for a complement, and none for
+    the full and the empty set.  Between neighbouring cuts the set holds the whole piece or none of it."""
+    validate_set(spec, 1)
+    spec = spec.caps if isinstance(spec, Arcs) else spec
+    if isinstance(spec, (FullSphere, EmptySet)):
+        return np.empty(0)
     if isinstance(spec, Complement):
-        return _complement_arcs(arc_list(spec.inner))
-    raise TypeError(f"unknown set spec {type(spec).__name__}")
+        return cut_angles(spec.inner)
+    if isinstance(spec, CapUnion):
+        mid, half = np.arctan2(spec.centers[:, 1], spec.centers[:, 0]), spec.radii
+    elif isinstance(spec, Band):
+        mid, half = np.full(2, math.atan2(spec.axis[1], spec.axis[0])), np.array([spec.lo, spec.hi])
+    else:
+        raise TypeError(f"unknown set spec {type(spec).__name__}")
+    ends = (half > 0.0) & (half < math.pi)
+    return np.concatenate([mid[ends] - half[ends], mid[ends] + half[ends]])
 
 
 def min_feature_scale(spec: SetSpec) -> float:
     """Smallest angular feature of the set, used to size quadrature rules."""
+    spec = spec.caps if isinstance(spec, Arcs) else spec
     if isinstance(spec, (FullSphere, EmptySet)):
         return math.pi
     if isinstance(spec, CapUnion):
         return float(spec.radii.min())
     if isinstance(spec, Band):
         return (spec.hi - spec.lo) / 2.0
-    if isinstance(spec, Arcs):
-        return float(spec.intervals[:, 1].min()) / 2.0
     if isinstance(spec, Complement):
         return min_feature_scale(spec.inner)
     raise TypeError(f"unknown set spec {type(spec).__name__}")

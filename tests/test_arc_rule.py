@@ -1,7 +1,10 @@
-"""Gauss-Legendre on the arcs of a d=1 set: Grams against the closed-form arc
-integrals, and lambda_min against an extended-precision Toeplitz oracle."""
+"""The exact rule on a d=1 set -- the circle cut at the set's cap ends, Gauss-Legendre
+on each piece, the nodes the set holds -- against closed-form arc integrals over
+pieces found by the tests' own angle arithmetic, and lambda_min against an
+extended-precision Toeplitz oracle."""
 
 import math
+import typing
 
 import mpmath
 import numpy as np
@@ -9,8 +12,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spherenorms as sn
+from spherenorms import sets
 from spherenorms.quadrature import arc_quadrature
-from spherenorms.sets import arc_list
+
+TWO_PI = 2.0 * math.pi
 
 
 def _arc_gram(arcs: list[tuple[float, float]], L: int) -> np.ndarray:
@@ -56,6 +61,44 @@ def _arc_gram(arcs: list[tuple[float, float]], L: int) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
+def _rows(E) -> list[tuple[float, float]]:
+    """E's arcs as (start, end) angles, read off its fields, not through the cap test."""
+    if isinstance(E, sn.Arcs):
+        return [(s, s + ln) for s, ln in E.intervals]
+    if isinstance(E, sn.CapUnion):
+        mid = np.arctan2(E.centers[:, 1], E.centers[:, 0])
+        return list(zip(mid - E.radii, mid + E.radii))
+    if isinstance(E, sn.Band):
+        a = math.atan2(E.axis[1], E.axis[0])
+        return [(a + E.lo, a + E.hi), (a - E.hi, a - E.lo)]
+    if isinstance(E, sn.FullSphere):
+        return [(0.0, TWO_PI)]
+    if isinstance(E, sn.EmptySet):
+        return []
+    raise TypeError(f"no rows for {type(E).__name__}")
+
+
+def _own_arcs(E) -> list[tuple[float, float]]:
+    """E's disjoint arcs as (start, length): the circle cut at the ends of E's rows (of its inner
+    set's, for a complement), keeping a piece when its midpoint lies in some row (in none)."""
+    inside = not isinstance(E, sn.Complement)
+    rows = _rows(E if inside else E.inner)
+    cuts = np.unique(np.mod([end for row in rows for end in row], TWO_PI))
+    ends = np.append(cuts, cuts[0] + TWO_PI) if cuts.size else np.array([0.0, TWO_PI])
+    return [(a, b - a) for a, b in zip(ends[:-1], ends[1:])
+            if any((0.5 * (a + b) - s) % TWO_PI <= e - s for s, e in rows) == inside]
+
+
+def _gram_error(E, L) -> tuple[float, float]:
+    """The largest entry of |G - G_ref| and of |G_ref|, G the Gram over E at degree L and G_ref its
+    closed form over ``_own_arcs(E)``, once every node of E's rule is seen to lie in E."""
+    rule = arc_quadrature(E, 2 * L)
+    assert sn.membership(E, rule.nodes).all()
+    assert rule.descriptor["n"] == rule.n_nodes
+    ref = _arc_gram(_own_arcs(E), L)
+    return np.abs(sn.gram_matrix(E, sn.Lebesgue(), sn.BasisSpec(1, L)) - ref).max(), np.abs(ref).max()
+
+
 # unions of 1-3 arcs given as [start, end] rows; a start near pi wraps past it
 _arc_rows = st.lists(
     st.tuples(st.floats(-math.pi, math.pi), st.floats(0.01, 2.0)).map(lambda r: [r[0], r[0] + r[1]]),
@@ -72,14 +115,57 @@ _arc_sets = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(E=_arc_sets, L=st.integers(0, 128))
-# a complement whose two inner arcs are ~2e-14 apart: the sliver between them is not part of the rule
+# a complement whose two inner arcs are ~2e-14 apart: the rule may keep nodes of the sliver between them
 @example(E=sn.Complement(sn.Arcs([[0.625, 1.625], [-2.031773221762772e-14, 0.6249999999999797]])), L=0)
 def test_arc_rule_gram_matches_closed_form(E, L):
-    rule = arc_quadrature(E, 2 * L)
-    assert sn.membership(E, rule.nodes).all()
-    G = sn.gram_matrix(E, sn.Lebesgue(), sn.BasisSpec(1, L))
-    ref = _arc_gram(arc_list(E), L)
-    assert np.abs(G - ref).max() <= 1e-13 * np.abs(ref).max()
+    error, scale = _gram_error(E, L)
+    # the rule places each end of E through its caps, the reference from E's rows: each to within a few
+    # ulps of 2 pi, and an end moved by t moves a Gram entry by at most t / pi
+    ends = 2 * len(_own_arcs(E))
+    assert error <= 1e-13 * scale + ends * 4.0 * np.spacing(TWO_PI) / math.pi
+
+
+@settings(max_examples=80, deadline=None)
+@given(start=st.floats(-math.pi, math.pi), lengths=st.tuples(st.floats(0.01, 2.5), st.floats(0.01, 2.5)),
+       gap_exponent=st.floats(-16.0, -6.0), complement=st.booleans(), L=st.integers(0, 32))
+def test_near_touching_arcs_keep_no_node_outside_the_set(start, lengths, gap_exponent, complement, L):
+    # two arcs 1e-16 to 1e-6 apart: the Gauss-Legendre nodes of the gap sit within rounding of its ends,
+    # where the cap test of a cap of radius r decides a node about 1e-16 / r from its edge either way;
+    # the few end nodes it moves weigh about 1e-14, bounded here against the full circle's Gram, the identity
+    first_end = start + lengths[0]
+    second = first_end + 10.0 ** gap_exponent
+    E = sn.Arcs([[start, first_end], [second, second + lengths[1]]])
+    assert _gram_error(sn.Complement(E) if complement else E, L)[0] <= 1e-13
+
+
+_AXIS = np.array([math.cos(0.7), math.sin(0.7)])
+# every d=1 set kind, with the ends a cut can fall on: a band's pole ends, an arc past 2 pi, the whole circle
+_KIND_EXAMPLES = {
+    sn.CapUnion: [sn.CapUnion(np.array([[1.0, 0.0], [math.cos(2.5), math.sin(2.5)]]), np.array([0.4, 0.9])),
+                  sn.CapUnion(np.array([[1.0, 0.0], [math.cos(0.5), math.sin(0.5)]]), np.array([0.3, 0.3]))],
+    sn.Band: [sn.Band(_AXIS, 0.4, 1.3), sn.Band(_AXIS, 0.0, 0.9), sn.Band(_AXIS, 1.1, math.pi)],
+    sn.Arcs: [sn.Arcs([[-1.2, 1.2], [2.0, 3.4]]), sn.Arcs([[5.9, 6.9]]), sn.Arcs([[1.0, 1.0 + TWO_PI]])],
+    sn.FullSphere: [sn.FullSphere()],
+    sn.EmptySet: [sn.EmptySet()],
+}
+_KIND_EXAMPLES[sn.Complement] = [sn.Complement(E) for examples in _KIND_EXAMPLES.values() for E in examples]
+
+
+@pytest.mark.parametrize("kind", typing.get_args(sets.SetSpec), ids=lambda kind: kind.kind)
+def test_every_kind_is_cut_where_its_arcs_end(kind):
+    rng = np.random.default_rng(11)
+    turn = sn.random_rotation(1, rng)
+    for E in _KIND_EXAMPLES[kind]:
+        for L in (0, 5, 24):
+            error, scale = _gram_error(E, L)
+            assert error <= 1e-13 * scale
+        tiled = arc_quadrature(E, 16).weights.sum() + arc_quadrature(sn.Complement(E), 16).weights.sum()
+        assert tiled == pytest.approx(TWO_PI, abs=1e-12)
+        lam = sn.lambda_min(E, sn.Lebesgue(), 6, d=1).lambda_min
+        for R in (turn, turn @ np.diag([1.0, -1.0])):
+            image = sn.lambda_min(sets.rotate(E, R), sn.Lebesgue(), 6, d=1).lambda_min
+            if lam >= 1e-6:
+                assert image == pytest.approx(lam, rel=1e-12, abs=0.0)
 
 
 def test_arc_rule_of_empty_set():

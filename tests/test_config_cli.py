@@ -111,6 +111,13 @@ def test_family_set_is_checked_against_the_sphere(d, spec, complement):
     assert f"not on S^{d[-1]}" in str(err.value)
 
 
+def test_zero_length_arc_is_refused_not_read_as_the_circle():
+    text = _mutated("family: {kind: fixed, set: {kind: arcs, intervals: [[0.5, 0.5]]}}")
+    with pytest.raises(ConfigError, match=re.escape("field 'family'")) as err:
+        parse_config(text)
+    assert "positive length" in str(err.value)
+
+
 # (mutation, field the error names, key it names if the field does not)
 _UNGUESSED = [
     ("sed: 5", "sed", None),

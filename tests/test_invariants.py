@@ -1,5 +1,5 @@
 """Cross-module invariants: monotonicity of the functionals in the set and the
-measure, and consistency of the arc-union reduction."""
+measure, and the arc rule's nodes and weights against the arcs it covers."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spherenorms as sn
-from spherenorms.sets import arc_list
+from spherenorms.quadrature import arc_quadrature
 
 
 def test_relative_density_monotone_in_set():
@@ -45,22 +45,20 @@ def test_lambda_measure_monotonicity():
         max_size=4,
     )
 )
-def test_arc_reduction_preserves_membership(raw):
+def test_arc_rule_lies_in_the_arcs_and_weighs_their_length(raw):
     spec = sn.Arcs([[s, s + ln] for s, ln in raw])
-    reduced = sn.Arcs([[s, s + ln] for s, ln in arc_list(spec)])
-    theta = np.linspace(0.0, 2 * math.pi, 701, endpoint=False)
-    pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    a = sn.membership(spec, pts)
-    b = sn.membership(reduced, pts)
-    # merged arcs may close sub-resolution gaps; allow boundary-point flips only
-    assert (a == b).mean() > 0.99
-    assert not (a & ~b).any()  # reduction never loses points
+    rule = arc_quadrature(spec, 16)
+    assert sn.membership(spec, rule.nodes).all()
+    # E's length from a fine grid: each of its at most 2 * len(raw) ends moves the count by at most one point
+    n = 200_000
+    theta = 2 * math.pi * np.arange(n) / n
+    grid = sn.membership(spec, np.stack([np.cos(theta), np.sin(theta)], axis=1)).mean() * 2 * math.pi
+    assert rule.weights.sum() == pytest.approx(grid, abs=2 * len(raw) * 2 * math.pi / n)
 
 
-def test_arc_complement_partitions_circle():
+def test_arc_rule_complement_partitions_circle():
     spec = sn.Arcs([[0.3, 1.4], [2.0, 2.2], [5.0, 6.0]])
-    comp = sn.Complement(spec)
-    total = sum(ln for _, ln in arc_list(spec)) + sum(ln for _, ln in arc_list(comp))
+    total = arc_quadrature(spec, 16).weights.sum() + arc_quadrature(sn.Complement(spec), 16).weights.sum()
     assert total == pytest.approx(2 * math.pi, abs=1e-12)
 
 

@@ -1,4 +1,4 @@
-"""Set grammar membership, arc reduction, serialization, families, and
+"""Set grammar membership, the arc rule's pieces, serialization, families, and
 weighted measures with radial-integral oracles."""
 
 import math
@@ -10,8 +10,8 @@ from scipy.integrate import quad
 
 import spherenorms as sn
 from spherenorms import sets
+from spherenorms.quadrature import arc_quadrature
 from spherenorms.sets import (
-    arc_list,
     family_from_dict,
     family_to_dict,
     min_feature_scale,
@@ -217,20 +217,27 @@ def test_every_set_kind_takes_every_set_operation(kind):
             np.testing.assert_array_equal(sn.membership(image, pts @ R.T), sn.membership(E, pts))
 
 
-def test_arc_reduction_merges():
-    # two overlapping caps on the circle merge into one arc
+def test_arc_rule_of_overlapping_caps_and_their_complement():
+    # two overlapping caps of radius 0.3 on the circle cover one arc of length 1.1
     c1 = np.array([1.0, 0.0])
     c2 = np.array([math.cos(0.5), math.sin(0.5)])
     spec = sn.CapUnion(np.stack([c1, c2]), np.array([0.3, 0.3]))
-    arcs = arc_list(spec)
-    assert len(arcs) == 1
-    start, length = arcs[0]
-    assert length == pytest.approx(1.1, abs=1e-12)
-    assert arc_list(sn.FullSphere()) == [(0.0, 2 * math.pi)]
-    assert arc_list(sn.EmptySet()) == []
-    comp = sn.Complement(spec)
-    arcs_c = arc_list(comp)
-    assert sum(ln for _, ln in arcs_c) == pytest.approx(2 * math.pi - 1.1, abs=1e-12)
+    assert arc_quadrature(spec, 16).weights.sum() == pytest.approx(1.1, abs=1e-12)
+    assert arc_quadrature(sn.Complement(spec), 16).weights.sum() == pytest.approx(2 * math.pi - 1.1, abs=1e-12)
+    assert arc_quadrature(sn.FullSphere(), 16).weights.sum() == pytest.approx(2 * math.pi, abs=1e-12)
+    assert arc_quadrature(sn.EmptySet(), 16).n_nodes == 0
+
+
+@pytest.mark.parametrize("row", [[0.5, 0.5], [0.5, 0.5 - 2.0 * math.pi], [-1.0, -1.0]])
+def test_zero_length_arcs_are_refused(row):
+    with pytest.raises(ValueError, match="positive length"):
+        sn.Arcs([row])
+
+
+def test_arc_of_length_two_pi_is_the_circle():
+    E = sn.Arcs([[0.5, 0.5 + 2.0 * math.pi]])
+    assert E.intervals[0, 1] == 2.0 * math.pi
+    assert sn.membership(E, sn.random_points(1, 200, np.random.default_rng(3))).all()
 
 
 def test_random_caps_deterministic():
