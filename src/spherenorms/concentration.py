@@ -14,7 +14,7 @@ sweeps flag values under it as ``below_floor``.  Every other p=2 number --
 same half-factors on the same rule.
 
 Every Gram comes from a quadrature rule.  On S^1 under the plain measure the
-rule is Gauss-Legendre on the pieces of the circle cut at E's cap ends, kept
+rule is Gauss-Legendre on the pieces of the circle cut at E's ends, kept
 where E holds them (``arc_quadrature``): all its nodes lie in E and it
 integrates the degree-2L products to rounding, so those Grams carry no
 masking error.  Elsewhere set indicators mask a densified global rule.

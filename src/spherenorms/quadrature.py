@@ -3,7 +3,7 @@
 d=1 rules are uniform grids on the circle (exact for trigonometric degree up
 to n-1); d=2 rules are Gauss-Legendre in cos(theta) times a uniform grid in
 phi (exact for total degree up to the declared bound).  ``arc_quadrature``
-cuts the circle at a d=1 set's cap ends, places Gauss-Legendre nodes in angle
+cuts the circle at a d=1 set's ends, places Gauss-Legendre nodes in angle
 on each piece and keeps the nodes the set holds, so integrals over the set
 itself of trigonometric polynomials up to the declared degree are exact to
 rounding, with no mask left to apply.  ``cap_quadrature`` reuses
@@ -206,9 +206,7 @@ def arc_quadrature(E: SetSpec, exact_degree: int) -> QuadratureRule:
     nodes, weights = (np.concatenate(column) for column in zip(*map(_arc_rule, ends[:-1], np.diff(ends), sizes)))
     keep = QuadratureRule(1, nodes, weights, exact_degree).inside(E)
     pieces = int(np.logical_or.reduceat(keep, np.cumsum(sizes) - sizes).sum())
-    rule = QuadratureRule(1, nodes[keep], weights[keep], exact_degree, {"arcs": pieces, "n": int(keep.sum())})
-    rule._masks[id(E)] = (E, np.broadcast_to(True, rule.n_nodes))  # E holds every kept node: no second classification
-    return rule
+    return QuadratureRule(1, nodes[keep], weights[keep], exact_degree, {"arcs": pieces, "n": int(keep.sum())})
 
 
 @dataclass(frozen=True)

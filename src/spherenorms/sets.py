@@ -9,7 +9,7 @@ passes it for some cap (c, r); each cap is tested only on the points of its
 polar band, by ring runs on a product rule's nodes and point by point
 elsewhere (``_cap_counts``).  Arcs are decided as the caps about their
 midpoints (``Arcs.caps``).  On S^1 a set's boundary lies among its
-``cut_angles``, the ends of its caps or of its band.  Random kinds are fully
+``cut_angles``, the ends of its arcs, caps or band.  Random kinds are fully
 determined by their seed.
 """
 
@@ -328,16 +328,18 @@ def indicator(spec: SetSpec, u) -> int:
 
 
 def cut_angles(spec: SetSpec) -> np.ndarray:
-    """The angles at which the boundary of a set on S^1 can lie: atan2(c) -+ r for each cap (c, r) of a
-    cap union or of an arc's ``caps``, axis -+ lo and axis -+ hi for a band, but none at a pole, where
-    the test holds both sides (r = pi, lo = 0, hi = pi), the inner set's for a complement, and none for
-    the full and the empty set.  Between neighbouring cuts the set holds the whole piece or none of it."""
+    """The angles at which the boundary of a set on S^1 can lie: the ends of each arc shorter than
+    2 pi, atan2(c) -+ r for each cap (c, r), axis -+ lo and axis -+ hi for a band, but none at a pole,
+    where the test holds both sides (r = pi, lo = 0, hi = pi), the inner set's for a complement, and
+    none for the full and the empty set.  Between neighbouring cuts the set holds all or none of a piece."""
     validate_set(spec, 1)
-    spec = spec.caps if isinstance(spec, Arcs) else spec
     if isinstance(spec, (FullSphere, EmptySet)):
         return np.empty(0)
     if isinstance(spec, Complement):
         return cut_angles(spec.inner)
+    if isinstance(spec, Arcs):
+        starts, lengths = spec.intervals[spec.intervals[:, 1] < _TWO_PI].T
+        return np.concatenate([starts, starts + lengths])
     if isinstance(spec, CapUnion):
         mid, half = np.arctan2(spec.centers[:, 1], spec.centers[:, 0]), spec.radii
     elif isinstance(spec, Band):
